@@ -10,6 +10,7 @@ to a logging level name (DEBUG, INFO, ...) for diagnostics on stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import os
 import sys
@@ -103,10 +104,7 @@ def _with_tolerances(mf: ModelFile, args) -> ModelFile:
         return mf
     cfg = IntegrationConfig(rel_tol=rel if rel is not None else mf.rel_tol,
                             abs_tol=abs_ if abs_ is not None else mf.abs_tol)
-    return ModelFile(kind=mf.kind, ivp=mf.ivp, preset=mf.preset,
-                     order=mf.order, grid_end=mf.grid_end,
-                     grid_count=mf.grid_count,
-                     rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
+    return dataclasses.replace(mf, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
 
 
 def _dispatch(args) -> str:

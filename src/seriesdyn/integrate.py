@@ -10,6 +10,7 @@ movable singularities are a legitimate finding for these models.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,8 @@ class IntegrationConfig:
     blowup_norm: float = 1e8
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in (self.rel_tol, self.abs_tol)):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
 
@@ -121,8 +122,8 @@ def integrate(ivp: InitialValueProblem, t_end: float,
     Returns every accepted step.  Deterministic: identical inputs give
     bit-identical trajectories.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError("t_end must be positive and finite")
     cfg = cfg or IntegrationConfig()
     fld = ivp.field
 
@@ -205,28 +206,26 @@ def sample(traj: Trajectory, times) -> np.ndarray:
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     ts = traj.ts
-    if times.size and (times.min() < ts[0] or times.max() > ts[-1]):
+    if not np.all((times >= ts[0]) & (times <= ts[-1])):
         raise RangeError(
             f"sample times must lie in [{ts[0]}, {ts[-1]}]"
         )
-    out = np.empty((len(times), traj.dimension))
     idx = np.searchsorted(ts, times, side="right") - 1
     idx = np.clip(idx, 0, len(ts) - 2)
-    for m, (t, i) in enumerate(zip(times, idx)):
-        if t == ts[i]:
-            out[m] = traj.states[i]
-            continue
-        if t == ts[i + 1]:
-            out[m] = traj.states[i + 1]
-            continue
-        h = ts[i + 1] - ts[i]
-        th = (t - ts[i]) / h
-        th2 = th * th
-        th3 = th2 * th
-        h00 = 2 * th3 - 3 * th2 + 1
-        h10 = th3 - 2 * th2 + th
-        h01 = -2 * th3 + 3 * th2
-        h11 = th3 - th2
-        out[m] = (h00 * traj.states[i] + h10 * h * traj.derivs[i]
-                  + h01 * traj.states[i + 1] + h11 * h * traj.derivs[i + 1])
+    at_left = times == ts[idx]
+    at_right = ~at_left & (times == ts[idx + 1])
+    out = np.where(at_left[:, None], traj.states[idx], traj.states[idx + 1])
+    inner = ~(at_left | at_right)
+    t, i = times[inner], idx[inner]
+    h = ts[i + 1] - ts[i]
+    th = (t - ts[i]) / h
+    th2 = th * th
+    th3 = th2 * th
+    h00 = 2 * th3 - 3 * th2 + 1
+    h10 = th3 - 2 * th2 + th
+    h01 = -2 * th3 + 3 * th2
+    h11 = th3 - th2
+    out[inner] = (h00[:, None] * traj.states[i] + (h10 * h)[:, None] * traj.derivs[i]
+                  + h01[:, None] * traj.states[i + 1]
+                  + (h11 * h)[:, None] * traj.derivs[i + 1])
     return out

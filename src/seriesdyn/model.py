@@ -8,7 +8,8 @@ and purely functional, so instances can be shared freely.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -90,12 +91,19 @@ class Polynomial:
     def degree(self) -> int:
         return max((m.degree for m in self.terms), default=0)
 
+    @cached_property
+    def _plan(self) -> tuple[tuple[float, tuple[tuple[int, int], ...]], ...]:
+        """Evaluation plan, built once: per term in canonical order, its
+        coefficient and its (variable, exponent) pairs with exponent > 0."""
+        return tuple((c, tuple((i, e) for i, e in enumerate(m.exponents) if e))
+                     for m, c in self.terms.items())
+
     def __call__(self, x) -> float:
         if len(x) != self.dimension:
             raise DimensionError(
                 f"state has length {len(x)}, polynomial has {self.dimension} variables"
             )
-        return float(sum(c * m(x) for m, c in self.terms.items()))
+        return _evaluate(self._plan, np.asarray(x, dtype=float).tolist())
 
     def diff(self, var: int) -> "Polynomial":
         """Exact partial derivative with respect to variable ``var``."""
@@ -138,6 +146,13 @@ class PolyVectorField:
     def dimension(self) -> int:
         return len(self.components)
 
+    @cached_property
+    def _jacobian(self) -> tuple[tuple[Polynomial, ...], ...]:
+        """Exact Jacobian, entry (i, j) the polynomial d f_i / d x_j, built
+        on first use and kept for every later Newton step."""
+        n = self.dimension
+        return tuple(tuple(p.diff(j) for j in range(n)) for p in self.components)
+
     def __call__(self, x) -> np.ndarray:
         return eval_field(self, x)
 
@@ -163,28 +178,52 @@ class InitialValueProblem:
         return self.field.dimension
 
 
-def eval_field(field: PolyVectorField, x) -> np.ndarray:
-    """Evaluate f(x): each component is the sum over its terms of
-    coefficient times the product of variable powers."""
+def _evaluate(plan, xs: list[float]) -> float:
+    """Sum over a polynomial's terms, left to right, of coefficient times
+    the product of variable powers.
+
+    ``xs`` holds Python floats, whose ``**`` gives the same bits as numpy
+    float64 scalars.  Where a power overflows Python raises instead of
+    returning inf, so the terms are evaluated again on numpy scalars.
+    """
+    try:
+        total = 0.0
+        for c, powers in plan:
+            v = 1.0
+            for i, e in powers:
+                v *= xs[i] ** e
+            total += c * v
+        return total
+    except OverflowError:
+        return float(_evaluate(plan, [np.float64(v) for v in xs]))
+
+
+def _state(field: PolyVectorField, x) -> list[float]:
     x = np.asarray(x, dtype=float)
     if x.shape != (field.dimension,):
         raise DimensionError(
             f"state has shape {x.shape}, field dimension is {field.dimension}"
         )
-    return np.array([p(x) for p in field.components], dtype=float)
+    return x.tolist()
+
+
+def eval_field(field: PolyVectorField, x) -> np.ndarray:
+    """Evaluate f(x): each component is the sum over its terms of
+    coefficient times the product of variable powers."""
+    xs = _state(field, x)
+    return np.array([_evaluate(p._plan, xs) for p in field.components])
 
 
 def field_jacobian(field: PolyVectorField) -> list[list[Polynomial]]:
     """Exact Jacobian: entry (i, j) is the polynomial d f_i / d x_j."""
-    n = field.dimension
-    return [[field.components[i].diff(j) for j in range(n)] for i in range(n)]
+    return [list(row) for row in field._jacobian]
 
 
 def jacobian_at(field: PolyVectorField, x) -> np.ndarray:
     """Jacobian matrix of f evaluated at a state vector."""
-    jac = field_jacobian(field)
-    return np.array([[jac[i][j](x) for j in range(field.dimension)]
-                     for i in range(field.dimension)])
+    xs = _state(field, x)
+    return np.array([[_evaluate(d._plan, xs) for d in row]
+                     for row in field._jacobian])
 
 
 # ---------------------------------------------------------------------------

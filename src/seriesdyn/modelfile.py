@@ -23,6 +23,7 @@ can report line/column or key-path diagnostics and exit with code 2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import ModelFileError
@@ -70,7 +71,13 @@ class ModelFile:
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ModelFileError("expected a number", where)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ModelFileError("expected a finite number", where)
+    return number
 
 
 def _positive_int(value, where: str, minimum: int = 1) -> int:

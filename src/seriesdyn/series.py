@@ -207,12 +207,14 @@ def taylor_solve(ivp: InitialValueProblem, order: int) -> TaylorSolution:
     coeffs = np.zeros((n, order + 1))
     coeffs[:, 0] = ivp.x0
     overflow = None
-    for j in range(order):
-        for i, p in enumerate(ivp.field.components):
-            fj = _poly_apply_arrays(p, [coeffs[v, : j + 1] for v in range(n)], j)
-            coeffs[i, j + 1] = fj[j] / (j + 1)
-        if overflow is None and not np.all(np.isfinite(coeffs[:, j + 1])):
-            overflow = j + 1
+    # overflow is reported through overflow_order, not as numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(order):
+            for i, p in enumerate(ivp.field.components):
+                fj = _poly_apply_arrays(p, [coeffs[v, : j + 1] for v in range(n)], j)
+                coeffs[i, j + 1] = fj[j] / (j + 1)
+            if overflow is None and not np.all(np.isfinite(coeffs[:, j + 1])):
+                overflow = j + 1
     return TaylorSolution(
         series=tuple(TruncatedSeries(coeffs[i]) for i in range(n)),
         ivp=ivp,

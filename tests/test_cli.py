@@ -145,3 +145,19 @@ def test_radius_cli_order_override(tmp_path, capsys):
     path = write_model(tmp_path, LOGISTIC_DOC)
     assert main(["radius", path, "-k", "12"]) == EXIT_OK
     assert "order K=12" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("field", ['"x0": [NaN]',
+                                   '"x0": [1.0], "grid": {"end": NaN}'])
+def test_non_finite_model_value_is_input_error(tmp_path, capsys, field):
+    path = tmp_path / "nan.json"
+    path.write_text('{"model": "logistic", "params": {"b": 1.0, "a": -3.0}, '
+                    + field + '}', encoding="utf-8")
+    assert main(["solve", str(path)]) == EXIT_INPUT
+    assert "finite" in capsys.readouterr().err
+
+
+def test_non_finite_tolerance_override_is_input_error(tmp_path, capsys):
+    path = write_model(tmp_path, LOGISTIC_DOC)
+    assert main(["solve", path, "--abs-tol", "inf"]) == EXIT_INPUT
+    assert "finite" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 dense output, statuses, and determinism."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from seriesdyn import (
     Logistic,
     RangeError,
     Spiral,
+    Trajectory,
     TwoSpecies,
     eval_field,
     integrate,
@@ -172,3 +174,76 @@ def test_steps_concentrate_near_singularity():
     # approaching the branch point the controller must shrink the step
     traj = integrate(preset_ivp(Spiral(0.5), [2.0, 2.0]), 0.2)
     assert traj.step_sizes[-1] < traj.step_sizes[0] / 100.0
+
+
+def test_config_rejects_non_finite_tolerances():
+    # a NaN tolerance used to be accepted and made every step a rejection
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            IntegrationConfig(rel_tol=bad)
+        with pytest.raises(ValueError):
+            IntegrationConfig(abs_tol=bad)
+
+
+def test_integrate_rejects_non_finite_t_end():
+    # NaN used to return a one-point "completed" trajectory
+    with pytest.raises(ValueError):
+        integrate(LOGISTIC, math.nan)
+    with pytest.raises(ValueError):
+        integrate(LOGISTIC, math.inf)
+
+
+def test_sample_rejects_nan_times():
+    traj = integrate(LOGISTIC, 1.0)
+    with pytest.raises(RangeError):
+        sample(traj, [math.nan])
+    with pytest.raises(RangeError):
+        sample(traj, [0.5, math.nan])
+
+
+def scalar_hermite(traj, times):
+    """One point at a time: node hits return the stored state, interior
+    points the cubic Hermite blend of the bracketing step."""
+    ts = traj.ts
+    out = np.empty((len(times), traj.dimension))
+    idx = np.clip(np.searchsorted(ts, times, side="right") - 1, 0, len(ts) - 2)
+    for m, (t, i) in enumerate(zip(times, idx)):
+        if t == ts[i]:
+            out[m] = traj.states[i]
+            continue
+        if t == ts[i + 1]:
+            out[m] = traj.states[i + 1]
+            continue
+        h = ts[i + 1] - ts[i]
+        th = (t - ts[i]) / h
+        th2 = th * th
+        th3 = th2 * th
+        h00 = 2 * th3 - 3 * th2 + 1
+        h10 = th3 - 2 * th2 + th
+        h01 = -2 * th3 + 3 * th2
+        h11 = th3 - th2
+        out[m] = (h00 * traj.states[i] + h10 * h * traj.derivs[i]
+                  + h01 * traj.states[i + 1] + h11 * h * traj.derivs[i + 1])
+    return out
+
+
+def test_sample_equals_scalar_hermite_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for ivp, t_end in ((LOGISTIC, 1.0), (TWOSPECIES, 300.0),
+                       (preset_ivp(Spiral(-0.5), [2.0, 2.0]), 20.0)):
+        traj = integrate(ivp, t_end)
+        times = np.concatenate([traj.ts[::4], [traj.ts[0], traj.ts[-1]],
+                                rng.uniform(0.0, t_end, 300)])
+        rng.shuffle(times)
+        got = sample(traj, times)
+        assert got.shape == (len(times), ivp.dimension)
+        np.testing.assert_array_equal(got, scalar_hermite(traj, times))
+
+
+def test_sample_one_node_trajectory():
+    traj = Trajectory(ts=[0.0], states=[[2.0]], derivs=[[1.0]], step_sizes=[],
+                      error_estimates=[], status="stiff-abort")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(sample(traj, [0.0, 0.0]), [[2.0], [2.0]])
+    assert sample(traj, []).shape == (0, 1)

@@ -207,3 +207,54 @@ def test_preset_ivp_examples_build():
     assert ivp3.dimension == 2
     with pytest.raises(DimensionError):
         preset_ivp(Spiral(-0.5), [2.0])
+
+
+def float64_walk(poly, x):
+    """Term-by-term evaluation on numpy float64 scalars, in canonical term
+    order: the reference the compiled evaluation must match bit for bit."""
+    total = 0
+    for mono, c in poly.terms.items():
+        v = 1.0
+        for xi, e in zip(x, mono.exponents):
+            if e:
+                v *= xi ** e
+        total = total + c * v
+    return float(total)
+
+
+def test_compiled_evaluation_is_bit_identical_to_float64_walk():
+    rng = np.random.default_rng(2)
+    fields = [Logistic(1.0, -3.0).build_field(),
+              TwoSpecies.reference().build_field(),
+              Spiral(-0.5).build_field(), Spiral(0.5).build_field()]
+    # criterion 2's recipe: n <= 3, 1-4 terms, total degree <= 3
+    fields += [random_field(rng, int(rng.integers(1, 4))) for _ in range(50)]
+    for field in fields:
+        n = field.dimension
+        for _ in range(40):
+            x = rng.uniform(-50.0, 50.0, n)
+            want_f = [float64_walk(p, x) for p in field.components]
+            want_j = [[float64_walk(p.diff(j), x) for j in range(n)]
+                      for p in field.components]
+            np.testing.assert_array_equal(eval_field(field, x), want_f)
+            np.testing.assert_array_equal(jacobian_at(field, x), want_j)
+
+
+def test_field_jacobian_entries_are_the_partial_derivatives():
+    field = Spiral(-0.5).build_field()
+    jac = field_jacobian(field)
+    for i, comp in enumerate(field.components):
+        assert jac[i] == [comp.diff(j) for j in range(2)]
+
+
+def test_overflowing_field_returns_inf_instead_of_raising():
+    p = Polynomial.from_coeffs({(400,): 1.0}, 1)
+    q = Polynomial.from_coeffs({(401,): 1.0}, 1)
+    field = PolyVectorField((p,))
+    with np.errstate(over="ignore"):
+        assert p([10.0]) == np.inf
+        assert q([-10.0]) == -np.inf
+        assert eval_field(field, [10.0])[0] == np.inf
+        assert jacobian_at(field, [10.0])[0, 0] == np.inf
+        np.testing.assert_array_equal(
+            eval_field(PolyVectorField((q,)), [-10.0]), [-np.inf])

@@ -1,6 +1,7 @@
 """JSON model-file parsing and validation."""
 
 import json
+import math
 
 import pytest
 
@@ -206,3 +207,30 @@ def test_tolerances_validation():
                     tolerances={"abs": -1e-12})).location == "key 'tolerances'"
     mf = parse_model(dict(LOGISTIC_DOC, tolerances={"rel": 1e-8}))
     assert mf.rel_tol == 1e-8 and mf.abs_tol == 1e-12
+
+
+@pytest.mark.parametrize("text, location", [
+    ('"x0": [NaN]', "key 'x0'[0]"),
+    ('"x0": [1.0], "grid": {"end": NaN}', "key 'grid.end'"),
+    ('"x0": [1.0], "grid": {"end": Infinity}', "key 'grid.end'"),
+    ('"x0": [1.0], "tolerances": {"rel": NaN}', "key 'tolerances.rel'"),
+    ('"x0": [1.0], "tolerances": {"abs": Infinity}', "key 'tolerances.abs'"),
+    ('"x0": [1' + '0' * 400 + ']', "key 'x0'[0]"),
+], ids=["x0-nan", "grid-end-nan", "grid-end-inf", "rel-nan", "abs-inf",
+        "x0-int-beyond-float"])
+def test_non_finite_numbers_rejected(text, location):
+    # Python's json reads NaN, Infinity and -Infinity; none is a valid value
+    doc = '{"model": "logistic", "params": {"b": 1.0, "a": -3.0}, ' + text + '}'
+    with pytest.raises(ModelFileError) as info:
+        loads_model(doc)
+    assert info.value.location == location
+    assert "finite" in str(info.value)
+
+
+def test_non_finite_params_and_coefficients_rejected():
+    e = err({"model": "logistic", "params": {"b": math.inf, "a": -3.0},
+             "x0": [1.0]})
+    assert e.location == "key 'params.b'"
+    e = err({"model": "terms", "x0": [1.0],
+             "terms": [[{"exponents": [1], "coeff": -math.inf}]]})
+    assert e.location == "key 'terms'[0][0]"

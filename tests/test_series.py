@@ -3,6 +3,7 @@ recursion and its collapse onto the Taylor expansion, and radius
 estimation from coefficient tails."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,17 @@ def test_taylor_logistic_first_coefficients():
     assert sol.order == 4
     assert sol.dimension == 1
     assert sol.overflow_order is None
+
+
+def test_taylor_overflow_is_reported_without_warnings():
+    # the spiral's coefficients grow like 8**j and leave the float range at
+    # order 340; that is the overflow_order diagnostic, not a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = taylor_solve(preset_ivp(Spiral(-0.5), [2.0, 2.0]), 360)
+    assert sol.overflow_order == 340
+    head = np.array([s.coeffs[:340] for s in sol.series])
+    assert np.all(np.isfinite(head))
 
 
 def test_taylor_geometric_closed_form():
