@@ -2,7 +2,8 @@
 
 Subcommands: table1, phase2d, spiral, radius, solve, fixed-points.
 Output goes to stdout or to --output <path>.  Exit codes: 0 success,
-2 input error (bad arguments, malformed model file, order too small),
+2 input error (bad arguments, malformed model file, order too small, an
+order above MAX_ORDER or a sample count above MAX_SAMPLES),
 3 numerical failure (integration did not complete).  Set SERIESDYN_LOG
 to a logging level name (DEBUG, INFO, ...) for diagnostics on stderr.
 """
@@ -22,7 +23,7 @@ from .errors import (
     SeriesDynError,
 )
 from .integrate import IntegrationConfig
-from .modelfile import ModelFile, load_model
+from .modelfile import MAX_ORDER, MAX_SAMPLES, ModelFile, load_model
 from .report import (
     cmd_fixed_points,
     cmd_phase2d,
@@ -37,12 +38,24 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
+def _int_at_most(limit: int):
+    """argparse type: an integer no larger than ``limit``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value > limit:
+            raise argparse.ArgumentTypeError(f"must be <= {limit}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its error messages
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seriesdyn",
         description="Truncated time-power-series solutions of polynomial "
                     "ODE systems, with oracles that show where they fail.")
     sub = parser.add_subparsers(dest="command", required=True)
+    order_type, samples_type = _int_at_most(MAX_ORDER), _int_at_most(MAX_SAMPLES)
 
     def add_output(p):
         p.add_argument("--output", metavar="PATH", default=None,
@@ -62,25 +75,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phase2d", help="two-species CSV: integrator vs "
                                        "partial sums, fixed-point footer")
-    p.add_argument("--order", "-k", type=int, action="append", default=None,
+    p.add_argument("--order", "-k", type=order_type, action="append", default=None,
                    metavar="K", help="series order (repeatable; default 4 and 10)")
     p.add_argument("--t-end", type=float, default=300.0)
-    p.add_argument("--samples", type=int, default=121)
+    p.add_argument("--samples", type=samples_type, default=121)
     add_tols(p)
     add_output(p)
 
     p = sub.add_parser("spiral", help="spiral CSV: integrator, closed form, "
                                       "series")
-    p.add_argument("--order", "-k", type=int, default=5, metavar="K")
+    p.add_argument("--order", "-k", type=order_type, default=5, metavar="K")
     p.add_argument("--t-end", type=float, default=20.0)
-    p.add_argument("--samples", type=int, default=201)
+    p.add_argument("--samples", type=samples_type, default=201)
     add_tols(p)
     add_output(p)
 
     p = sub.add_parser("radius", help="radius-of-convergence report for a "
                                       "model file")
     p.add_argument("model_file")
-    p.add_argument("--order", "-k", type=int, default=None, metavar="K",
+    p.add_argument("--order", "-k", type=order_type, default=None, metavar="K",
                    help="series order (default: model file's, needs >= 8)")
     add_output(p)
 

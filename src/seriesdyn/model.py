@@ -170,6 +170,8 @@ class InitialValueProblem:
             raise DimensionError(
                 f"x0 has shape {x0.shape}, field dimension is {self.field.dimension}"
             )
+        if not np.all(np.isfinite(x0)):
+            raise ValueError(f"x0 must be finite, got {x0.tolist()}")
         x0.flags.writeable = False
         object.__setattr__(self, "x0", x0)
 

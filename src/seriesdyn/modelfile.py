@@ -9,8 +9,8 @@ integrator tolerances:
       "model": "logistic",            // "two-species", "spiral", "terms"
       "params": {"b": 1.0, "a": -3.0},
       "x0": [1.0],
-      "order": 10,                    // optional, default 10
-      "grid": {"end": 1.0, "count": 11},
+      "order": 10,                    // optional, default 10, <= MAX_ORDER
+      "grid": {"end": 1.0, "count": 11},  // count <= MAX_SAMPLES
       "tolerances": {"rel": 1e-10, "abs": 1e-12}
     }
 
@@ -41,6 +41,10 @@ from .model import (
 DEFAULT_ORDER = 10
 DEFAULT_GRID_END = 1.0
 DEFAULT_GRID_COUNT = 11
+# caps on the work one request can ask for: a series order, and a count of
+# output times (model-file grid points, CLI --samples)
+MAX_ORDER = 1000
+MAX_SAMPLES = 100_000
 
 _PRESET_PARAMS = {
     "logistic": ("b", "a"),
@@ -80,11 +84,13 @@ def _number(value, where: str) -> float:
     return number
 
 
-def _positive_int(value, where: str, minimum: int = 1) -> int:
+def _positive_int(value, where: str, minimum: int, maximum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ModelFileError("expected an integer", where)
     if value < minimum:
         raise ModelFileError(f"must be >= {minimum}", where)
+    if value > maximum:
+        raise ModelFileError(f"must be <= {maximum}", where)
     return value
 
 
@@ -169,7 +175,7 @@ def parse_model(doc) -> ModelFile:
 
     order = DEFAULT_ORDER
     if "order" in doc:
-        order = _positive_int(doc["order"], "key 'order'")
+        order = _positive_int(doc["order"], "key 'order'", 1, MAX_ORDER)
 
     grid_end, grid_count = DEFAULT_GRID_END, DEFAULT_GRID_COUNT
     if "grid" in doc:
@@ -182,7 +188,7 @@ def parse_model(doc) -> ModelFile:
             if grid_end <= 0:
                 raise ModelFileError("grid end must be > 0", "key 'grid.end'")
         if "count" in grid:
-            grid_count = _positive_int(grid["count"], "key 'grid.count'", minimum=2)
+            grid_count = _positive_int(grid["count"], "key 'grid.count'", 2, MAX_SAMPLES)
 
     rel_tol, abs_tol = 1e-10, 1e-12
     if "tolerances" in doc:

@@ -19,10 +19,10 @@ import numpy as np
 from .errors import DegenerateError, InsufficientOrderError, IntegrationFailedError
 from .exact import logistic_exact, logistic_singularity, spiral_exact, spiral_singularity
 from .integrate import IntegrationConfig, integrate, sample
-from .model import Logistic, Spiral, TwoSpecies, preset_ivp
+from .model import InitialValueProblem, Logistic, Spiral, TwoSpecies, preset_ivp
 from .modelfile import ModelFile
 from .phase import classify, fixed_points
-from .series import radius_estimate, series_eval, taylor_solve
+from .series import radius_estimate, taylor_solve
 
 _FLOAT_FMT = "{:.11e}"  # 12 significant digits
 
@@ -71,18 +71,35 @@ def _aligned(rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv(rows: list[list[str]]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _curves(ivp: InitialValueProblem, ts, orders: list[int],
+            cfg: IntegrationConfig | None = None
+            ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """Integrate to ts[-1], sample the trajectory at ``ts`` and expand to
+    each order: returns the sampled states, shape (len(ts), n), and
+    {order: partial sums at ``ts``, same shape}."""
+    t_end = float(ts[-1])
+    traj = integrate(ivp, t_end, cfg)
+    if traj.status != "completed":
+        raise IntegrationFailedError(
+            f"integration ended with status {traj.status!r} at "
+            f"t = {traj.ts[-1]:.6g} (before requested end {t_end:.6g})")
+    return sample(traj, ts), {k: taylor_solve(ivp, k).eval(ts) for k in orders}
+
+
 def table1_rows() -> list[ComparisonRow]:
     """The ten comparison rows behind the logistic log-error table."""
     b, a, x0 = 1.0, -3.0, 1.0
-    ivp = preset_ivp(Logistic(b, a), [x0])
     ts = [i / 10 for i in range(1, 11)]
-    sol = taylor_solve(ivp, 4)
-    traj = integrate(ivp, 1.0)
-    numerical = sample(traj, ts)
+    numerical, sums = _curves(preset_ivp(Logistic(b, a), [x0]), ts, [4])
     rows = []
-    for t, num in zip(ts, numerical):
+    for t, num, s4 in zip(ts, numerical, sums[4][:, 0].tolist()):
         ex = logistic_exact(b, a, x0, t)
-        s4 = float(series_eval(sol.series[0], t))
         log_err = math.log10(abs((ex - s4) / ex))
         rows.append(ComparisonRow(
             t=t, numerical=(float(num[0]),), exact=(ex,),
@@ -121,52 +138,33 @@ def cmd_phase2d(orders: list[int] | None = None, t_end: float = 300.0,
     '#'-comment footer.
     """
     orders = sorted(set(orders)) if orders else [4, 10]
-    if not orders or any(k < 1 for k in orders):
+    if any(k < 1 for k in orders):
         raise ValueError("orders must be positive integers")
     if samples < 2:
         raise ValueError("samples must be at least 2")
-    preset = TwoSpecies.reference()
-    ivp = preset_ivp(preset, [4.0, 10.0])
+    ivp = preset_ivp(TwoSpecies.reference(), [4.0, 10.0])
     ts = np.linspace(0.0, t_end, samples)
-    traj = integrate(ivp, t_end)
-    if traj.status != "completed":
-        raise IntegrationFailedError(
-            f"integration ended with status {traj.status!r}")
-    num = sample(traj, ts)
-
-    sums = {}
-    for k in orders:
-        sol = taylor_solve(ivp, k)
-        sums[k] = np.column_stack([series_eval(s, ts) for s in sol.series])
-
+    num, sums = _curves(ivp, ts, orders)
     lo, hi = orders[0], orders[-1]
     dev_lo = np.linalg.norm(sums[lo] - num, axis=1)
     dev_hi = np.linalg.norm(sums[hi] - num, axis=1)
     worse = dev_hi > dev_lo
     first_cross = int(np.argmax(worse)) if worse.any() and lo != hi else None
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    header = ["t", "x_num", "y_num"]
-    for k in orders:
-        header += [f"x_s{k}", f"y_s{k}"]
-    header.append("crossover")
-    writer.writerow(header)
-    for i, t in enumerate(ts):
-        row = [_fmt(t), _fmt(num[i, 0]), _fmt(num[i, 1])]
-        for k in orders:
-            row += [_fmt(sums[k][i, 0]), _fmt(sums[k][i, 1])]
-        row.append("1" if i == first_cross else "0")
-        writer.writerow(row)
+    rows = [["t", "x_num", "y_num"]
+            + [f"{v}_s{k}" for k in orders for v in "xy"] + ["crossover"]]
+    block = np.column_stack([ts, num] + [sums[k] for k in orders])
+    for i, values in enumerate(block):
+        rows.append([_fmt(v) for v in values] + ["1" if i == first_cross else "0"])
 
     field = ivp.field
-    buf.write("# fixed points: location, classification, eigenvalues\n")
+    out = _csv(rows) + "# fixed points: location, classification, eigenvalues\n"
     for loc in fixed_points(field):
         cp = classify(field, loc)
         eigs = ", ".join(_fmt_complex(z, _FLOAT_FMT) for z in cp.eigenvalues)
-        buf.write(f"# ({_fmt(loc[0])}, {_fmt(loc[1])}) {cp.classification} "
-                  f"[{eigs}]\n")
-    return buf.getvalue()
+        out += (f"# ({_fmt(loc[0])}, {_fmt(loc[1])}) {cp.classification} "
+                f"[{eigs}]\n")
+    return out
 
 
 def cmd_spiral(order: int = 5, t_end: float = 20.0, samples: int = 201) -> str:
@@ -178,23 +176,12 @@ def cmd_spiral(order: int = 5, t_end: float = 20.0, samples: int = 201) -> str:
     a, x0, y0 = -0.5, 2.0, 2.0
     ivp = preset_ivp(Spiral(a), [x0, y0])
     ts = np.linspace(0.0, t_end, samples)
-    traj = integrate(ivp, t_end)
-    if traj.status != "completed":
-        raise IntegrationFailedError(
-            f"integration ended with status {traj.status!r}")
-    num = sample(traj, ts)
-    sol = taylor_solve(ivp, order)
-    ser = np.column_stack([series_eval(s, ts) for s in sol.series])
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t", "x_num", "y_num", "x_exact", "y_exact",
-                     "x_series", "y_series"])
-    for i, t in enumerate(ts):
-        ex, ey = spiral_exact(a, x0, y0, float(t))
-        writer.writerow([_fmt(t), _fmt(num[i, 0]), _fmt(num[i, 1]),
-                         _fmt(ex), _fmt(ey), _fmt(ser[i, 0]), _fmt(ser[i, 1])])
-    return buf.getvalue()
+    num, sums = _curves(ivp, ts, [order])
+    rows = [["t", "x_num", "y_num", "x_exact", "y_exact", "x_series", "y_series"]]
+    for t, n_i, s_i in zip(ts, num, sums[order]):
+        exact = spiral_exact(a, x0, y0, float(t))
+        rows.append([_fmt(v) for v in (t, *n_i, *exact, *s_i)])
+    return _csv(rows)
 
 
 def _analytic_singularity(mf: ModelFile):
@@ -253,24 +240,12 @@ def cmd_solve(mf: ModelFile) -> str:
     on the model file's time grid."""
     ts = np.linspace(0.0, mf.grid_end, mf.grid_count)
     cfg = IntegrationConfig(rel_tol=mf.rel_tol, abs_tol=mf.abs_tol)
-    traj = integrate(mf.ivp, mf.grid_end, cfg)
-    if traj.status != "completed":
-        raise IntegrationFailedError(
-            f"integration ended with status {traj.status!r} at "
-            f"t = {traj.ts[-1]:.6g} (before requested end {mf.grid_end:.6g})")
-    num = sample(traj, ts)
-    sol = taylor_solve(mf.ivp, mf.order)
-    ser = np.column_stack([series_eval(s, ts) for s in sol.series])
+    num, sums = _curves(mf.ivp, ts, [mf.order], cfg)
     names = _var_names(mf.ivp.field.dimension)
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t"] + [f"{n}_num" for n in names]
-                    + [f"{n}_s{mf.order}" for n in names])
-    for i, t in enumerate(ts):
-        writer.writerow([_fmt(t)] + [_fmt(v) for v in num[i]]
-                        + [_fmt(v) for v in ser[i]])
-    return buf.getvalue()
+    rows = [["t"] + [f"{n}_num" for n in names] + [f"{n}_s{mf.order}" for n in names]]
+    rows += [[_fmt(v) for v in values]
+             for values in np.column_stack([ts, num, sums[mf.order]])]
+    return _csv(rows)
 
 
 def cmd_fixed_points(mf: ModelFile) -> str:

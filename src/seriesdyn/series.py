@@ -141,46 +141,57 @@ class RadiusEstimate:
     diagnostics: np.ndarray
 
 
-def series_mul(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSeries:
-    """Cauchy product truncated at ``order``."""
-    full = np.convolve(a.coeffs, b.coeffs)
-    out = np.zeros(order + 1)
-    m = min(order + 1, len(full))
-    out[:m] = full[:m]
-    return TruncatedSeries(out)
+# -- the one truncated product ------------------------------------------------
+#
+# A coefficient grid is a flat array holding ``rows`` rows of t-coefficients
+# stored row after row at a fixed ``stride``.  The Taylor route is the
+# one-row case (stride = width = order + 1).  The perturbation route keeps
+# one row per power of the dummy parameter lam at stride 2K+1: a product of
+# two rows has t-degree <= 2K, so t-powers never collide across rows and one
+# 1-D convolution of the flat grids is the exact bivariate product.
 
-
-def _mul_arr(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+def _mul(a: np.ndarray, b: np.ndarray, rows: int, width: int,
+         stride: int) -> np.ndarray:
+    """Product of two flat grids, truncated to ``rows`` rows of ``width``
+    t-coefficients each (the rest of every row is zero)."""
     full = np.convolve(a, b)
-    out = np.zeros(order + 1)
-    m = min(order + 1, len(full))
+    out = np.zeros(rows * stride)
+    m = min(len(out), len(full))
     out[:m] = full[:m]
+    if width < stride:
+        out.reshape(rows, stride)[:, width:] = 0.0
     return out
 
 
-def _poly_apply_arrays(p: Polynomial, var_arrays: list[np.ndarray], order: int) -> np.ndarray:
-    """p composed with per-variable coefficient arrays, truncated at ``order``.
+def _compose(p: Polynomial, grids: list[np.ndarray], rows: int, width: int,
+             stride: int) -> np.ndarray:
+    """p applied to per-variable flat grids, truncated as in :func:`_mul`.
 
-    Powers of each variable series are cached and reused across terms.
+    Walks the compiled term plan; powers of each variable are cached and
+    reused across terms.
     """
-    one = np.zeros(order + 1)
+    one = np.zeros(rows * stride)
     one[0] = 1.0
-    pow_cache: dict[int, list[np.ndarray]] = {i: [one] for i in range(len(var_arrays))}
+    powers = [[one] for _ in grids]
 
     def power(i: int, e: int) -> np.ndarray:
-        cache = pow_cache[i]
+        cache = powers[i]
         while len(cache) <= e:
-            cache.append(_mul_arr(cache[-1], var_arrays[i], order))
+            cache.append(_mul(cache[-1], grids[i], rows, width, stride))
         return cache[e]
 
-    out = np.zeros(order + 1)
-    for mono, c in p.terms.items():
+    out = np.zeros(rows * stride)
+    for c, factors in p._plan:
         term = one
-        for i, e in enumerate(mono.exponents):
-            if e:
-                term = _mul_arr(term, power(i, e), order)
+        for i, e in factors:
+            term = _mul(term, power(i, e), rows, width, stride)
         out += c * term
     return out
+
+
+def series_mul(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSeries:
+    """Cauchy product truncated at ``order``."""
+    return TruncatedSeries(_mul(a.coeffs, b.coeffs, 1, order + 1, order + 1))
 
 
 def poly_apply_series(p: Polynomial, variables, order: int) -> TruncatedSeries:
@@ -191,7 +202,7 @@ def poly_apply_series(p: Polynomial, variables, order: int) -> TruncatedSeries:
             f"polynomial has {p.dimension} variables, got {len(variables)} series"
         )
     arrays = [np.asarray(v.coeffs, dtype=float) for v in variables]
-    return TruncatedSeries(_poly_apply_arrays(p, arrays, order))
+    return TruncatedSeries(_compose(p, arrays, 1, order + 1, order + 1))
 
 
 def taylor_solve(ivp: InitialValueProblem, order: int) -> TaylorSolution:
@@ -210,9 +221,9 @@ def taylor_solve(ivp: InitialValueProblem, order: int) -> TaylorSolution:
     # overflow is reported through overflow_order, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(order):
+            grids = [coeffs[v, : j + 1] for v in range(n)]
             for i, p in enumerate(ivp.field.components):
-                fj = _poly_apply_arrays(p, [coeffs[v, : j + 1] for v in range(n)], j)
-                coeffs[i, j + 1] = fj[j] / (j + 1)
+                coeffs[i, j + 1] = _compose(p, grids, 1, j + 1, j + 1)[j] / (j + 1)
             if overflow is None and not np.all(np.isfinite(coeffs[:, j + 1])):
                 overflow = j + 1
     return TaylorSolution(
@@ -220,54 +231,6 @@ def taylor_solve(ivp: InitialValueProblem, order: int) -> TaylorSolution:
         ivp=ivp,
         overflow_order=overflow,
     )
-
-
-# -- bivariate helpers for the perturbation route ---------------------------
-#
-# x(lam, t) is carried as an array X[var, lam_order, t_power].  Products are
-# exact 2-D truncated polynomial products, done as one 1-D convolution of a
-# strided flattening (t-degrees can never collide across lam rows because the
-# stride exceeds twice the t truncation order).
-
-def _bimul(a: np.ndarray, b: np.ndarray, lam_max: int, t_max: int) -> np.ndarray:
-    la, ta = a.shape
-    lb, tb = b.shape
-    stride = 2 * t_max + 1
-    fa = np.zeros(la * stride)
-    fb = np.zeros(lb * stride)
-    for p in range(la):
-        fa[p * stride: p * stride + ta] = a[p]
-    for q in range(lb):
-        fb[q * stride: q * stride + tb] = b[q]
-    flat = np.convolve(fa, fb)
-    out = np.zeros((lam_max + 1, t_max + 1))
-    rows = min(lam_max + 1, la + lb - 1)
-    for r in range(rows):
-        seg = flat[r * stride: r * stride + t_max + 1]
-        out[r, : len(seg)] = seg
-    return out
-
-
-def _poly_apply_bivariate(p: Polynomial, var_grids: list[np.ndarray],
-                          lam_max: int, t_max: int) -> np.ndarray:
-    one = np.zeros((lam_max + 1, t_max + 1))
-    one[0, 0] = 1.0
-    pow_cache: dict[int, list[np.ndarray]] = {i: [one] for i in range(len(var_grids))}
-
-    def power(i: int, e: int) -> np.ndarray:
-        cache = pow_cache[i]
-        while len(cache) <= e:
-            cache.append(_bimul(cache[-1], var_grids[i], lam_max, t_max))
-        return cache[e]
-
-    out = np.zeros((lam_max + 1, t_max + 1))
-    for mono, c in p.terms.items():
-        term = one
-        for i, e in enumerate(mono.exponents):
-            if e:
-                term = _bimul(term, power(i, e), lam_max, t_max)
-        out += c * term
-    return out
 
 
 def hpm_solve(ivp: InitialValueProblem, order: int) -> HpmExpansion:
@@ -282,19 +245,18 @@ def hpm_solve(ivp: InitialValueProblem, order: int) -> HpmExpansion:
         raise ValueError("order must be >= 1")
     n = ivp.dimension
     K = order
-    # X[var, lam_order, t_power]
-    X = np.zeros((n, K + 1, K + 1))
+    stride = 2 * K + 1
+    # X[var, lam_order, t_power], each row padded from K+1 to the stride
+    X = np.zeros((n, K + 1, stride))
     X[:, 0, 0] = ivp.x0
     for j in range(1, K + 1):
-        rhs = [
-            _poly_apply_bivariate(p, [X[v, :j, :] for v in range(n)], j - 1, K)
-            for p in ivp.field.components
-        ]
-        for i in range(n):
-            g = rhs[i][j - 1]  # d/dt of correction j, a series in t
-            X[i, j, 1:] = g[:-1] / np.arange(1, K + 1)
+        grids = [X[v, :j].ravel() for v in range(n)]
+        for i, p in enumerate(ivp.field.components):
+            f = _compose(p, grids, j, K + 1, stride)
+            g = f[(j - 1) * stride:]  # d/dt of correction j, a series in t
+            X[i, j, 1: K + 1] = g[:K] / np.arange(1, K + 1)
     corrections = tuple(
-        tuple(TruncatedSeries(X[i, j, :]) for i in range(n)) for j in range(K + 1)
+        tuple(TruncatedSeries(X[i, j, : K + 1]) for i in range(n)) for j in range(K + 1)
     )
     return HpmExpansion(corrections)
 

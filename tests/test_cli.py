@@ -5,7 +5,7 @@ import json
 import pytest
 
 from seriesdyn.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
-from seriesdyn.modelfile import load_model
+from seriesdyn.modelfile import MAX_ORDER, MAX_SAMPLES, load_model
 from seriesdyn.report import cmd_radius, cmd_solve, cmd_table1
 
 LOGISTIC_DOC = {"model": "logistic", "params": {"b": 1.0, "a": -3.0},
@@ -161,3 +161,19 @@ def test_non_finite_tolerance_override_is_input_error(tmp_path, capsys):
     path = write_model(tmp_path, LOGISTIC_DOC)
     assert main(["solve", path, "--abs-tol", "inf"]) == EXIT_INPUT
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["phase2d", "-k", "4", "-k", str(MAX_ORDER + 1)],
+    ["spiral", "--order", str(MAX_ORDER + 1)],
+    ["radius", "model.json", "-k", str(MAX_ORDER + 1)],
+    ["phase2d", "--samples", str(MAX_SAMPLES + 1)],
+    ["spiral", "--samples", str(10**30)],
+], ids=["phase2d-order", "spiral-order", "radius-order", "phase2d-samples",
+        "spiral-samples"])
+def test_work_caps_on_flags_are_input_errors(capsys, argv):
+    # argparse rejects the value before any command runs
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_INPUT
+    assert "must be <=" in capsys.readouterr().err

@@ -91,6 +91,15 @@ def test_ivp_validates_and_freezes_x0():
         InitialValueProblem(Logistic(1.0, -3.0).build_field(), [1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ivp_rejects_non_finite_x0(bad):
+    # a NaN start gives a NaN first step, which integrate never accepts
+    with pytest.raises(ValueError, match="finite"):
+        preset_ivp(Logistic(1.0, -3.0), [bad])
+    with pytest.raises(ValueError, match="finite"):
+        InitialValueProblem(Spiral(-0.5).build_field(), [1.0, bad])
+
+
 def test_eval_field_logistic_by_hand():
     field = Logistic(1.0, -3.0).build_field()
     assert eval_field(field, [1.0]) == pytest.approx([-2.0], abs=0)

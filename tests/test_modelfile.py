@@ -11,6 +11,8 @@ from seriesdyn.modelfile import (
     DEFAULT_GRID_COUNT,
     DEFAULT_GRID_END,
     DEFAULT_ORDER,
+    MAX_ORDER,
+    MAX_SAMPLES,
     load_model,
     loads_model,
     parse_model,
@@ -184,6 +186,19 @@ def test_order_validation():
     assert err(dict(LOGISTIC_DOC, order=0)).location == "key 'order'"
     assert err(dict(LOGISTIC_DOC, order=2.5)).location == "key 'order'"
     assert err(dict(LOGISTIC_DOC, order=True)).location == "key 'order'"
+
+
+def test_order_and_grid_count_are_capped():
+    # parsing computes nothing, so the caps themselves are cheap to check
+    assert parse_model(dict(LOGISTIC_DOC, order=MAX_ORDER)).order == MAX_ORDER
+    mf = parse_model(dict(LOGISTIC_DOC, grid={"count": MAX_SAMPLES}))
+    assert mf.grid_count == MAX_SAMPLES
+    for order in (MAX_ORDER + 1, 10**30):
+        e = err(dict(LOGISTIC_DOC, order=order))
+        assert e.location == "key 'order'" and f"<= {MAX_ORDER}" in str(e)
+    for count in (MAX_SAMPLES + 1, 10**30):
+        e = err(dict(LOGISTIC_DOC, grid={"count": count}))
+        assert e.location == "key 'grid.count'" and f"<= {MAX_SAMPLES}" in str(e)
 
 
 def test_grid_validation():

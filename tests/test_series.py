@@ -4,6 +4,7 @@ estimation from coefficient tails."""
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -59,6 +60,12 @@ def test_series_mul_examples():
     # truncation drops the t^2 term
     np.testing.assert_array_equal(series_mul(one_plus_t, one_plus_t, 1).coeffs,
                                   [1.0, 2.0])
+    # an order above both input lengths pads the product with zeros
+    np.testing.assert_array_equal(series_mul(a, b, 6).coeffs,
+                                  [2.0, 3.0, 4.0, -3.0, 0.0, 0.0, 0.0])
+    # inputs longer than the order are cut, including at order 0
+    np.testing.assert_array_equal(series_mul(a, a, 1).coeffs, [1.0, 4.0])
+    np.testing.assert_array_equal(series_mul(a, b, 0).coeffs, [2.0])
 
 
 def test_series_derivative_and_integral():
@@ -100,6 +107,15 @@ def test_poly_apply_series_examples():
     f = Logistic(1.0, -3.0).build_field().components[0]
     out3 = poly_apply_series(f, [TruncatedSeries([1.0, -2.0])], 2)
     np.testing.assert_array_equal(out3.coeffs, [-2.0, 10.0, -12.0])
+    # an order above both input lengths: (1 + t)(1 - t) = 1 - t^2, padded
+    np.testing.assert_array_equal(
+        poly_apply_series(q, [TruncatedSeries([1.0, 1.0]),
+                              TruncatedSeries([1.0, -1.0])], 4).coeffs,
+        [1.0, 0.0, -1.0, 0.0, 0.0])
+    # inputs longer than the order: x^2 with x = 1 + 2t + 3t^2 at order 1
+    np.testing.assert_array_equal(
+        poly_apply_series(p, [TruncatedSeries([1.0, 2.0, 3.0])], 1).coeffs,
+        [1.0, 4.0])
     with pytest.raises(DimensionError):
         poly_apply_series(q, [TruncatedSeries([1.0])], 2)
 
@@ -216,6 +232,67 @@ def test_hpm_second_correction_single_monomial():
     assert c[2] == pytest.approx(5.0, rel=1e-14)
     others = np.delete(c, 2)
     assert np.max(np.abs(others)) < 1e-15
+
+
+# The lam-graded recursion in exact rational arithmetic, with no numpy and
+# nothing from seriesdyn.series: each variable is a dict mapping
+# (lam power, t power) to a Fraction.  The two routes share one product
+# kernel, so the collapse check alone cannot see a fault in it.
+HPM_ORACLE_FIELD = [  # per component, {exponents: coefficient}
+    {(0, 0): 0.5, (1, 1): -1.25, (3, 0): 0.375},
+    {(0, 1): 0.75, (2, 1): -0.5, (0, 3): 0.125, (1, 0): 1.0},
+]
+
+
+def hpm_fraction_oracle(field, x0, order):
+    def mul(a, b, lam_max):
+        out = {}
+        for (p, q), u in a.items():
+            for (r, s), v in b.items():
+                if p + r <= lam_max:
+                    out[p + r, q + s] = out.get((p + r, q + s), 0) + u * v
+        return out
+
+    xs = [{(0, 0): Fraction(v)} for v in x0]
+    for j in range(1, order + 1):
+        new = []
+        for comp in field:
+            rhs = {}
+            for exps, c in comp.items():
+                term = {(0, 0): Fraction(c)}
+                for var, e in enumerate(exps):
+                    for _ in range(e):
+                        term = mul(term, xs[var], j - 1)
+                for key, v in term.items():
+                    rhs[key] = rhs.get(key, 0) + v
+            # correction j integrates the lam^(j-1) row from 0
+            new.append({(j, q + 1): v / (q + 1)
+                        for (p, q), v in rhs.items() if p == j - 1})
+        for x, corr in zip(xs, new):
+            x.update(corr)
+    return xs
+
+
+def test_hpm_corrections_match_exact_rational_recursion():
+    K, x0 = 6, [0.75, -1.5]
+    field = PolyVectorField(tuple(Polynomial.from_coeffs(c, 2)
+                                  for c in HPM_ORACLE_FIELD))
+    h = hpm_solve(InitialValueProblem(field, x0), K)
+    exact = hpm_fraction_oracle(HPM_ORACLE_FIELD, x0, K)
+    for i in range(2):
+        assert all(q <= K for _, q in exact[i])
+        for j in range(K + 1):
+            got = h.corrections[j][i].coeffs
+            assert len(got) == K + 1
+            for q in range(K + 1):
+                want = exact[i].get((j, q), Fraction(0))
+                if want == 0:
+                    assert got[q] == 0.0, (i, j, q, got[q])
+                else:
+                    rel = abs((Fraction(float(got[q])) - want) / want)
+                    assert rel < 1e-14, (i, j, q, float(rel))
+    # the oracle is a genuine recursion: high corrections are nonzero
+    assert all(exact[i][K, K] != 0 for i in range(2))
 
 
 def test_hpm_zero_field_has_no_corrections():
