@@ -110,13 +110,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _tolerances(args, rel_tol: float = IntegrationConfig.rel_tol,
+                abs_tol: float = IntegrationConfig.abs_tol) -> IntegrationConfig:
+    """Integrator settings: --rel-tol/--abs-tol where given, else the
+    defaults passed in.  The config rejects NaN, inf and values <= 0."""
+    return IntegrationConfig(
+        rel_tol=rel_tol if args.rel_tol is None else args.rel_tol,
+        abs_tol=abs_tol if args.abs_tol is None else args.abs_tol)
+
+
 def _with_tolerances(mf: ModelFile, args) -> ModelFile:
-    rel = getattr(args, "rel_tol", None)
-    abs_ = getattr(args, "abs_tol", None)
-    if rel is None and abs_ is None:
-        return mf
-    cfg = IntegrationConfig(rel_tol=rel if rel is not None else mf.rel_tol,
-                            abs_tol=abs_ if abs_ is not None else mf.abs_tol)
+    cfg = _tolerances(args, mf.rel_tol, mf.abs_tol)
     return dataclasses.replace(mf, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
 
 
@@ -125,10 +129,10 @@ def _dispatch(args) -> str:
         return cmd_table1(full_precision=args.full_precision)
     if args.command == "phase2d":
         return cmd_phase2d(orders=args.order, t_end=args.t_end,
-                           samples=args.samples)
+                           samples=args.samples, cfg=_tolerances(args))
     if args.command == "spiral":
         return cmd_spiral(order=args.order, t_end=args.t_end,
-                          samples=args.samples)
+                          samples=args.samples, cfg=_tolerances(args))
     if args.command == "radius":
         return cmd_radius(load_model(args.model_file), order=args.order)
     if args.command == "solve":

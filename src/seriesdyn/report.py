@@ -128,14 +128,15 @@ def cmd_table1(full_precision: bool = False) -> str:
 
 
 def cmd_phase2d(orders: list[int] | None = None, t_end: float = 300.0,
-                samples: int = 121) -> str:
+                samples: int = 121, cfg: IntegrationConfig | None = None) -> str:
     """CSV curves for the two-species model: integrator vs partial sums.
 
     Columns are t, x_num, y_num, then x_sK, y_sK per requested order.
     The crossover column is 1 on the first row where the highest
     requested order deviates from the numerical curve by more (Euclidean
     norm) than the lowest does, 0 elsewhere.  Fixed points follow as a
-    '#'-comment footer.
+    '#'-comment footer.  ``cfg`` sets the integrator's tolerances (the
+    defaults when None); the series columns do not depend on it.
     """
     orders = sorted(set(orders)) if orders else [4, 10]
     if any(k < 1 for k in orders):
@@ -144,7 +145,7 @@ def cmd_phase2d(orders: list[int] | None = None, t_end: float = 300.0,
         raise ValueError("samples must be at least 2")
     ivp = preset_ivp(TwoSpecies.reference(), [4.0, 10.0])
     ts = np.linspace(0.0, t_end, samples)
-    num, sums = _curves(ivp, ts, orders)
+    num, sums = _curves(ivp, ts, orders, cfg)
     lo, hi = orders[0], orders[-1]
     dev_lo = np.linalg.norm(sums[lo] - num, axis=1)
     dev_hi = np.linalg.norm(sums[hi] - num, axis=1)
@@ -167,8 +168,10 @@ def cmd_phase2d(orders: list[int] | None = None, t_end: float = 300.0,
     return out
 
 
-def cmd_spiral(order: int = 5, t_end: float = 20.0, samples: int = 201) -> str:
-    """CSV curves for the spiral model: integrator, closed form, series."""
+def cmd_spiral(order: int = 5, t_end: float = 20.0, samples: int = 201,
+               cfg: IntegrationConfig | None = None) -> str:
+    """CSV curves for the spiral model: integrator, closed form, series.
+    ``cfg`` sets the integrator's tolerances (the defaults when None)."""
     if order < 1:
         raise ValueError("order must be at least 1")
     if samples < 2:
@@ -176,7 +179,7 @@ def cmd_spiral(order: int = 5, t_end: float = 20.0, samples: int = 201) -> str:
     a, x0, y0 = -0.5, 2.0, 2.0
     ivp = preset_ivp(Spiral(a), [x0, y0])
     ts = np.linspace(0.0, t_end, samples)
-    num, sums = _curves(ivp, ts, [order])
+    num, sums = _curves(ivp, ts, [order], cfg)
     rows = [["t", "x_num", "y_num", "x_exact", "y_exact", "x_series", "y_series"]]
     for t, n_i, s_i in zip(ts, num, sums[order]):
         exact = spiral_exact(a, x0, y0, float(t))

@@ -141,57 +141,20 @@ class RadiusEstimate:
     diagnostics: np.ndarray
 
 
-# -- the one truncated product ------------------------------------------------
-#
-# A coefficient grid is a flat array holding ``rows`` rows of t-coefficients
-# stored row after row at a fixed ``stride``.  The Taylor route is the
-# one-row case (stride = width = order + 1).  The perturbation route keeps
-# one row per power of the dummy parameter lam at stride 2K+1: a product of
-# two rows has t-degree <= 2K, so t-powers never collide across rows and one
-# 1-D convolution of the flat grids is the exact bivariate product.
+# -- truncated products ---------------------------------------------------------
 
-def _mul(a: np.ndarray, b: np.ndarray, rows: int, width: int,
-         stride: int) -> np.ndarray:
-    """Product of two flat grids, truncated to ``rows`` rows of ``width``
-    t-coefficients each (the rest of every row is zero)."""
+def _mul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
+    """Cauchy product of two coefficient arrays, truncated at ``order``."""
     full = np.convolve(a, b)
-    out = np.zeros(rows * stride)
+    out = np.zeros(order + 1)
     m = min(len(out), len(full))
     out[:m] = full[:m]
-    if width < stride:
-        out.reshape(rows, stride)[:, width:] = 0.0
-    return out
-
-
-def _compose(p: Polynomial, grids: list[np.ndarray], rows: int, width: int,
-             stride: int) -> np.ndarray:
-    """p applied to per-variable flat grids, truncated as in :func:`_mul`.
-
-    Walks the compiled term plan; powers of each variable are cached and
-    reused across terms.
-    """
-    one = np.zeros(rows * stride)
-    one[0] = 1.0
-    powers = [[one] for _ in grids]
-
-    def power(i: int, e: int) -> np.ndarray:
-        cache = powers[i]
-        while len(cache) <= e:
-            cache.append(_mul(cache[-1], grids[i], rows, width, stride))
-        return cache[e]
-
-    out = np.zeros(rows * stride)
-    for c, factors in p._plan:
-        term = one
-        for i, e in factors:
-            term = _mul(term, power(i, e), rows, width, stride)
-        out += c * term
     return out
 
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSeries:
     """Cauchy product truncated at ``order``."""
-    return TruncatedSeries(_mul(a.coeffs, b.coeffs, 1, order + 1, order + 1))
+    return TruncatedSeries(_mul(a.coeffs, b.coeffs, order))
 
 
 def poly_apply_series(p: Polynomial, variables, order: int) -> TruncatedSeries:
@@ -201,8 +164,57 @@ def poly_apply_series(p: Polynomial, variables, order: int) -> TruncatedSeries:
         raise DimensionError(
             f"polynomial has {p.dimension} variables, got {len(variables)} series"
         )
-    arrays = [np.asarray(v.coeffs, dtype=float) for v in variables]
-    return TruncatedSeries(_compose(p, arrays, 1, order + 1, order + 1))
+    products, ((constant, terms),) = _program((p,))
+    # one truncated product per node of p's product graph
+    nodes = [_mul(v.coeffs, [1.0], order) for v in variables]  # cut or padded
+    for a, b in products:
+        nodes.append(_mul(nodes[a], nodes[b], order))
+    out = np.zeros(order + 1)
+    out[0] = constant
+    for c, k in terms:
+        out += c * nodes[k]
+    return TruncatedSeries(out)
+
+
+# -- the product graph behind the series routes --------------------------------
+#
+# Nodes 0..n-1 are the variables; every later node is the product of two
+# earlier ones.  A power x_i^e is x_i^(e-1) * x_i, and a term is the
+# left-to-right product of its factor powers.  Nodes are keyed by their
+# factor tuple, so the components of a field share powers and prefixes.
+# taylor_solve, hpm_solve and poly_apply_series all walk it.  Because a node
+# only depends on earlier nodes, the next coefficient of every node can be
+# computed in node order from the coefficients already known: each product
+# yields one new coefficient per order (Taylor mode).
+
+def _program(polynomials: tuple[Polynomial, ...]) -> tuple[
+        list[tuple[int, int]], tuple[tuple[float, tuple[tuple[float, int], ...]], ...]]:
+    """Product graph of polynomials in the same n variables: the (a, b)
+    operands of node n + k for each product k, and per polynomial its
+    constant term and its other terms as (coefficient, node) pairs in plan
+    order."""
+    n = polynomials[0].dimension
+    nodes = {((i, 1),): i for i in range(n)}
+    products: list[tuple[int, int]] = []
+
+    def node(factors) -> int:
+        if factors not in nodes:
+            if len(factors) > 1:
+                operands = node(factors[:-1]), node(factors[-1:])
+            else:
+                (i, e), = factors
+                for lower in range(2, e):  # lower powers first, without deep recursion
+                    node(((i, lower),))
+                operands = nodes[((i, e - 1),)], i
+            nodes[factors] = n + len(products)
+            products.append(operands)
+        return nodes[factors]
+
+    components = tuple(
+        (sum((c for c, factors in p._plan if not factors), 0.0),
+         tuple((c, node(factors)) for c, factors in p._plan if factors))
+        for p in polynomials)
+    return products, components
 
 
 def taylor_solve(ivp: InitialValueProblem, order: int) -> TaylorSolution:
@@ -210,24 +222,32 @@ def taylor_solve(ivp: InitialValueProblem, order: int) -> TaylorSolution:
 
     Coefficient j+1 of every variable is the t^j coefficient of f applied
     to the partial series known so far, divided by j+1.  For polynomial f
-    these are the exact Taylor coefficients of the true solution.
+    these are the exact Taylor coefficients of the true solution.  Each
+    product node of the field's graph yields its t^j coefficient as one
+    length-(j+1) dot product, so the cost is O(K^2) per node.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     n = ivp.dimension
-    coeffs = np.zeros((n, order + 1))
-    coeffs[:, 0] = ivp.x0
+    products, components = _program(ivp.field.components)
+    # C[node, j]: the t^j coefficient of every variable and product node
+    C = np.zeros((n + len(products), order + 1))
+    C[:n, 0] = ivp.x0
     overflow = None
     # overflow is reported through overflow_order, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(order):
-            grids = [coeffs[v, : j + 1] for v in range(n)]
-            for i, p in enumerate(ivp.field.components):
-                coeffs[i, j + 1] = _compose(p, grids, 1, j + 1, j + 1)[j] / (j + 1)
-            if overflow is None and not np.all(np.isfinite(coeffs[:, j + 1])):
+            for k, (a, b) in enumerate(products, start=n):
+                C[k, j] = np.dot(C[a, : j + 1], C[b, j::-1])
+            for i, (constant, terms) in enumerate(components):
+                f = constant if j == 0 else 0.0
+                for c, k in terms:
+                    f += c * C[k, j]
+                C[i, j + 1] = f / (j + 1)
+            if overflow is None and not np.all(np.isfinite(C[:n, j + 1])):
                 overflow = j + 1
     return TaylorSolution(
-        series=tuple(TruncatedSeries(coeffs[i]) for i in range(n)),
+        series=tuple(TruncatedSeries(C[i]) for i in range(n)),
         ivp=ivp,
         overflow_order=overflow,
     )
@@ -240,23 +260,39 @@ def hpm_solve(ivp: InitialValueProblem, order: int) -> HpmExpansion:
     of x^(j) equals the lam^(j-1) coefficient of f applied to the expansion
     built so far, and x^(j) is its integral from 0 (so x^(j)(0) = 0).  Each
     correction comes out a polynomial in t of degree <= j.
+
+    The recursion runs over the same product graph as :func:`taylor_solve`
+    but graded by powers of lam: every node keeps one t-polynomial per lam
+    power, and step j computes only row j-1 of each product, the sum over q
+    of A_q * B_(j-1-q).  That costs O(j^3) per node, O(K^4) in all.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     n = ivp.dimension
     K = order
-    stride = 2 * K + 1
-    # X[var, lam_order, t_power], each row padded from K+1 to the stride
-    X = np.zeros((n, K + 1, stride))
-    X[:, 0, 0] = ivp.x0
-    for j in range(1, K + 1):
-        grids = [X[v, :j].ravel() for v in range(n)]
-        for i, p in enumerate(ivp.field.components):
-            f = _compose(p, grids, j, K + 1, stride)
-            g = f[(j - 1) * stride:]  # d/dt of correction j, a series in t
-            X[i, j, 1: K + 1] = g[:K] / np.arange(1, K + 1)
+    products, components = _program(ivp.field.components)
+    # X[node, lam_power, t_power]; row p is a polynomial in t of degree <= p
+    X = np.zeros((n + len(products), K + 1, K + 1))
+    X[:n, 0, 0] = ivp.x0
+    # corrections that overflow stay inf/nan, without numpy warnings, as in
+    # taylor_solve
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, K + 1):
+            r = j - 1
+            # the t-power of entry (k, l) of A_q^T B_(r-q) is k + l
+            diagonal = np.add.outer(np.arange(j), np.arange(j)).ravel()
+            for k, (a, b) in enumerate(products, start=n):
+                m = X[a, :j, :j].T @ X[b, r::-1, :j]
+                X[k, r, :j] = np.bincount(diagonal, m.ravel())[:j]
+            for i, (constant, terms) in enumerate(components):
+                g = np.zeros(j)  # row r of f_i: d/dt of correction j
+                if r == 0:
+                    g[0] = constant
+                for c, k in terms:
+                    g += c * X[k, r, :j]
+                X[i, j, 1: j + 1] = g / np.arange(1, j + 1)
     corrections = tuple(
-        tuple(TruncatedSeries(X[i, j, : K + 1]) for i in range(n)) for j in range(K + 1)
+        tuple(TruncatedSeries(X[i, j]) for i in range(n)) for j in range(K + 1)
     )
     return HpmExpansion(corrections)
 

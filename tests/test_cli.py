@@ -163,6 +163,40 @@ def test_non_finite_tolerance_override_is_input_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def csv_columns(out):
+    """{header: column values} of a CSV output, '#' footer lines dropped."""
+    rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]
+    return dict(zip(rows[0], zip(*rows[1:])))
+
+
+@pytest.mark.parametrize("argv, series", [
+    (["spiral", "--samples", "21"], ["x_series", "y_series", "x_exact", "y_exact"]),
+    (["phase2d", "--t-end", "30", "--samples", "11"], ["x_s4", "y_s4", "x_s10", "y_s10"]),
+], ids=["spiral", "phase2d"])
+def test_tolerance_flags_reach_the_integrator(capsys, argv, series):
+    assert main(argv) == EXIT_OK
+    default = csv_columns(capsys.readouterr().out)
+    assert main(argv + ["--rel-tol", "1e-3", "--abs-tol", "1e-3"]) == EXIT_OK
+    loose = csv_columns(capsys.readouterr().out)
+    assert loose.keys() == default.keys()
+    for name in ["x_num", "y_num"]:
+        assert loose[name][0] == default[name][0]  # the initial state
+        assert loose[name] != default[name]
+    for name in ["t"] + series:
+        assert loose[name] == default[name]
+
+
+@pytest.mark.parametrize("command", ["spiral", "phase2d"])
+@pytest.mark.parametrize("flags", [["--rel-tol", "nan"], ["--abs-tol", "inf"],
+                                   ["--rel-tol", "0"], ["--abs-tol=-1e-6"]],
+                         ids=["rel-nan", "abs-inf", "rel-zero", "abs-negative"])
+def test_invalid_tolerance_flags_are_input_errors(capsys, command, flags):
+    assert main([command] + flags) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "tolerances must be positive and finite" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["phase2d", "-k", "4", "-k", str(MAX_ORDER + 1)],
     ["spiral", "--order", str(MAX_ORDER + 1)],

@@ -237,7 +237,7 @@ def test_hpm_second_correction_single_monomial():
 # The lam-graded recursion in exact rational arithmetic, with no numpy and
 # nothing from seriesdyn.series: each variable is a dict mapping
 # (lam power, t power) to a Fraction.  The two routes share one product
-# kernel, so the collapse check alone cannot see a fault in it.
+# graph, so the collapse check alone cannot see a fault in it.
 HPM_ORACLE_FIELD = [  # per component, {exponents: coefficient}
     {(0, 0): 0.5, (1, 1): -1.25, (3, 0): 0.375},
     {(0, 1): 0.75, (2, 1): -0.5, (0, 3): 0.125, (1, 0): 1.0},
@@ -295,6 +295,75 @@ def test_hpm_corrections_match_exact_rational_recursion():
     assert all(exact[i][K, K] != 0 for i in range(2))
 
 
+# The coefficient recursion (j+1) x_(j+1) = [t^j] f(x(t)) in exact rational
+# arithmetic, with no numpy and nothing from seriesdyn.series: each variable
+# is a list of Fractions and every product a truncated Cauchy product.  The
+# floating-point route sums each product in its own order, so it is judged
+# against this oracle to a relative tolerance, with exact zeros kept exact.
+SPIRAL_FIELD = [  # Spiral(-0.5): x' = -y + a x r^2, y' = x + a y r^2
+    {(0, 1): -1.0, (3, 0): -0.5, (1, 2): -0.5},
+    {(1, 0): 1.0, (2, 1): -0.5, (0, 3): -0.5},
+]
+
+
+def taylor_fraction_oracle(field, x0, order):
+    def mul(a, b, m):
+        return [sum(a[k] * b[i - k] for k in range(i + 1)) for i in range(m)]
+
+    xs = [[Fraction(v)] for v in x0]
+    for j in range(order):
+        rhs = []
+        for comp in field:
+            total = Fraction(0)
+            for exps, c in comp.items():
+                term = [Fraction(c)] + [Fraction(0)] * j
+                for var, e in enumerate(exps):
+                    for _ in range(e):
+                        term = mul(term, xs[var], j + 1)
+                total += term[j]
+            rhs.append(total)
+        for x, v in zip(xs, rhs):
+            x.append(v / (j + 1))
+    return xs
+
+
+@pytest.mark.parametrize("field, x0", [
+    (HPM_ORACLE_FIELD, [0.75, -1.5]),
+    (SPIRAL_FIELD, [2.0, 0.0]),  # y_0 is a structural zero
+    ([{(0,): 1.0, (2,): 1.0}], [0.0]),  # tan t: every even coefficient is zero
+], ids=["constant-cross-cubic", "spiral", "tan"])
+def test_taylor_coefficients_match_exact_rational_recursion(field, x0):
+    K, n = 20, len(x0)
+    ivp = InitialValueProblem(
+        PolyVectorField(tuple(Polynomial.from_coeffs(c, n) for c in field)), x0)
+    if field is SPIRAL_FIELD:
+        assert ivp.field == preset_ivp(Spiral(-0.5), x0).field
+    sol = taylor_solve(ivp, K)
+    exact = taylor_fraction_oracle(field, x0, K)
+    for i in range(n):
+        got = sol.series[i].coeffs
+        assert len(got) == K + 1
+        for j, want in enumerate(exact[i]):
+            if want == 0:
+                assert got[j] == 0.0, (i, j, got[j])
+            else:
+                rel = abs((Fraction(float(got[j])) - want) / want)
+                assert rel < 1e-12, (i, j, float(rel))
+    # the oracle is a genuine recursion: the last two orders are not all zero
+    assert any(exact[i][j] != 0 for i in range(n) for j in (K - 1, K))
+
+
+def test_hpm_overflow_leaves_no_warnings():
+    # as in taylor_solve, corrections past the float range hold inf/nan
+    # and no numpy warning escapes
+    ivp = preset_ivp(Logistic(1.0, -3.0), [1e100])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = hpm_solve(ivp, 10)
+    assert np.all(np.isfinite(h.corrections[1][0].coeffs))
+    assert not np.all(np.isfinite(h.corrections[10][0].coeffs))
+
+
 def test_hpm_zero_field_has_no_corrections():
     field = PolyVectorField((Polynomial.from_coeffs({}, 1),))
     h = hpm_solve(InitialValueProblem(field, [3.0]), 5)
@@ -322,6 +391,26 @@ def test_collapse_on_presets():
         ok, dev = hpm_collapse_check(h, t, 1e-12)
         assert ok, dev
         assert dev < 1e-12
+
+
+@pytest.mark.parametrize("ivp", [
+    preset_ivp(Spiral(-0.5), [2.0, 2.0]),
+    preset_ivp(TwoSpecies.reference(), [4.0, 10.0]),
+], ids=["spiral", "two-species"])
+def test_collapse_at_depth(ivp):
+    K = 60
+    h, t = hpm_solve(ivp, K), taylor_solve(ivp, K)
+    ok, dev = hpm_collapse_check(h, t, 1e-10)
+    assert ok, dev
+    # the check scales by max(1, |x_j|), so it is blind where |x_j| is tiny
+    # (two-species coefficients fall below 1e-30 by order 20); hold every
+    # correction to its Taylor monomial relative to |x_j| as well
+    for j, per_var in enumerate(h.corrections):
+        for i, s in enumerate(per_var):
+            xj = t.series[i].coeffs[j]
+            expect = np.zeros(K + 1)
+            expect[j] = xj
+            assert np.max(np.abs(s.coeffs - expect)) <= 1e-12 * abs(xj), (i, j)
 
 
 def test_collapse_check_detects_corruption():
