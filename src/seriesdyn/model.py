@@ -200,6 +200,31 @@ def _evaluate(plan, xs: list[float]) -> float:
         return float(_evaluate(plan, [np.float64(v) for v in xs]))
 
 
+def _evaluate_rows(plans, xs: np.ndarray) -> np.ndarray:
+    """``_evaluate`` of every plan on every row of ``xs`` (shape (B, n)),
+    as an array of shape (len(plans), B), bit for bit.
+
+    Each power is computed once per call with ``np.float_power``, which
+    calls the C library's ``pow`` as Python's float ``**`` does (numpy's
+    ``np.power`` may use a SIMD power with other last bits).  Products
+    and sums run in ``_evaluate``'s order.  Overflow gives ±inf; callers
+    silence the warning with ``np.errstate``.
+    """
+    powers: dict[tuple[int, int], np.ndarray] = {}
+    out = np.empty((len(plans), len(xs)))
+    for k, plan in enumerate(plans):
+        total = np.zeros(len(xs))
+        for c, factors in plan:
+            v = 1.0
+            for i, e in factors:
+                if (i, e) not in powers:
+                    powers[i, e] = np.float_power(xs[:, i], e)
+                v = v * powers[i, e]
+            total += c * v
+        out[k] = total
+    return out
+
+
 def _state(field: PolyVectorField, x) -> list[float]:
     x = np.asarray(x, dtype=float)
     if x.shape != (field.dimension,):

@@ -3,7 +3,9 @@
 Roots of the vector field are found by Newton iteration seeded on a
 rectangular grid; population models in product form additionally get
 their closed-form axis and interior candidates injected as seeds, so the
-catalog is exact where a closed form exists.  Classification is by the
+catalog is exact where a closed form exists.  All seeds iterate together
+as one array, evaluated from the fields' compiled plans with the same
+bits as ``eval_field`` and ``jacobian_at``.  Classification is by the
 eigenvalues of the Jacobian at the root.  A purely imaginary pair is
 reported as center-linear rather than guessed: linearization cannot
 decide spiral stability there, the radial law of the exact solution can.
@@ -11,13 +13,19 @@ decide spiral stability there, the radial law of the exact solution can.
 
 from __future__ import annotations
 
+import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NotAFixedPointError
-from .model import PolyVectorField, eval_field, jacobian_at
+from .model import PolyVectorField, _evaluate_rows, eval_field, jacobian_at
 
+logger = logging.getLogger("seriesdyn.phase")
+
+MAX_GRID = 400  # seeds per dimension; bounds the (B, n) Newton batch
+_ACTIVE, _CONVERGED, _DIVERGED, _SINGULAR = range(4)  # Newton outcomes
 _RESIDUAL_TOL = 1e-10
 _CLASSIFY_RESIDUAL_TOL = 1e-8
 _DEDUP_DISTANCE = 1e-6
@@ -97,7 +105,7 @@ def _default_box(field: PolyVectorField) -> list[tuple[float, float]]:
     parts = _product_form(field)
     if parts is not None and all(lin[i] != 0.0 for i, (_, lin) in enumerate(parts)):
         s = 2.0 * max(abs(b / lin[i]) for i, (b, lin) in enumerate(parts))
-        if s > 0.0:
+        if 0.0 < s < math.inf:
             return [(-0.1 * s, s)] * n
     w = _FALLBACK_BOX_HALF_WIDTH
     return [(-w, w)] * n
@@ -124,23 +132,39 @@ def _injected_seeds(field: PolyVectorField) -> list[np.ndarray]:
     return seeds
 
 
-def _newton(field: PolyVectorField, seed: np.ndarray) -> np.ndarray | None:
-    x = seed.astype(float).copy()
-    for _ in range(60):
-        fx = eval_field(field, x)
-        if not np.all(np.isfinite(fx)):
-            return None
-        if np.linalg.norm(fx) < _RESIDUAL_TOL:
-            return x
-        jac = jacobian_at(field, x)
-        try:
-            step = np.linalg.solve(jac, fx)
-        except np.linalg.LinAlgError:
-            return None
-        x = x - step
-        if not np.all(np.isfinite(x)) or np.linalg.norm(x) > 1e12:
-            return None
-    return None
+def _newton_all(field: PolyVectorField, xs: np.ndarray) -> np.ndarray:
+    """Newton's method on all rows of ``xs`` (shape (B, n)) at once, in
+    place, by the scalar rules: a row converges when ||f|| < 1e-10 at the
+    top of an iteration, and is dropped on a non-finite f or iterate,
+    ||x|| > 1e12, det J == 0, or after 60 steps.  Returns each row's
+    outcome; finished rows cost no further work."""
+    n = field.dimension
+    plans = [p._plan for p in field.components + sum(field._jacobian, ())]
+    outcome = np.full(len(xs), _ACTIVE)
+    rows = np.arange(len(xs))
+    with np.errstate(all="ignore"):  # diverging seeds overflow
+        for _ in range(60):
+            f, jac = np.split(_evaluate_rows(plans, xs[rows]), [n])
+            bad = ~np.isfinite(f).all(axis=0)
+            done = ~bad & (np.sqrt((f * f).sum(axis=0)) < _RESIDUAL_TOL)
+            if n == 1:
+                det, step = jac[0], f / jac[0]
+            else:
+                a, b, c, d = jac
+                det = a * d - b * c
+                step = np.array([d * f[0] - b * f[1], a * f[1] - c * f[0]]) / det
+            go = ~bad & ~done & (det != 0)
+            outcome[rows] = np.select([bad, done, ~go],
+                                      [_DIVERGED, _CONVERGED, _SINGULAR], _ACTIVE)
+            rows = rows[go]
+            xs[rows] -= step[:, go].T
+            # a NaN or inf iterate fails the test as well
+            far = ~(np.sqrt((xs[rows] ** 2).sum(axis=1)) <= 1e12)
+            outcome[rows[far]] = _DIVERGED
+            rows = rows[~far]
+            if not rows.size:
+                break
+    return outcome
 
 
 def fixed_points(field: PolyVectorField,
@@ -148,12 +172,15 @@ def fixed_points(field: PolyVectorField,
                  grid: int = 25) -> list[np.ndarray]:
     """Locations of the field's fixed points, sorted lexicographically.
 
-    Newton iterations are seeded on a ``grid``-per-dimension lattice over
+    Newton iterations are seeded with the closed-form candidates of
+    ``_injected_seeds``, then a ``grid``-per-dimension lattice over
     ``search_box`` (default: a box derived from the model structure, see
-    ``_default_box``).  The box places seeds; converged roots are kept
-    even if Newton wanders outside it.  Roots closer than 1e-6 are
-    merged, every returned root has ||f(x*)|| < 1e-10, and finding
-    nothing returns an empty list.
+    ``_default_box``), and all seeds iterate together as one array.  The
+    box places seeds; converged roots are kept even if Newton wanders
+    outside it.  In seed order, roots closer than 1e-6 are merged, the
+    smaller residual winning; every returned root has ||f(x*)|| < 1e-10,
+    and finding nothing returns an empty list.  ``grid`` is an integer
+    from 2 to MAX_GRID, and each interval needs finite lo < hi.
     """
     n = field.dimension
     if n not in (1, 2):
@@ -163,34 +190,33 @@ def fixed_points(field: PolyVectorField,
     if len(search_box) != n:
         raise ValueError(f"search_box must have {n} intervals")
     for lo, hi in search_box:
-        if not lo < hi:
-            raise ValueError("each search interval needs lo < hi")
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
+        if not (lo < hi and math.isfinite(float(hi) - float(lo))):
+            raise ValueError("each search interval needs finite lo < hi")
+    if not isinstance(grid, (int, np.integer)) or not 2 <= grid <= MAX_GRID:
+        raise ValueError(f"grid must be an integer from 2 to {MAX_GRID}")
 
-    axes = [np.linspace(lo, hi, grid) for lo, hi in search_box]
-    seeds = _injected_seeds(field)
-    if n == 1:
-        seeds.extend(np.array([v]) for v in axes[0])
-    else:
-        for u in axes[0]:
-            for v in axes[1]:
-                seeds.append(np.array([u, v]))
+    axes = np.meshgrid(*(np.linspace(lo, hi, grid) for lo, hi in search_box),
+                       indexing="ij")
+    xs = np.concatenate([np.reshape(_injected_seeds(field), (-1, n)),
+                         np.stack([a.ravel() for a in axes], axis=1)])
+    outcome = _newton_all(field, xs)
 
-    roots: list[tuple[np.ndarray, float]] = []
-    for seed in seeds:
-        x = _newton(field, seed)
-        if x is None:
-            continue
+    roots: list[tuple[list[float], float]] = []
+    for x in xs[outcome == _CONVERGED].tolist():
         res = float(np.linalg.norm(eval_field(field, x)))
         for idx, (known, known_res) in enumerate(roots):
-            if np.linalg.norm(x - known) < _DEDUP_DISTANCE:
+            if math.dist(x, known) < _DEDUP_DISTANCE:
                 if res < known_res:
                     roots[idx] = (x, res)
                 break
         else:
             roots.append((x, res))
-    return sorted((x for x, _ in roots), key=lambda v: tuple(v))
+    count = np.bincount(outcome, minlength=4)
+    logger.debug("fixed_points: %d seeds, %d converged, %d dropped (%d non-finite "
+                 "or diverged, %d singular, %d at the iteration cap), %d roots",
+                 len(xs), count[_CONVERGED], len(xs) - count[_CONVERGED],
+                 count[_DIVERGED], count[_SINGULAR], count[_ACTIVE], len(roots))
+    return [np.array(x) for x, _ in sorted(roots, key=lambda r: r[0])]
 
 
 def classify(field: PolyVectorField, location,
@@ -207,7 +233,7 @@ def classify(field: PolyVectorField, location,
     if x.ndim != 1 or x.size != field.dimension:
         raise ValueError("location must be a state vector of the field's dimension")
     residual = float(np.linalg.norm(eval_field(field, x)))
-    if residual >= _CLASSIFY_RESIDUAL_TOL:
+    if not residual < _CLASSIFY_RESIDUAL_TOL:  # NaN fails too
         raise NotAFixedPointError(
             f"residual {residual:.3e} at {x.tolist()} exceeds "
             f"{_CLASSIFY_RESIDUAL_TOL:.0e}")

@@ -17,6 +17,7 @@ resulting partial sums can possibly be useful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -304,24 +305,29 @@ def hpm_collapse_check(h: HpmExpansion, t: TaylorSolution,
     For every order j and variable i, all t^m coefficients with m != j must
     vanish and the t^j coefficient must equal the Taylor coefficient x_j,
     within ``tol`` relative to max(1, |x_j|).  Returns (passed, worst
-    normalized deviation).
+    normalized deviation); an overflowed expansion, with any compared
+    coefficient non-finite, fails with deviation inf.
     """
     if h.dimension != t.dimension:
         raise DimensionError("expansion and series have different dimensions")
     if h.order != t.order:
         raise DimensionError("expansion and series have different orders")
     worst = 0.0
-    for j, per_var in enumerate(h.corrections):
-        for i in range(h.dimension):
-            xj = t.series[i].coeffs[j]
-            expect = np.zeros(h.order + 1)
-            expect[j] = xj
-            got = np.zeros(h.order + 1)
-            c = per_var[i].coeffs
-            got[: len(c)] = c
-            dev = np.max(np.abs(got - expect)) / max(1.0, abs(xj))
-            worst = max(worst, dev)
-    return worst <= tol, worst
+    # a non-finite coefficient makes its deviation inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, per_var in enumerate(h.corrections):
+            for i in range(h.dimension):
+                xj = t.series[i].coeffs[j]
+                expect = np.zeros(h.order + 1)
+                expect[j] = xj
+                got = np.zeros(h.order + 1)
+                c = per_var[i].coeffs
+                got[: len(c)] = c
+                dev = float(np.max(np.abs(got - expect)) / max(1.0, abs(xj)))
+                if not math.isfinite(dev):
+                    return False, math.inf
+                worst = max(worst, dev)
+    return bool(worst <= tol), worst
 
 
 def series_eval(s: TruncatedSeries, t):

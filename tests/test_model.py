@@ -12,6 +12,7 @@ from seriesdyn.model import (
     PolyVectorField,
     Spiral,
     TwoSpecies,
+    _evaluate_rows,
     eval_field,
     field_jacobian,
     jacobian_at,
@@ -247,6 +248,30 @@ def test_compiled_evaluation_is_bit_identical_to_float64_walk():
                       for p in field.components]
             np.testing.assert_array_equal(eval_field(field, x), want_f)
             np.testing.assert_array_equal(jacobian_at(field, x), want_j)
+
+
+def test_batched_evaluation_is_bit_identical_to_scalar():
+    # the Newton search evaluates field and Jacobian on many states at
+    # once; every row must equal eval_field / jacobian_at bit for bit,
+    # including powers that overflow to inf
+    rng = np.random.default_rng(3)
+    fields = [Logistic(1.0, -3.0).build_field(),
+              TwoSpecies.reference().build_field(),
+              Spiral(-0.5).build_field(), Spiral(0.5).build_field()]
+    fields += [random_field(rng, int(rng.integers(1, 3)), max_degree=5)
+               for _ in range(30)]
+    for field in fields:
+        n = field.dimension
+        xs = rng.uniform(-50.0, 50.0, (200, n)) * 10.0 ** rng.integers(-8, 9, (200, 1))
+        xs[:3] = [[1e200] * n, [-1e120] * n, [0.0] * n]
+        plans = [p._plan for p in field.components]
+        plans += [d._plan for row in field_jacobian(field) for d in row]
+        with np.errstate(all="ignore"):
+            got = _evaluate_rows(plans, xs)
+            want = np.array([np.concatenate([eval_field(field, x),
+                                             jacobian_at(field, x).ravel()])
+                             for x in xs]).T
+        np.testing.assert_array_equal(got, want)
 
 
 def test_field_jacobian_entries_are_the_partial_derivatives():

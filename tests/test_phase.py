@@ -1,5 +1,11 @@
 """Fixed-point location and linear classification, tied back to the
-actual flow by short integrations."""
+actual flow by short integrations, and the batched Newton search held to
+a scalar reference."""
+
+import logging
+import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -16,8 +22,16 @@ from seriesdyn import (
     TwoSpecies,
     classify,
     eval_field,
+    field_jacobian,
     fixed_points,
     integrate,
+)
+from seriesdyn.phase import (
+    _CONVERGED,
+    MAX_GRID,
+    _default_box,
+    _injected_seeds,
+    _newton_all,
 )
 
 FIELD = TwoSpecies.reference().build_field()
@@ -190,3 +204,199 @@ def test_classification_agrees_with_flow():
     traj2 = integrate(InitialValueProblem(FIELD, start2), 50.0)
     assert (np.linalg.norm(traj2.states[-1] - origin)
             > np.linalg.norm(start2 - origin))
+
+
+def test_classify_rejects_non_finite_location():
+    for loc in ([math.nan, math.nan], [math.inf, 0.0], [0.0, -math.inf]):
+        with pytest.raises(NotAFixedPointError):
+            classify(FIELD, loc)
+
+
+def test_infinite_search_interval_is_rejected():
+    for box in ([(-math.inf, math.inf)] * 2,
+                [(0.0, math.inf), (0.0, 1.0)],
+                [(math.nan, 1.0), (0.0, 1.0)],
+                [(-1e308, 1e308), (0.0, 1.0)]):  # width overflows
+        with pytest.raises(ValueError):
+            fixed_points(FIELD, search_box=box)
+
+
+def test_grid_is_a_bounded_integer():
+    # rejected while the arguments are parsed, before any seed is built
+    for grid in (MAX_GRID + 1, 10**9, 25.0, True, "25"):
+        with pytest.raises(ValueError):
+            fixed_points(FIELD, grid=grid)
+    assert len(fixed_points(FIELD, grid=np.int64(5))) == 4
+
+
+def test_huge_finite_box_leaks_no_warning():
+    # seeds near 1e300 overflow inside Newton and are dropped quietly;
+    # the injected closed-form seeds still give all four roots
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = fixed_points(FIELD, search_box=[(0.0, 1e300)] * 2)
+    assert len(roots) == 4
+
+
+_SUMMARY = re.compile(
+    r"fixed_points: (\d+) seeds, (\d+) converged, (\d+) dropped "
+    r"\((\d+) non-finite or diverged, (\d+) singular, (\d+) at the "
+    r"iteration cap\), (\d+) roots")
+
+
+def _summaries(caplog):
+    return [tuple(int(g) for g in _SUMMARY.fullmatch(r.getMessage()).groups())
+            for r in caplog.records if r.name == "seriesdyn.phase"]
+
+
+def test_one_summary_line_per_call(caplog):
+    caplog.set_level(logging.DEBUG, logger="seriesdyn.phase")
+    fixed_points(FIELD)
+    [(seeds, conv, dropped, far, singular, capped, roots)] = _summaries(caplog)
+    assert seeds == 629 and conv + dropped == seeds
+    assert dropped == far + singular + capped
+    assert roots == 4
+    caplog.clear()
+    fixed_points(Logistic(1.0, -3.0).build_field())
+    fixed_points(Spiral(-0.5).build_field())
+    assert [s[0] for s in _summaries(caplog)] == [25, 625]
+
+
+# -- the batched search against a scalar reference ----------------------------
+
+def _ref_eval(poly, x):
+    """Pure-Python walk over the terms in canonical order."""
+    total = 0.0
+    for mono, c in poly.terms.items():
+        v = 1.0
+        for xi, e in zip(x, mono.exponents):
+            if e:
+                v *= xi ** e
+        total += c * v
+    return total
+
+
+def _ref_newton(field, seed):
+    """One seed's Newton iteration by the documented rules, in Python
+    floats: the closed-form solve, at most 60 steps, ||f|| < 1e-10
+    checked first, and None for a non-finite f or iterate, ||x|| > 1e12
+    or a singular Jacobian."""
+    jac = field_jacobian(field)
+    x = [float(v) for v in seed]
+    for _ in range(60):
+        f = [_ref_eval(p, x) for p in field.components]
+        if not all(math.isfinite(v) for v in f):
+            return None
+        if math.sqrt(sum(v * v for v in f)) < 1e-10:
+            return x
+        J = [[_ref_eval(p, x) for p in row] for row in jac]
+        if len(x) == 1:
+            det, num = J[0][0], f
+        else:
+            (a, b), (c, d) = J
+            det, num = a * d - b * c, [d * f[0] - b * f[1], a * f[1] - c * f[0]]
+        if det == 0.0:
+            return None
+        x = [xi - v / det for xi, v in zip(x, num)]
+        if not (math.sqrt(sum(v * v for v in x)) <= 1e12):
+            return None
+    return None
+
+
+def _ref_fixed_points(field, search_box=None, grid=25):
+    """Seed by seed, merged by the documented rule: roots closer than
+    1e-6 merge and the smaller residual ||f|| (from eval_field) wins."""
+    box = search_box or _default_box(field)
+    axes = [np.linspace(lo, hi, grid).tolist() for lo, hi in box]
+    seeds = [s.tolist() for s in _injected_seeds(field)]
+    seeds += ([[u] for u in axes[0]] if len(box) == 1
+              else [[u, v] for u in axes[0] for v in axes[1]])
+    roots = []
+    for seed in seeds:
+        x = _ref_newton(field, seed)
+        if x is None:
+            continue
+        x = np.array(x)
+        res = float(np.linalg.norm(eval_field(field, x)))
+        for idx, (known, known_res) in enumerate(roots):
+            if np.linalg.norm(x - known) < 1e-6:
+                if res < known_res:
+                    roots[idx] = (x, res)
+                break
+        else:
+            roots.append((x, res))
+    return sorted((x for x, _ in roots), key=tuple)
+
+
+@pytest.mark.parametrize("field", [
+    FIELD,
+    Spiral(-0.5).build_field(),
+    Spiral(0.5).build_field(),
+    Logistic(1.0, -3.0).build_field(),
+    Logistic(0.3, -0.7).build_field(),
+], ids=["two-species", "spiral-", "spiral+", "logistic", "logistic-2"])
+def test_presets_match_scalar_reference_bit_for_bit(field):
+    got, want = fixed_points(field), _ref_fixed_points(field)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes(), (g, w)
+
+
+@pytest.mark.parametrize("field", [
+    FIELD, Spiral(0.5).build_field(), Logistic(1.0, -3.0).build_field(),
+], ids=["two-species", "spiral+", "logistic"])
+def test_every_seed_matches_scalar_reference_bit_for_bit(field):
+    axes = [np.linspace(lo, hi, 9) for lo, hi in _default_box(field)]
+    seeds = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, field.dimension)
+    xs = seeds.copy()
+    outcome = _newton_all(field, xs)
+    for seed, x, out in zip(seeds, xs, outcome):
+        want = _ref_newton(field, seed)
+        assert (out == _CONVERGED) == (want is not None), seed
+        if want is not None:
+            assert x.tolist() == want, seed
+
+
+def _poly(coeffs, n):
+    return Polynomial.from_coeffs(coeffs, n)
+
+
+# (x - 1)(x + 2)(2x - 1); (x - 1)(y - 2), x + y - 1; (x^2 - 4), (y^2 - 1) x
+_KNOWN = [
+    (PolyVectorField((_poly({(3,): 2.0, (2,): 1.0, (1,): -5.0, (0,): 2.0}, 1),)),
+     [[-2.0], [0.5], [1.0]]),
+    (PolyVectorField((_poly({(1, 1): 1.0, (1, 0): -2.0, (0, 1): -1.0,
+                             (0, 0): 2.0}, 2),
+                      _poly({(1, 0): 1.0, (0, 1): 1.0, (0, 0): -1.0}, 2))),
+     [[-1.0, 2.0], [1.0, 0.0]]),
+    (PolyVectorField((_poly({(2, 0): 1.0, (0, 0): -4.0}, 2),
+                      _poly({(1, 2): 1.0, (1, 0): -1.0}, 2))),
+     [[-2.0, -1.0], [-2.0, 1.0], [2.0, -1.0], [2.0, 1.0]]),
+]
+
+
+@pytest.mark.parametrize("field, known", _KNOWN, ids=["cubic", "lines", "grid"])
+def test_isolated_roots_match_scalar_reference(field, known):
+    got, want = fixed_points(field), _ref_fixed_points(field)
+    assert len(got) == len(want) == len(known)
+    for g, w, k in zip(got, want, known):
+        assert np.max(np.abs(g - w)) <= 1e-12
+        assert np.max(np.abs(g - k)) <= 1e-12
+
+
+def test_singular_jacobian_drops_the_seed(caplog):
+    # the middle seed x = 0 of x^2 - 1 (and of (x^2 - 1, y) in 2-D) has
+    # f != 0 and a singular Jacobian: it is dropped, without an error
+    caplog.set_level(logging.DEBUG, logger="seriesdyn.phase")
+    one = PolyVectorField((_poly({(2,): 1.0, (0,): -1.0}, 1),))
+    two = PolyVectorField((_poly({(2, 0): 1.0, (0, 0): -1.0}, 2),
+                           _poly({(0, 1): 1.0}, 2)))
+    assert _ref_newton(one, [0.0]) is None
+    assert _ref_newton(two, [0.0, 0.0]) is None
+    for field, box in ((one, [(-1.0, 1.0)]), (two, [(-1.0, 1.0)] * 2)):
+        got = fixed_points(field, search_box=box, grid=3)
+        want = _ref_fixed_points(field, search_box=box, grid=3)
+        assert [g.tolist() for g in got] == [w.tolist() for w in want]
+        assert [g[0] for g in got] == [-1.0, 1.0]
+    singular = [s[4] for s in _summaries(caplog)]
+    assert singular == [1, 3]

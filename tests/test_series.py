@@ -435,6 +435,27 @@ def test_collapse_at_order_one():
     assert ok, dev
 
 
+@pytest.mark.parametrize("x0", [1e30, 1e100])
+def test_collapse_check_fails_an_overflowed_expansion(x0):
+    # from these starts the K=10 coefficients leave the float range; the
+    # check reports a failure with deviation inf, as plain Python values,
+    # and no numpy warning escapes
+    ivp = preset_ivp(Logistic(1.0, -3.0), [x0])
+    h, t = hpm_solve(ivp, 10), taylor_solve(ivp, 10)
+    assert not np.all(np.isfinite(t.series[0].coeffs))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ok, dev = hpm_collapse_check(h, t, 1e-10)
+    assert ok is False
+    assert type(dev) is float and dev == math.inf
+
+
+def test_collapse_check_returns_plain_python_values():
+    h, t = hpm_solve(LOGISTIC, 6), taylor_solve(LOGISTIC, 6)
+    ok, dev = hpm_collapse_check(h, t, 1e-12)
+    assert ok is True and type(dev) is float
+
+
 def test_collapse_rejects_mismatched_shapes():
     h = hpm_solve(LOGISTIC, 4)
     t = taylor_solve(LOGISTIC, 5)
