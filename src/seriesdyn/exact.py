@@ -63,19 +63,17 @@ def logistic_exact(b: float, a: float, x0: float, t: float) -> float:
     pole condition e^(bt) = 1 + b/(a*x0).  For b = 0 the solution
     degenerates to x0 / (1 - a*x0*t).
 
-    Raises SingularityError when t is within 1e-12 of a real-axis pole.
+    Raises SingularityError when t is within 1e-12 of a real-axis pole,
+    as located by ``logistic_singularity``.
     """
     if b < 0:
         raise ValueError("b must be non-negative")
+    if a != 0.0 and x0 != 0.0:
+        pole = logistic_singularity(b, a, x0).location
+        if pole.imag == 0.0 and abs(t - pole.real) <= _SINGULARITY_TOL:
+            raise SingularityError(f"t = {t} is at the real pole t_c = {pole.real}")
     if b == 0.0:
-        pole = _real_pole_b0(a, x0)
-        if pole is not None and abs(t - pole) <= _SINGULARITY_TOL:
-            raise SingularityError(f"t = {t} is at the real pole t_c = {pole}")
         return x0 / (1.0 - a * x0 * t)
-
-    pole = _real_pole(b, a, x0)
-    if pole is not None and abs(t - pole) <= _SINGULARITY_TOL:
-        raise SingularityError(f"t = {t} is at the real pole t_c = {pole}")
     bt = b * t
     if bt >= 0.0:
         # divide through by e^(bt) so large bt cannot overflow
@@ -83,44 +81,29 @@ def logistic_exact(b: float, a: float, x0: float, t: float) -> float:
     return b * x0 * math.exp(bt) / ((b + a * x0) - a * x0 * math.exp(bt))
 
 
-def _real_pole(b: float, a: float, x0: float) -> float | None:
-    """Real-axis pole time of the b > 0 logistic solution, if any."""
-    if a == 0.0 or x0 == 0.0:
-        return None  # pure exponential, entire
-    q = 1.0 + b / (a * x0)
-    if q <= 0.0:
-        return None  # pole is off the real axis (or absent when q = 0)
-    return math.log(q) / b
-
-
-def _real_pole_b0(a: float, x0: float) -> float | None:
-    if a == 0.0 or x0 == 0.0:
-        return None  # constant solution
-    return 1.0 / (a * x0)
-
-
 def logistic_singularity(b: float, a: float, x0: float) -> Singularity:
     """Nearest-to-origin singularity of the logistic solution.
 
     For b > 0 the poles solve e^(bt) = 1 + b/(a*x0) =: q, so the
     principal branch t = (ln|q| + i*arg(q)) / b is nearest the origin;
-    arg(q) is 0 for q > 0 and pi for q < 0.  For b = 0 the pole is real
-    at t = 1/(a*x0).  When q = 0 the initial state is the equilibrium
-    -b/a, the solution is constant, and the result is flagged degenerate
-    with infinite modulus.
+    arg(q) is 0 for q > 0 and pi for q < 0.  For b = 0, and for b so small
+    beside a*x0 that q rounds to 1, the pole is real at the b -> 0 limit
+    t = 1/(a*x0).  When q = 0 the initial state is the equilibrium -b/a,
+    the solution is constant, and the result is flagged degenerate with
+    infinite modulus.
     """
     if b < 0:
         raise ValueError("b must be non-negative")
+    if not all(map(math.isfinite, (b, a, x0))):
+        raise ValueError("b, a and x0 must be finite")
     if a == 0.0 or x0 == 0.0:
         raise ValueError("a and x0 must be nonzero for a pole to exist")
-    if b == 0.0:
-        loc = complex(1.0 / (a * x0), 0.0)
-        return Singularity(location=loc, modulus=abs(loc), kind="pole")
     q = 1.0 + b / (a * x0)
     if q == 0.0:
         return Singularity(location=complex(-math.inf, 0.0),
                            modulus=math.inf, kind="pole", degenerate=True)
-    loc = complex(math.log(abs(q)), 0.0 if q > 0 else math.pi) / b
+    loc = (complex(1.0 / (a * x0), 0.0) if q == 1.0
+           else complex(math.log(abs(q)), 0.0 if q > 0 else math.pi) / b)
     return Singularity(location=loc, modulus=abs(loc), kind="pole")
 
 

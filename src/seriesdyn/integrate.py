@@ -20,8 +20,8 @@ from .model import InitialValueProblem, eval_field
 
 __all__ = ["IntegrationConfig", "Trajectory", "integrate", "sample"]
 
-# Dormand-Prince 5(4) tableau (FSAL: the 7th stage is f at the new point)
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau (FSAL: the 7th stage is f at the new point).
+# The system is autonomous, so no stage needs its time node c.
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -42,6 +42,7 @@ _MAX_FACTOR = 5.0
 # PI controller exponents for a 5(4) pair
 _ALPHA = 0.7 / 5
 _BETA = 0.4 / 5
+_BLOWUP_NORM = 1e8  # a state norm beyond this ends the run as 'blew-up'
 
 
 @dataclass(frozen=True)
@@ -49,13 +50,13 @@ class IntegrationConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_steps: int = 1_000_000
-    blowup_norm: float = 1e8
 
     def __post_init__(self):
         if not all(math.isfinite(t) and t > 0 for t in (self.rel_tol, self.abs_tol)):
             raise ValueError("tolerances must be positive and finite")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
+        steps = self.max_steps
+        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
+            raise ValueError("max_steps must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -65,10 +66,10 @@ class Trajectory:
     ``states[k]`` is the solution at ``ts[k]``; ``derivs[k]`` is f there
     (stored for dense output).  ``step_sizes`` and ``error_estimates``
     describe the accepted step ending at each interior node.  ``status``
-    is 'completed', 'blew-up' (state norm crossed the configured
-    threshold, or the step size underflowed with the state already far
-    beyond its initial scale) or 'stiff-abort' (step budget exhausted or
-    the step size underflowed without escape).
+    is 'completed', 'blew-up' (state norm crossed 1e8, or the step size
+    underflowed with the state already far beyond its initial scale) or
+    'stiff-abort' (step budget exhausted or the step size underflowed
+    without escape).
     """
 
     ts: np.ndarray
@@ -145,7 +146,7 @@ def integrate(ivp: InitialValueProblem, t_end: float,
     attempts = 0
     k = np.empty((7, len(y)))
     # Algebraic escape such as (t_c - t)**-0.5 grows too slowly to cross
-    # blowup_norm before t exhausts double precision near t_c, so a step
+    # _BLOWUP_NORM before t exhausts double precision near t_c, so a step
     # size underflow with the state far beyond its initial scale is
     # reported as blow-up rather than stiffness.
     escape_scale = 1e3 * (1.0 + float(np.max(np.abs(y))))
@@ -176,7 +177,7 @@ def integrate(ivp: InitialValueProblem, t_end: float,
             fs.append(f.copy())
             hs.append(h)
             errs.append(err)
-            if np.max(np.abs(y)) > cfg.blowup_norm:
+            if np.max(np.abs(y)) > _BLOWUP_NORM:
                 status = "blew-up"
                 break
             factor = _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA if err > 0 \

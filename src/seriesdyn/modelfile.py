@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import ModelFileError
+from .integrate import IntegrationConfig
 from .model import (
     InitialValueProblem,
     Logistic,
@@ -46,11 +47,7 @@ DEFAULT_GRID_COUNT = 11
 MAX_ORDER = 1000
 MAX_SAMPLES = 100_000
 
-_PRESET_PARAMS = {
-    "logistic": ("b", "a"),
-    "two-species": ("b1", "b2", "a11", "a12", "a21", "a22"),
-    "spiral": ("a",),
-}
+_PRESETS = {"logistic": Logistic, "two-species": TwoSpecies, "spiral": Spiral}
 _TOP_KEYS = {"model", "params", "terms", "x0", "order", "grid", "tolerances"}
 
 
@@ -134,9 +131,9 @@ def parse_model(doc) -> ModelFile:
             raise ModelFileError(f"missing required key '{key}'", "document root")
 
     kind = doc["model"]
-    if kind not in (*_PRESET_PARAMS, "terms"):
+    if kind not in (*_PRESETS, "terms"):
         raise ModelFileError(
-            f"model must be one of {sorted((*_PRESET_PARAMS, 'terms'))}",
+            f"model must be one of {sorted((*_PRESETS, 'terms'))}",
             "key 'model'")
 
     raw_x0 = doc["x0"]
@@ -159,14 +156,12 @@ def parse_model(doc) -> ModelFile:
             raise ModelFileError("'terms' is only allowed with model 'terms'",
                                  "key 'terms'")
         params = doc.get("params")
-        wanted = _PRESET_PARAMS[kind]
+        wanted = [f.name for f in fields(_PRESETS[kind])]
         if not isinstance(params, dict) or set(params) != set(wanted):
             raise ModelFileError(
-                f"model '{kind}' requires params {list(wanted)}", "key 'params'")
-        values = {name: _number(params[name], f"key 'params.{name}'")
-                  for name in wanted}
-        preset = {"logistic": Logistic, "two-species": TwoSpecies,
-                  "spiral": Spiral}[kind](**values)
+                f"model '{kind}' requires params {wanted}", "key 'params'")
+        preset = _PRESETS[kind](**{name: _number(params[name], f"key 'params.{name}'")
+                                   for name in wanted})
         if len(x0) != preset.dimension:
             raise ModelFileError(
                 f"model '{kind}' needs {preset.dimension} initial values,"
@@ -190,7 +185,7 @@ def parse_model(doc) -> ModelFile:
         if "count" in grid:
             grid_count = _positive_int(grid["count"], "key 'grid.count'", 2, MAX_SAMPLES)
 
-    rel_tol, abs_tol = 1e-10, 1e-12
+    rel_tol, abs_tol = IntegrationConfig.rel_tol, IntegrationConfig.abs_tol
     if "tolerances" in doc:
         tols = doc["tolerances"]
         if not isinstance(tols, dict) or set(tols) - {"rel", "abs"}:

@@ -30,6 +30,7 @@ _RESIDUAL_TOL = 1e-10
 _CLASSIFY_RESIDUAL_TOL = 1e-8
 _DEDUP_DISTANCE = 1e-6
 _FALLBACK_BOX_HALF_WIDTH = 10.0
+_DEGENERACY_TOL = 1e-9  # an eigenvalue this small (relative in 2-D) counts as zero
 
 CLASSIFICATIONS = (
     "stable-node", "unstable-node", "saddle",
@@ -61,39 +62,26 @@ class CriticalPoint:
             raise ValueError(f"unknown classification {self.classification!r}")
 
 
-def _affine_quotient(poly, i: int, n: int):
-    """Decompose component i as x_i * (b + sum_j a_j x_j), or None.
-
-    Returns (b, a) with a a length-n array when the polynomial has this
-    product form, which is what lets axis intercepts and the interior
-    equilibrium be written in closed form.
-    """
-    const = 0.0
-    lin = np.zeros(n)
-    for mono, coeff in poly.terms.items():
-        exps = list(mono.exponents)
-        if exps[i] == 0:
-            return None
-        exps[i] -= 1
-        total = sum(exps)
-        if total == 0:
-            const += coeff
-        elif total == 1:
-            lin[exps.index(1)] += coeff
-        else:
-            return None
-    return const, lin
-
-
 def _product_form(field: PolyVectorField):
-    """Per-component (b_i, a_i) decomposition of a product-form field."""
+    """Per-component (b_i, [a_i1, ..., a_in]) when every component is
+    x_i * (b_i + sum_j a_ij x_j), read from the compiled plans; None
+    otherwise.  The coefficients are Python floats, so the closed forms
+    built from them divide to inf without a numpy RuntimeWarning."""
     n = field.dimension
     parts = []
     for i, comp in enumerate(field.components):
-        part = _affine_quotient(comp, i, n)
-        if part is None:
-            return None
-        parts.append(part)
+        b, lin = 0.0, [0.0] * n
+        for c, powers in comp._plan:
+            exps = dict(powers)
+            if i not in exps or sum(exps.values()) > 2:
+                return None
+            exps[i] -= 1
+            rest = [j for j, e in exps.items() if e]  # the x_j beside x_i
+            if rest:
+                lin[rest[0]] = c
+            else:
+                b = c
+        parts.append((b, lin))
     return parts
 
 
@@ -219,15 +207,14 @@ def fixed_points(field: PolyVectorField,
     return [np.array(x) for x, _ in sorted(roots, key=lambda r: r[0])]
 
 
-def classify(field: PolyVectorField, location,
-             degeneracy_tol: float = 1e-9) -> CriticalPoint:
+def classify(field: PolyVectorField, location) -> CriticalPoint:
     """Classify a fixed point by the Jacobian eigenvalues at ``location``.
 
     Real pairs give nodes or saddles by sign; complex pairs give spirals
     by the sign of the real part, or center-linear when the real part is
-    below ``degeneracy_tol`` relative to the imaginary part.  A vanishing,
-    near-repeated, or relatively tiny eigenvalue makes the point
-    degenerate.  Raises NotAFixedPointError when ||f(location)|| >= 1e-8.
+    below 1e-9 relative to the imaginary part.  A vanishing, near-repeated,
+    or relatively tiny eigenvalue makes the point degenerate.  Raises
+    NotAFixedPointError when ||f(location)|| >= 1e-8.
     """
     x = np.asarray(location, dtype=float)
     if x.ndim != 1 or x.size != field.dimension:
@@ -241,7 +228,7 @@ def classify(field: PolyVectorField, location,
 
     if field.dimension == 1:
         lam = float(jac[0, 0])
-        if abs(lam) < degeneracy_tol:
+        if abs(lam) < _DEGENERACY_TOL:
             cls = "degenerate"
         else:
             cls = "stable-node" if lam < 0 else "unstable-node"
@@ -251,10 +238,10 @@ def classify(field: PolyVectorField, location,
     eigs = sorted(np.linalg.eigvals(jac), key=lambda z: (z.real, z.imag))
     lam1, lam2 = (complex(z) for z in eigs)
     scale = max(abs(lam1), abs(lam2))
-    if scale == 0.0 or min(abs(lam1), abs(lam2)) < degeneracy_tol * scale:
+    if scale == 0.0 or min(abs(lam1), abs(lam2)) < _DEGENERACY_TOL * scale:
         cls = "degenerate"
-    elif max(abs(lam1.imag), abs(lam2.imag)) >= degeneracy_tol * scale:
-        if abs(lam1.real) < degeneracy_tol * abs(lam1.imag):
+    elif max(abs(lam1.imag), abs(lam2.imag)) >= _DEGENERACY_TOL * scale:
+        if abs(lam1.real) < _DEGENERACY_TOL * abs(lam1.imag):
             cls = "center-linear"
         elif lam1.real < 0:
             cls = "stable-spiral"
@@ -262,7 +249,7 @@ def classify(field: PolyVectorField, location,
             cls = "unstable-spiral"
     else:
         r1, r2 = lam1.real, lam2.real
-        if abs(r1 - r2) < degeneracy_tol * scale:
+        if abs(r1 - r2) < _DEGENERACY_TOL * scale:
             cls = "degenerate"
         elif r1 < 0 < r2 or r2 < 0 < r1:
             cls = "saddle"

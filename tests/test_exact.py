@@ -109,6 +109,42 @@ def test_logistic_pole_raises():
     assert math.isfinite(logistic_exact(1.0, 0.5, 1.0, t_pole - 1e-9))
 
 
+def test_logistic_pole_guard_is_logistic_singularity():
+    # the guard raises exactly where logistic_singularity puts a real pole,
+    # and never for a complex pair or the degenerate equilibrium
+    for b, a, x0 in [(0.0, 2.5, 1.0), (1.0, 0.5, 1.0), (0.3, 2.0, -0.4),
+                     (2.0, 3.0, 0.25), (1.0, -3.0, 0.1), (1.0, -3.0, 1.0 / 3.0)]:
+        loc = logistic_singularity(b, a, x0).location
+        if loc.imag != 0.0 or math.isinf(loc.real):
+            assert math.isfinite(logistic_exact(b, a, x0, 0.5))
+            continue
+        for t in (loc.real, loc.real + 5e-13, loc.real - 5e-13):
+            with pytest.raises(SingularityError,
+                               match=rf"^t = {t} is at the real pole t_c = {loc.real}$"):
+                logistic_exact(b, a, x0, t)
+        assert math.isfinite(logistic_exact(b, a, x0, loc.real + 1e-11))
+
+
+def test_logistic_singularity_when_b_is_below_rounding():
+    # 1 + b/(a*x0) rounds to 1: the pole is the b -> 0 limit 1/(a*x0),
+    # not a modulus-0 pole at the origin
+    assert logistic_singularity(1e-20, 0.5, 1.0).location == complex(2.0, 0.0)
+    s = logistic_singularity(1e-300, -3.0, 1.0)
+    assert s.location == complex(-1.0 / 3.0, 0.0)
+    assert s.modulus == 1.0 / 3.0
+    with pytest.raises(SingularityError):
+        logistic_exact(1e-20, 0.5, 1.0, 2.0)
+
+
+def test_logistic_rejects_non_finite_parameters():
+    for b, a, x0 in [(math.nan, -3.0, 1.0), (1.0, math.nan, 1.0), (1.0, -3.0, math.inf),
+                     (math.inf, -3.0, 1.0)]:
+        with pytest.raises(ValueError, match="b, a and x0 must be finite"):
+            logistic_singularity(b, a, x0)
+        with pytest.raises(ValueError, match="b, a and x0 must be finite"):
+            logistic_exact(b, a, x0, 0.5)
+
+
 def test_logistic_rejects_negative_b():
     with pytest.raises(ValueError):
         logistic_exact(-1.0, -3.0, 1.0, 0.5)

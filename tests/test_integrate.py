@@ -1,6 +1,7 @@
 """Adaptive Runge-Kutta integrator: accuracy against closed forms,
 dense output, statuses, and determinism."""
 
+import importlib
 import math
 import warnings
 
@@ -168,6 +169,30 @@ def test_config_validation():
         integrate(LOGISTIC, 0.0)
     with pytest.raises(ValueError):
         integrate(LOGISTIC, -1.0)
+
+
+def test_max_steps_must_be_an_integer():
+    for bad in (math.nan, math.inf, 2.5, 10.0, True, "10", 0, -3):
+        with pytest.raises(ValueError, match="max_steps must be an integer >= 1"):
+            IntegrationConfig(max_steps=bad)
+    assert IntegrationConfig(max_steps=np.int64(5)).max_steps == 5
+    traj = integrate(TWOSPECIES, 300.0, IntegrationConfig(max_steps=np.int32(5)))
+    assert traj.status == "stiff-abort"
+
+
+def test_rejected_steps_are_retried(monkeypatch):
+    # the sharp logistic front makes the controller overshoot and reject
+    module = importlib.import_module("seriesdyn.integrate")
+    error_norm, norms = module._error_norm, []
+    monkeypatch.setattr(module, "_error_norm",
+                        lambda *args: norms.append(error_norm(*args)) or norms[-1])
+    traj = integrate(preset_ivp(Logistic(50.0, -50.0), [1e-6]), 1.0)
+    rejected = sum(not err <= 1.0 for err in norms)
+    assert rejected >= 1
+    assert len(traj.ts) - 1 == len(norms) - rejected
+    assert traj.status == "completed"
+    exact = np.array([logistic_exact(50.0, -50.0, 1e-6, float(t)) for t in traj.ts])
+    np.testing.assert_allclose(traj.states[:, 0], exact, rtol=1e-6, atol=0.0)
 
 
 def test_steps_concentrate_near_singularity():

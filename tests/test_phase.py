@@ -32,6 +32,7 @@ from seriesdyn.phase import (
     _default_box,
     _injected_seeds,
     _newton_all,
+    _product_form,
 )
 
 FIELD = TwoSpecies.reference().build_field()
@@ -236,6 +237,43 @@ def test_huge_finite_box_leaks_no_warning():
         warnings.simplefilter("error")
         roots = fixed_points(FIELD, search_box=[(0.0, 1e300)] * 2)
     assert len(roots) == 4
+
+
+def test_tiny_self_interaction_leaks_no_warning():
+    # b2/a22 overflows to inf in the closed-form box and axis seed
+    field = TwoSpecies(0.1, 0.08, -0.0014, -0.0012, -0.0009, -1e-320).build_field()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = fixed_points(field)
+    assert [0.0, 0.0] in [r.tolist() for r in roots]
+
+
+def test_product_form_reads_the_plan():
+    assert _product_form(Logistic(2.0, -3.0).build_field()) == [(2.0, [-3.0])]
+    assert _product_form(TwoSpecies(1.0, 2.0, 3.0, 4.0, 5.0, 6.0).build_field()) == [
+        (1.0, [3.0, 4.0]), (2.0, [5.0, 6.0])]
+    assert _product_form(Spiral(0.5).build_field()) is None
+    cubic = Polynomial.from_coeffs({(1, 0): 1.0, (3, 0): -1.0}, 2)
+    no_x = Polynomial.from_coeffs({(0, 1): 1.0}, 2)
+    own = Polynomial.from_coeffs({(0, 1): 1.0, (0, 2): -1.0}, 2)
+    assert _product_form(PolyVectorField((cubic, own))) is None
+    assert _product_form(PolyVectorField((no_x, own))) is None
+    assert _product_form(PolyVectorField((own.diff(1), own))) is None
+
+
+def test_reference_seeds_and_box_are_pinned():
+    seeds = _injected_seeds(FIELD)
+    expected = [(0.0, 0.0), (0.0, 80.0), (0.1 / 0.0014, 0.0), (12.5, 68.75)]
+    assert len(seeds) == len(expected)
+    for seed, want in zip(seeds, expected):
+        np.testing.assert_allclose(seed, want, rtol=1e-12, atol=1e-12)
+    box = _default_box(FIELD)
+    assert len(box) == 2
+    for lo, hi in box:
+        assert lo == pytest.approx(-16.0, rel=1e-12)
+        assert hi == pytest.approx(160.0, rel=1e-12)
+    assert _injected_seeds(Spiral(0.5).build_field()) == []
+    assert _default_box(Spiral(0.5).build_field()) == [(-10.0, 10.0)] * 2
 
 
 _SUMMARY = re.compile(
