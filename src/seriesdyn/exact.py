@@ -57,10 +57,11 @@ class PolarInit:
 def logistic_exact(b: float, a: float, x0: float, t: float) -> float:
     """Exact solution of x' = x(b + a x), x(0) = x0, at time t.
 
-    For b > 0 this is b*x0*e^(bt) / ((b + a*x0) - a*x0*e^(bt)); the
+    For b > 0 this is b*x0*e^(bt) / (b - a*x0*(e^(bt) - 1)); the
     denominator follows from partial-fraction integration of
     dx / (x (b + a x)) = dt and satisfies the ODE identically, with the
-    pole condition e^(bt) = 1 + b/(a*x0).  For b = 0 the solution
+    pole condition e^(bt) = 1 + b/(a*x0).  It is evaluated with expm1, so
+    no digit is lost when b is tiny beside a*x0.  For b = 0 the solution
     degenerates to x0 / (1 - a*x0*t).
 
     Raises SingularityError when t is within 1e-12 of a real-axis pole,
@@ -77,8 +78,8 @@ def logistic_exact(b: float, a: float, x0: float, t: float) -> float:
     bt = b * t
     if bt >= 0.0:
         # divide through by e^(bt) so large bt cannot overflow
-        return b * x0 / ((b + a * x0) * math.exp(-bt) - a * x0)
-    return b * x0 * math.exp(bt) / ((b + a * x0) - a * x0 * math.exp(bt))
+        return b * x0 / (b * math.exp(-bt) + a * x0 * math.expm1(-bt))
+    return b * x0 * math.exp(bt) / (b - a * x0 * math.expm1(bt))
 
 
 def logistic_singularity(b: float, a: float, x0: float) -> Singularity:

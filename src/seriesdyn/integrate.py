@@ -102,6 +102,8 @@ def _error_norm(err, y_old, y_new, cfg):
 def _initial_step(rhs, y0, f0, t_end, cfg):
     # standard starting-step heuristic: compare solution and derivative
     # scales, then refine with a crude second-derivative probe
+    if not np.all(np.isfinite(f0)):
+        return 0.0  # no step from a non-finite slope: the run stops at once
     scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
     d0 = np.sqrt(np.mean((y0 / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))

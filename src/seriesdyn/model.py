@@ -186,7 +186,8 @@ def _evaluate(plan, xs: list[float]) -> float:
 
     ``xs`` holds Python floats, whose ``**`` gives the same bits as numpy
     float64 scalars.  Where a power overflows Python raises instead of
-    returning inf, so the terms are evaluated again on numpy scalars.
+    returning inf, so the terms are evaluated again on numpy scalars,
+    whose overflow gives ±inf (or nan from inf - inf) without a warning.
     """
     try:
         total = 0.0
@@ -197,7 +198,8 @@ def _evaluate(plan, xs: list[float]) -> float:
             total += c * v
         return total
     except OverflowError:
-        return float(_evaluate(plan, [np.float64(v) for v in xs]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(_evaluate(plan, [np.float64(v) for v in xs]))
 
 
 def _evaluate_rows(plans, xs: np.ndarray) -> np.ndarray:

@@ -122,15 +122,18 @@ class HpmExpansion:
     def dimension(self) -> int:
         return len(self.corrections[0])
 
+    def _grid(self) -> np.ndarray:
+        """Corrections stacked as G[j, i, m], the t^m coefficient of
+        correction j of variable i, zero-padded to the common grid."""
+        G = np.zeros((self.order + 1, self.dimension, self.order + 1))
+        for j, per_var in enumerate(self.corrections):
+            for i, s in enumerate(per_var):
+                G[j, i, : len(s.coeffs)] = s.coeffs
+        return G
+
     def summed(self) -> tuple[TruncatedSeries, ...]:
         """Sum of all corrections (the expansion parameter set to one)."""
-        n = self.dimension
-        total = [np.zeros(self.order + 1) for _ in range(n)]
-        for per_var in self.corrections:
-            for i in range(n):
-                c = per_var[i].coeffs
-                total[i][: len(c)] += c
-        return tuple(TruncatedSeries(t) for t in total)
+        return tuple(TruncatedSeries(c) for c in self._grid().sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -234,7 +237,6 @@ def taylor_solve(ivp: InitialValueProblem, order: int) -> TaylorSolution:
     # C[node, j]: the t^j coefficient of every variable and product node
     C = np.zeros((n + len(products), order + 1))
     C[:n, 0] = ivp.x0
-    overflow = None
     # overflow is reported through overflow_order, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(order):
@@ -245,12 +247,11 @@ def taylor_solve(ivp: InitialValueProblem, order: int) -> TaylorSolution:
                 for c, k in terms:
                     f += c * C[k, j]
                 C[i, j + 1] = f / (j + 1)
-            if overflow is None and not np.all(np.isfinite(C[:n, j + 1])):
-                overflow = j + 1
+    finite = np.isfinite(C[:n, 1:]).all(axis=0)  # per order 1..K
     return TaylorSolution(
         series=tuple(TruncatedSeries(C[i]) for i in range(n)),
         ivp=ivp,
-        overflow_order=overflow,
+        overflow_order=None if finite.all() else int(np.argmin(finite)) + 1,
     )
 
 
@@ -312,21 +313,15 @@ def hpm_collapse_check(h: HpmExpansion, t: TaylorSolution,
         raise DimensionError("expansion and series have different dimensions")
     if h.order != t.order:
         raise DimensionError("expansion and series have different orders")
-    worst = 0.0
+    G = h._grid()
+    X = np.array([s.coeffs for s in t.series]).T  # X[j, i] = x_j of variable i
     # a non-finite coefficient makes its deviation inf or nan
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, per_var in enumerate(h.corrections):
-            for i in range(h.dimension):
-                xj = t.series[i].coeffs[j]
-                expect = np.zeros(h.order + 1)
-                expect[j] = xj
-                got = np.zeros(h.order + 1)
-                c = per_var[i].coeffs
-                got[: len(c)] = c
-                dev = float(np.max(np.abs(got - expect)) / max(1.0, abs(xj)))
-                if not math.isfinite(dev):
-                    return False, math.inf
-                worst = max(worst, dev)
+        diagonal = np.arange(h.order + 1)
+        G[diagonal, :, diagonal] -= X
+        worst = float(np.max(np.max(np.abs(G), axis=2) / np.maximum(1.0, np.abs(X))))
+    if not math.isfinite(worst):
+        return False, math.inf
     return bool(worst <= tol), worst
 
 
@@ -337,12 +332,6 @@ def series_eval(s: TruncatedSeries, t):
     for c in s.coeffs[-2::-1]:
         acc = acc * t + c
     return float(acc) if acc.ndim == 0 else acc
-
-
-def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    """Least-squares line y = intercept + slope * x."""
-    slope, intercept = np.polyfit(x, y, 1)
-    return float(intercept), float(slope)
 
 
 def radius_estimate(s: TruncatedSeries, method: str = "ratio") -> RadiusEstimate:
@@ -362,43 +351,37 @@ def radius_estimate(s: TruncatedSeries, method: str = "ratio") -> RadiusEstimate
     c = np.abs(np.asarray(s.coeffs, dtype=float))
     K = len(c) - 1
 
+    # nothing but zeros in the top half: a polynomial solution, entire
+    polynomial = not np.any(c[max(1, (K + 1) // 2):] > _ZERO_SKIP)
+
     if method == "ratio":
-        usable = np.flatnonzero(c > _ZERO_SKIP)
-        if usable.size == 0 or usable[-1] <= max(0, (K + 1) // 2 - 1):
-            # nothing but zeros in the top half: polynomial solution
+        if polynomial:
             return RadiusEstimate(np.inf, "ratio", c)
+        usable = np.flatnonzero(c > _ZERO_SKIP)
         if usable.size < 4:
             raise InsufficientOrderError(
                 f"ratio estimate needs >= 4 nonzero coefficients, found {usable.size}"
             )
-        ratios = []
-        absc = []
+        last = usable[-6:]  # the last five gaps
+        lo, hi = last[:-1], last[1:]
         # overflowed tails produce inf/inf here; the non-finite check below
         # turns that into a collapsed estimate instead of a warning
         with np.errstate(invalid="ignore", over="ignore"):
-            for lo, hi in zip(usable[:-1], usable[1:]):
-                gap = hi - lo
-                ratios.append((c[hi] / c[lo]) ** (1.0 / gap))
-                absc.append(1.0 / hi)
-        ratios_arr = np.array(ratios[-5:])
-        absc_arr = np.array(absc[-5:])
-        if not np.all(np.isfinite(ratios_arr)):
+            ratios = np.float_power(c[hi] / c[lo], 1.0 / (hi - lo))
+        if not np.all(np.isfinite(ratios)):
             # overflowed coefficients: report collapse of the estimate
-            return RadiusEstimate(0.0, "ratio", ratios_arr)
-        if len(ratios_arr) >= 2:
-            limit, _ = _linear_fit(absc_arr, ratios_arr)
-        else:
-            limit = float(ratios_arr[0])
+            return RadiusEstimate(0.0, "ratio", ratios)
+        _, limit = np.polyfit(1.0 / hi, ratios, 1)
         value = np.inf if limit <= 0.0 else 1.0 / limit
-        return RadiusEstimate(float(value), "ratio", ratios_arr)
+        return RadiusEstimate(float(value), "ratio", ratios)
 
     if method == "root":
         if K < 8:
             raise InsufficientOrderError(f"root estimate needs order >= 8, got {K}")
+        if polynomial:
+            return RadiusEstimate(np.inf, "root", c)
         top = np.arange((K + 1) // 2, K + 1)
         keep = top[c[top] > _ZERO_SKIP]
-        if keep.size == 0:
-            return RadiusEstimate(np.inf, "root", c)
         if keep.size < 2:
             raise InsufficientOrderError(
                 "root estimate needs >= 2 usable coefficients in the top half"
@@ -406,7 +389,7 @@ def radius_estimate(s: TruncatedSeries, method: str = "ratio") -> RadiusEstimate
         logs = np.log(c[keep])
         if not np.all(np.isfinite(logs)):
             return RadiusEstimate(0.0, "root", logs)
-        _, slope = _linear_fit(keep.astype(float), logs)
+        slope, _ = np.polyfit(keep.astype(float), logs, 1)
         return RadiusEstimate(float(np.exp(-slope)), "root", logs)
 
     raise ValueError(f"unknown method {method!r}; expected 'ratio' or 'root'")

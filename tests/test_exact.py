@@ -136,6 +136,15 @@ def test_logistic_singularity_when_b_is_below_rounding():
         logistic_exact(1e-20, 0.5, 1.0, 2.0)
 
 
+def test_logistic_when_b_is_tiny_beside_a_x0():
+    # b = 1e-20 is below rounding beside a*x0 = -3: the solution is the
+    # b = 0 one, x0 / (1 - a*x0*t), on both sides of t = 0
+    for t in (0.5, 2.0, 100.0, -0.2, -0.3):
+        assert logistic_exact(1e-20, -3.0, 1.0, t) == pytest.approx(
+            1.0 / (1.0 + 3.0 * t), rel=1e-15), t
+    assert logistic_exact(1e-20, -3.0, 1.0, 0.5) == pytest.approx(0.4, rel=1e-15)
+
+
 def test_logistic_rejects_non_finite_parameters():
     for b, a, x0 in [(math.nan, -3.0, 1.0), (1.0, math.nan, 1.0), (1.0, -3.0, math.inf),
                      (math.inf, -3.0, 1.0)]:

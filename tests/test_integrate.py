@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 from seriesdyn import (
+    InitialValueProblem,
     IntegrationConfig,
     Logistic,
+    Polynomial,
+    PolyVectorField,
     RangeError,
     Spiral,
     Trajectory,
@@ -193,6 +196,28 @@ def test_rejected_steps_are_retried(monkeypatch):
     assert traj.status == "completed"
     exact = np.array([logistic_exact(50.0, -50.0, 1e-6, float(t)) for t in traj.ts])
     np.testing.assert_allclose(traj.states[:, 0], exact, rtol=1e-6, atol=0.0)
+
+
+def test_non_finite_initial_slope_stops_at_once(monkeypatch):
+    # f(x0) = 10^400 - 10^401 is inf - inf: no step can be sized, so the
+    # run ends at t = 0 instead of spending its whole step budget
+    module = importlib.import_module("seriesdyn.integrate")
+    calls = []
+    monkeypatch.setattr(module, "eval_field",
+                        lambda field, y: calls.append(1) or eval_field(field, y))
+    p = Polynomial.from_coeffs({(400,): 1.0, (401,): -1.0}, 1)
+    ivp = InitialValueProblem(PolyVectorField((p,)), [10.0])
+    traj = integrate(ivp, 1.0, IntegrationConfig(max_steps=1000))
+    assert len(calls) <= 2
+    assert traj.status == "stiff-abort"
+    assert traj.ts.tolist() == [0.0]
+
+
+def test_integrate_from_an_overflowing_state_leaks_no_warning():
+    # the cubic terms overflow at x = 1e120; no RuntimeWarning escapes
+    traj = integrate(preset_ivp(Spiral(-0.5), [1e120, 0.0]), 1.0)
+    assert traj.status == "stiff-abort"
+    assert traj.derivs[0, 0] == -np.inf
 
 
 def test_steps_concentrate_near_singularity():

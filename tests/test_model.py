@@ -292,3 +292,16 @@ def test_overflowing_field_returns_inf_instead_of_raising():
         assert jacobian_at(field, [10.0])[0, 0] == np.inf
         np.testing.assert_array_equal(
             eval_field(PolyVectorField((q,)), [-10.0]), [-np.inf])
+
+
+def test_scalar_evaluation_overflow_leaks_no_warning():
+    # no errstate here: the suite turns any RuntimeWarning into an error
+    spiral = Spiral(0.5).build_field()
+    far = [1e200, 1e200]
+    np.testing.assert_array_equal(eval_field(spiral, far), [np.inf, np.inf])
+    np.testing.assert_array_equal(jacobian_at(spiral, far), np.full((2, 2), np.inf))
+    assert spiral.components[1](far) == np.inf
+    # x^400 - x^401 at 10 is inf - inf
+    p = Polynomial.from_coeffs({(400,): 1.0, (401,): -1.0}, 1)
+    assert np.isnan(p([10.0]))
+    assert np.isnan(eval_field(PolyVectorField((p,)), [10.0])[0])

@@ -213,6 +213,14 @@ def test_classify_rejects_non_finite_location():
             classify(FIELD, loc)
 
 
+def test_classify_far_from_the_origin_is_not_a_fixed_point():
+    # the spiral's cubic terms overflow at (1e200, 1e200); f is inf there
+    # and no RuntimeWarning replaces the NotAFixedPointError
+    field = Spiral(0.5).build_field()
+    with pytest.raises(NotAFixedPointError, match="residual inf"):
+        classify(field, [1e200, 1e200])
+
+
 def test_infinite_search_interval_is_rejected():
     for box in ([(-math.inf, math.inf)] * 2,
                 [(0.0, math.inf), (0.0, 1.0)],

@@ -18,6 +18,7 @@ from seriesdyn import (
     Polynomial,
     PolyVectorField,
     Spiral,
+    TaylorSolution,
     TruncatedSeries,
     TwoSpecies,
     hpm_collapse_check,
@@ -463,6 +464,32 @@ def test_collapse_rejects_mismatched_shapes():
         hpm_collapse_check(h, t, 1e-10)
 
 
+def test_short_corrections_are_zero_padded():
+    # a correction stored shorter than the grid counts as zero above its
+    # length, in summed() and in the collapse check alike
+    h, t = hpm_solve(LOGISTIC, 6), taylor_solve(LOGISTIC, 6)
+    short = HpmExpansion(tuple(
+        tuple(TruncatedSeries(s.coeffs[: j + 1]) for s in per_var)
+        for j, per_var in enumerate(h.corrections)))
+    for a, b in zip(short.summed(), h.summed()):
+        np.testing.assert_array_equal(a.coeffs, b.coeffs)
+    assert hpm_collapse_check(short, t, 1e-12) == hpm_collapse_check(h, t, 1e-12)
+
+
+def test_hand_built_expansion_with_a_short_correction():
+    taylor = TaylorSolution((TruncatedSeries([1.0, 2.0, 3.0]),), LOGISTIC)
+    exact = HpmExpansion(((TruncatedSeries([1.0]),), (TruncatedSeries([0.0, 2.0]),),
+                          (TruncatedSeries([0.0, 0.0, 3.0]),)))
+    assert exact.summed()[0].coeffs.tolist() == [1.0, 2.0, 3.0]
+    assert hpm_collapse_check(exact, taylor, 0.0) == (True, 0.0)
+    # correction 1 is the constant 0.5: t^0 is off by 0.5, the padded t^1
+    # by 2 = x_1, and the deviation is 2 / max(1, |x_1|) = 1
+    wrong = HpmExpansion((exact.corrections[0], (TruncatedSeries([0.5]),),
+                          exact.corrections[2]))
+    assert wrong.summed()[0].coeffs.tolist() == [1.5, 0.0, 3.0]
+    assert hpm_collapse_check(wrong, taylor, 0.5) == (False, 1.0)
+
+
 def test_collapse_random_systems():
     rng = np.random.default_rng(909)
     for _ in range(20):
@@ -472,6 +499,38 @@ def test_collapse_random_systems():
         ok, dev = hpm_collapse_check(hpm_solve(ivp, K), taylor_solve(ivp, K),
                                      1e-10)
         assert ok, (n, K, dev)
+
+
+def test_array_diagnostics_equal_their_scalar_loops():
+    # summed(), the collapse deviation and the ratio diagnostics are whole-
+    # array computations; per-element loops in the same arithmetic order
+    # are the reference, bit for bit
+    rng = np.random.default_rng(4242)
+    for _ in range(15):
+        ivp = random_ivp(rng, int(rng.integers(1, 4)))
+        K = int(rng.integers(1, 13))
+        h, t = hpm_solve(ivp, K), taylor_solve(ivp, K)
+        worst = 0.0
+        for i in range(h.dimension):
+            total = np.zeros(K + 1)
+            for j, per_var in enumerate(h.corrections):
+                got = per_var[i].coeffs.copy()
+                total += got
+                xj = t.series[i].coeffs[j]
+                got[j] -= xj
+                worst = max(worst, float(np.max(np.abs(got)) / max(1.0, abs(xj))))
+            np.testing.assert_array_equal(h.summed()[i].coeffs, total)
+        assert hpm_collapse_check(h, t, 1e-10) == (worst <= 1e-10, worst)
+        for s in taylor_solve(ivp, int(rng.integers(6, 40))).series:
+            c = np.abs(s.coeffs)
+            usable = np.flatnonzero(c > 1e-300)
+            if usable.size < 4 or not np.all(np.isfinite(c)):
+                continue
+            ratios = [(c[hi] / c[lo]) ** (1.0 / (hi - lo))
+                      for lo, hi in zip(usable[:-1], usable[1:])]
+            est = radius_estimate(s, "ratio")
+            if est.value != np.inf:  # not a polynomial tail
+                assert est.diagnostics.tolist() == ratios[-5:]
 
 
 # -- radius estimation -------------------------------------------------------
@@ -550,3 +609,41 @@ def test_radius_overflowed_coefficients_collapse_to_zero():
     c[11] = np.inf
     s = TruncatedSeries(c)
     assert radius_estimate(s, "ratio").value == 0.0
+
+
+def test_radius_ratio_with_four_and_five_nonzero_coefficients():
+    # 4 usable coefficients give 3 ratios, 5 give 4 (here gap-corrected
+    # across the zeros at orders 1 and 4); every ratio is 1/2
+    for c, orders in (([1.0, 0.5, 0.25, 0.125], [1, 2, 3]),
+                      ([1.0, 0.0, 0.25, 0.125, 0.0, 2.0**-5, 2.0**-6], [2, 3, 5, 6])):
+        est = radius_estimate(TruncatedSeries(c), "ratio")
+        assert est.diagnostics.tolist() == [0.5] * len(orders), c
+        assert est.value == pytest.approx(2.0, rel=1e-12)
+
+
+def test_radius_ratio_keeps_the_last_five_gaps():
+    # c_j = 1/j! has ratio c_j/c_(j-1) = 1/j; only orders 5..9 enter the fit
+    c = [1.0 / math.factorial(j) for j in range(10)]
+    est = radius_estimate(TruncatedSeries(c), "ratio")
+    np.testing.assert_allclose(est.diagnostics, [1 / 5, 1 / 6, 1 / 7, 1 / 8, 1 / 9],
+                               rtol=1e-15)
+
+
+def test_radius_of_a_gapped_series():
+    # 1/(1 - (t/R)^2): every odd coefficient is zero, the radius is R
+    R = 0.8
+    c = np.where(np.arange(31) % 2 == 0, R ** -np.arange(31.0), 0.0)
+    est = radius_estimate(TruncatedSeries(c), "ratio")
+    assert est.diagnostics.shape == (5,)
+    np.testing.assert_allclose(est.diagnostics, 1 / R, rtol=1e-14)
+    assert est.value == pytest.approx(R, rel=1e-12)
+    assert radius_estimate(TruncatedSeries(c), "root").value == pytest.approx(R, rel=1e-12)
+
+
+def test_radius_of_constant_series_is_infinite():
+    for c in ([3.0], [3.0, 0.0], [0.0], [3.0] + [0.0] * 9):
+        assert radius_estimate(TruncatedSeries(c), "ratio").value == np.inf, c
+    assert radius_estimate(TruncatedSeries([3.0] + [0.0] * 9), "root").value == np.inf
+    # the root estimate checks its order before the polynomial tail
+    with pytest.raises(InsufficientOrderError, match="order >= 8, got 1"):
+        radius_estimate(TruncatedSeries([3.0, 0.0]), "root")
