@@ -16,14 +16,9 @@ import logging
 import os
 import sys
 
-from .errors import (
-    InsufficientOrderError,
-    IntegrationFailedError,
-    ModelFileError,
-    SeriesDynError,
-)
+from .errors import IntegrationFailedError, SeriesDynError
 from .integrate import IntegrationConfig
-from .modelfile import MAX_ORDER, MAX_SAMPLES, ModelFile, load_model
+from .modelfile import MAX_ORDER, MAX_SAMPLES, load_model
 from .report import (
     cmd_fixed_points,
     cmd_phase2d,
@@ -110,18 +105,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _tolerances(args, rel_tol: float = IntegrationConfig.rel_tol,
-                abs_tol: float = IntegrationConfig.abs_tol) -> IntegrationConfig:
-    """Integrator settings: --rel-tol/--abs-tol where given, else the
-    defaults passed in.  The config rejects NaN, inf and values <= 0."""
-    return IntegrationConfig(
-        rel_tol=rel_tol if args.rel_tol is None else args.rel_tol,
-        abs_tol=abs_tol if args.abs_tol is None else args.abs_tol)
-
-
-def _with_tolerances(mf: ModelFile, args) -> ModelFile:
-    cfg = _tolerances(args, mf.rel_tol, mf.abs_tol)
-    return dataclasses.replace(mf, rel_tol=cfg.rel_tol, abs_tol=cfg.abs_tol)
+def _tolerances(args, cfg: IntegrationConfig = IntegrationConfig()) -> IntegrationConfig:
+    """Integrator settings: ``cfg`` with --rel-tol/--abs-tol replaced where
+    given.  The config rejects NaN, inf and values <= 0."""
+    given = {name: getattr(args, name) for name in ("rel_tol", "abs_tol")
+             if getattr(args, name) is not None}
+    return dataclasses.replace(cfg, **given)
 
 
 def _dispatch(args) -> str:
@@ -136,7 +125,8 @@ def _dispatch(args) -> str:
     if args.command == "radius":
         return cmd_radius(load_model(args.model_file), order=args.order)
     if args.command == "solve":
-        return cmd_solve(_with_tolerances(load_model(args.model_file), args))
+        mf = load_model(args.model_file)
+        return cmd_solve(dataclasses.replace(mf, cfg=_tolerances(args, mf.cfg)))
     if args.command == "fixed-points":
         return cmd_fixed_points(load_model(args.model_file))
     raise AssertionError(f"unhandled command {args.command!r}")
@@ -150,13 +140,10 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         text = _dispatch(args)
-    except (ModelFileError, InsufficientOrderError, ValueError) as exc:
-        print(f"seriesdyn: error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except IntegrationFailedError as exc:
         print(f"seriesdyn: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except SeriesDynError as exc:
+    except (SeriesDynError, ValueError) as exc:
         print(f"seriesdyn: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.output:

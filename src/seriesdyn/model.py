@@ -348,11 +348,7 @@ def preset_ivp(preset: ModelPreset, x0) -> InitialValueProblem:
     Out-of-regime parameters are accepted; a warning is logged so the
     caller knows the run leaves the regime the models were studied in.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (preset.dimension,):
-        raise DimensionError(
-            f"x0 has shape {x0.shape}, preset dimension is {preset.dimension}"
-        )
+    ivp = InitialValueProblem(preset.build_field(), x0)  # checks x0 first
     if not preset.in_reference_regime:
         logger.warning("preset %r is outside the reference parameter regime", preset)
-    return InitialValueProblem(preset.build_field(), x0)
+    return ivp

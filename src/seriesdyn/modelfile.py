@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .errors import ModelFileError
 from .integrate import IntegrationConfig
@@ -65,8 +65,7 @@ class ModelFile:
     order: int
     grid_end: float
     grid_count: int
-    rel_tol: float
-    abs_tol: float
+    cfg: IntegrationConfig
 
 
 def _number(value, where: str) -> float:
@@ -185,22 +184,22 @@ def parse_model(doc) -> ModelFile:
         if "count" in grid:
             grid_count = _positive_int(grid["count"], "key 'grid.count'", 2, MAX_SAMPLES)
 
-    rel_tol, abs_tol = IntegrationConfig.rel_tol, IntegrationConfig.abs_tol
+    cfg = IntegrationConfig()
     if "tolerances" in doc:
         tols = doc["tolerances"]
         if not isinstance(tols, dict) or set(tols) - {"rel", "abs"}:
             raise ModelFileError("'tolerances' must be {\"rel\": r, \"abs\": a}",
                                  "key 'tolerances'")
-        if "rel" in tols:
-            rel_tol = _number(tols["rel"], "key 'tolerances.rel'")
-        if "abs" in tols:
-            abs_tol = _number(tols["abs"], "key 'tolerances.abs'")
-        if rel_tol <= 0 or abs_tol <= 0:
-            raise ModelFileError("tolerances must be positive", "key 'tolerances'")
+        given = {f"{key}_tol": _number(tols[key], f"key 'tolerances.{key}'")
+                 for key in ("rel", "abs") if key in tols}
+        try:
+            cfg = replace(cfg, **given)
+        except ValueError:  # the config's own check: not positive
+            raise ModelFileError("tolerances must be positive",
+                                 "key 'tolerances'") from None
 
     return ModelFile(kind=kind, ivp=ivp, preset=preset, order=order,
-                     grid_end=grid_end, grid_count=grid_count,
-                     rel_tol=rel_tol, abs_tol=abs_tol)
+                     grid_end=grid_end, grid_count=grid_count, cfg=cfg)
 
 
 def loads_model(text: str) -> ModelFile:

@@ -19,7 +19,8 @@ import numpy as np
 from .errors import DegenerateError, InsufficientOrderError, IntegrationFailedError
 from .exact import logistic_exact, logistic_singularity, spiral_exact, spiral_singularity
 from .integrate import IntegrationConfig, integrate, sample
-from .model import InitialValueProblem, Logistic, Spiral, TwoSpecies, preset_ivp
+from .model import (InitialValueProblem, Logistic, Spiral, TwoSpecies, eval_field,
+                    preset_ivp)
 from .modelfile import ModelFile
 from .phase import classify, fixed_points
 from .series import radius_estimate, taylor_solve
@@ -29,19 +30,14 @@ _FLOAT_FMT = "{:.11e}"  # 12 significant digits
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """One time point of a series-vs-oracle comparison.
-
-    ``series`` maps requested order to the per-variable partial-sum
-    values as (order, values) pairs.  ``log_errors`` follows the same
-    order sequence and holds log10 |(exact - series)/exact|; it is only
-    populated for one-variable models with nonzero exact value.
-    """
+    """One time point of the logistic table: the 4th-order partial sum,
+    the closed form, the integrator, and log10 |(exact - series)/exact|."""
 
     t: float
-    numerical: tuple[float, ...]
-    exact: tuple[float, ...] | None
-    series: tuple[tuple[int, tuple[float, ...]], ...]
-    log_errors: tuple[float, ...] | None
+    series4: float
+    exact: float
+    numerical: float
+    log_error: float
 
 
 def _var_names(n: int) -> list[str]:
@@ -98,12 +94,10 @@ def table1_rows() -> list[ComparisonRow]:
     ts = [i / 10 for i in range(1, 11)]
     numerical, sums = _curves(preset_ivp(Logistic(b, a), [x0]), ts, [4])
     rows = []
-    for t, num, s4 in zip(ts, numerical, sums[4][:, 0].tolist()):
+    for t, num, s4 in zip(ts, numerical[:, 0].tolist(), sums[4][:, 0].tolist()):
         ex = logistic_exact(b, a, x0, t)
-        log_err = math.log10(abs((ex - s4) / ex))
-        rows.append(ComparisonRow(
-            t=t, numerical=(float(num[0]),), exact=(ex,),
-            series=((4, (s4,)),), log_errors=(log_err,)))
+        rows.append(ComparisonRow(t=t, series4=s4, exact=ex, numerical=num,
+                                  log_error=math.log10(abs((ex - s4) / ex))))
     return rows
 
 
@@ -117,13 +111,9 @@ def cmd_table1(full_precision: bool = False) -> str:
     err_fmt = "{:.17g}" if full_precision else "{:.3g}"
     table = [["t", "series4", "exact", "numerical", "log10-rel-error"]]
     for row in table1_rows():
-        table.append([
-            f"{row.t:.1f}",
-            val_fmt.format(row.series[0][1][0]),
-            val_fmt.format(row.exact[0]),
-            val_fmt.format(row.numerical[0]),
-            err_fmt.format(row.log_errors[0]),
-        ])
+        values = (row.series4, row.exact, row.numerical)
+        table.append([f"{row.t:.1f}", *map(val_fmt.format, values),
+                      err_fmt.format(row.log_error)])
     return _aligned(table)
 
 
@@ -218,12 +208,13 @@ def cmd_radius(mf: ModelFile, order: int | None = None) -> str:
         lines.append(f"variable {name}: ratio {_fmt(ratio.value)}  "
                      f"root {_fmt(root.value)}")
     sing = _analytic_singularity(mf)
-    if sing is None:
-        lines.append("analytic singularity modulus: unavailable"
-                     " (no closed form for this model)")
-    elif sing.degenerate:
+    # f(x0) = 0 exactly: the solution is constant, whatever the model
+    if not np.any(eval_field(mf.ivp.field, mf.ivp.x0)) or (sing and sing.degenerate):
         lines.append("analytic singularity modulus: inf"
                      " (degenerate: initial state is an equilibrium)")
+    elif sing is None:
+        lines.append("analytic singularity modulus: unavailable"
+                     " (no closed form for this model)")
     else:
         loc = _fmt_complex(sing.location, _FLOAT_FMT)
         lines.append(f"analytic singularity modulus: {_fmt(sing.modulus)}"
@@ -242,8 +233,7 @@ def cmd_solve(mf: ModelFile) -> str:
     """CSV of the numerical solution and the configured-order partial sums
     on the model file's time grid."""
     ts = np.linspace(0.0, mf.grid_end, mf.grid_count)
-    cfg = IntegrationConfig(rel_tol=mf.rel_tol, abs_tol=mf.abs_tol)
-    num, sums = _curves(mf.ivp, ts, [mf.order], cfg)
+    num, sums = _curves(mf.ivp, ts, [mf.order], mf.cfg)
     names = _var_names(mf.ivp.field.dimension)
     rows = [["t"] + [f"{n}_num" for n in names] + [f"{n}_s{mf.order}" for n in names]]
     rows += [[_fmt(v) for v in values]

@@ -345,19 +345,22 @@ def radius_estimate(s: TruncatedSeries, method: str = "ratio") -> RadiusEstimate
             half of orders; the radius is exp(-slope).
 
     A tail of structural zeros means the solution is a polynomial, which
-    is entire: the radius is +inf.  Too few usable coefficients raise
-    InsufficientOrderError.
+    is entire: the radius is +inf.  An overflowed tail (inf or NaN
+    coefficients) reports the collapse value 0.0.  Too few usable
+    coefficients raise InsufficientOrderError.
     """
     c = np.abs(np.asarray(s.coeffs, dtype=float))
     K = len(c) - 1
 
-    # nothing but zeros in the top half: a polynomial solution, entire
-    polynomial = not np.any(c[max(1, (K + 1) // 2):] > _ZERO_SKIP)
+    # nothing but zeros in the top half: a polynomial solution, entire;
+    # an overflowed NaN coefficient counts as nonzero (NaN > skip is false)
+    nonzero = ~(c <= _ZERO_SKIP)
+    polynomial = not np.any(nonzero[max(1, (K + 1) // 2):])
 
     if method == "ratio":
         if polynomial:
             return RadiusEstimate(np.inf, "ratio", c)
-        usable = np.flatnonzero(c > _ZERO_SKIP)
+        usable = np.flatnonzero(nonzero)
         if usable.size < 4:
             raise InsufficientOrderError(
                 f"ratio estimate needs >= 4 nonzero coefficients, found {usable.size}"
@@ -381,7 +384,7 @@ def radius_estimate(s: TruncatedSeries, method: str = "ratio") -> RadiusEstimate
         if polynomial:
             return RadiusEstimate(np.inf, "root", c)
         top = np.arange((K + 1) // 2, K + 1)
-        keep = top[c[top] > _ZERO_SKIP]
+        keep = top[nonzero[top]]
         if keep.size < 2:
             raise InsufficientOrderError(
                 "root estimate needs >= 2 usable coefficients in the top half"

@@ -1,10 +1,12 @@
 """Command-line interface: exit codes, flags, output destinations."""
 
+import dataclasses
 import json
 
 import pytest
 
 from seriesdyn.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
+from seriesdyn.integrate import IntegrationConfig
 from seriesdyn.modelfile import MAX_ORDER, MAX_SAMPLES, load_model
 from seriesdyn.report import cmd_radius, cmd_solve, cmd_table1
 
@@ -53,6 +55,18 @@ def test_solve_tolerance_overrides_change_digits(tmp_path, capsys):
     loose = capsys.readouterr().out
     assert tight != loose
     assert tight.splitlines()[0] == loose.splitlines()[0]
+
+
+def test_solve_file_rel_tol_and_flag_abs_tol_combine(tmp_path, capsys):
+    path = write_model(tmp_path, dict(LOGISTIC_DOC, tolerances={"rel": 1e-4}))
+    assert main(["solve", path, "--abs-tol", "1e-3"]) == EXIT_OK
+    mf = load_model(path)
+    want = cmd_solve(dataclasses.replace(
+        mf, cfg=IntegrationConfig(rel_tol=1e-4, abs_tol=1e-3)))
+    assert capsys.readouterr().out == want
+    # neither setting alone gives that output
+    for cfg in (mf.cfg, IntegrationConfig(abs_tol=1e-3)):
+        assert cmd_solve(dataclasses.replace(mf, cfg=cfg)) != want
 
 
 def test_invalid_tolerance_is_input_error(tmp_path, capsys):
@@ -139,6 +153,15 @@ def test_radius_cli_matches_library(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out == cmd_radius(load_model(path))
     assert "3.25384665670e+00" in out
+
+
+def test_radius_cli_overflowed_tail_collapses(tmp_path, capsys):
+    doc = {"model": "spiral", "params": {"a": -0.5}, "x0": [2.0, 2.0]}
+    path = write_model(tmp_path, doc)
+    assert main(["radius", path, "--order", "700"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "variable x: ratio 0.00000000000e+00  root 0.00000000000e+00" in out
+    assert "relative disagreement x: ratio 1  root 1" in out
 
 
 def test_radius_cli_order_override(tmp_path, capsys):

@@ -92,6 +92,14 @@ def test_ivp_validates_and_freezes_x0():
         InitialValueProblem(Logistic(1.0, -3.0).build_field(), [1.0, 2.0])
 
 
+def test_preset_ivp_checks_x0_before_the_regime_warning(caplog):
+    with pytest.raises(DimensionError, match="field dimension"):
+        preset_ivp(Logistic(1.0, 3.0), [1.0, 2.0])  # a > 0: out of regime
+    assert not caplog.records
+    preset_ivp(Logistic(1.0, 3.0), [1.0])
+    assert "outside the reference parameter regime" in caplog.text
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_ivp_rejects_non_finite_x0(bad):
     # a NaN start gives a NaN first step, which integrate never accepts

@@ -49,8 +49,8 @@ def test_logistic_preset_happy_path():
     assert mf.order == 4
     assert mf.grid_end == 1.0
     assert mf.grid_count == 11
-    assert mf.rel_tol == 1e-9
-    assert mf.abs_tol == 1e-11
+    assert mf.cfg.rel_tol == 1e-9
+    assert mf.cfg.abs_tol == 1e-11
 
 
 def test_defaults_applied():
@@ -59,8 +59,8 @@ def test_defaults_applied():
     assert mf.order == DEFAULT_ORDER == 10
     assert mf.grid_end == DEFAULT_GRID_END == 1.0
     assert mf.grid_count == DEFAULT_GRID_COUNT == 11
-    assert mf.rel_tol == 1e-10
-    assert mf.abs_tol == 1e-12
+    assert mf.cfg.rel_tol == 1e-10
+    assert mf.cfg.abs_tol == 1e-12
     assert mf.preset == Spiral(a=-0.5)
 
 
@@ -221,7 +221,7 @@ def test_tolerances_validation():
     assert err(dict(LOGISTIC_DOC,
                     tolerances={"abs": -1e-12})).location == "key 'tolerances'"
     mf = parse_model(dict(LOGISTIC_DOC, tolerances={"rel": 1e-8}))
-    assert mf.rel_tol == 1e-8 and mf.abs_tol == 1e-12
+    assert mf.cfg.rel_tol == 1e-8 and mf.cfg.abs_tol == 1e-12
 
 
 @pytest.mark.parametrize("text, location", [

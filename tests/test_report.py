@@ -43,17 +43,17 @@ def test_table1_rows_values():
     rows = table1_rows()
     assert [r.t for r in rows] == pytest.approx([i / 10 for i in range(1, 11)])
     for row, want in zip(rows, TABLE1_LOG_ERRORS):
-        got = float(f"{row.log_errors[0]:.3g}")
+        got = float(f"{row.log_error:.3g}")
         assert abs(got - want) <= 0.01, (row.t, got, want)
 
 
 def test_table1_rows_are_consistent():
     for row in rows_cache():
         exact = logistic_exact(1.0, -3.0, 1.0, row.t)
-        assert row.exact[0] == pytest.approx(exact, rel=1e-12)
-        assert abs(row.numerical[0] - exact) / abs(exact) < 1e-8
-        err = abs((exact - row.series[0][1][0]) / exact)
-        assert row.log_errors[0] == pytest.approx(math.log10(err), rel=1e-12)
+        assert row.exact == pytest.approx(exact, rel=1e-12)
+        assert abs(row.numerical - exact) / abs(exact) < 1e-8
+        err = abs((exact - row.series4) / exact)
+        assert row.log_error == pytest.approx(math.log10(err), rel=1e-12)
 
 
 def rows_cache(_cache=[]):
@@ -78,10 +78,10 @@ def test_cmd_table1_full_precision_round_trips():
     out = cmd_table1(full_precision=True)
     row = rows_cache()[0]
     cells = out.splitlines()[1].split()
-    assert float(cells[1]) == row.series[0][1][0]
-    assert float(cells[2]) == row.exact[0]
-    assert float(cells[3]) == row.numerical[0]
-    assert float(cells[4]) == row.log_errors[0]
+    assert float(cells[1]) == row.series4
+    assert float(cells[2]) == row.exact
+    assert float(cells[3]) == row.numerical
+    assert float(cells[4]) == row.log_error
 
 
 def test_cmd_phase2d_structure():
@@ -215,6 +215,20 @@ def test_cmd_radius_degenerate_equilibrium():
     assert "relative disagreement" not in out
 
 
+@pytest.mark.parametrize("doc", [
+    {"model": "spiral", "params": {"a": -0.5}, "x0": [0.0, 0.0]},
+    {"model": "logistic", "params": {"b": 1.0, "a": -3.0}, "x0": [0.0]},
+    {"model": "terms", "x0": [0.0],
+     "terms": [[{"exponents": [1], "coeff": 1.0}, {"exponents": [2], "coeff": -3.0}]]},
+], ids=["spiral-origin", "logistic-zero", "terms-zero"])
+def test_cmd_radius_equilibrium_start_is_degenerate(doc):
+    # f(x0) = 0: the solution is constant whether or not a closed form
+    # exists or accepts the state
+    out = cmd_radius(parse_model(doc))
+    assert out.splitlines()[-1] == ("analytic singularity modulus: inf"
+                                    " (degenerate: initial state is an equilibrium)")
+
+
 def test_cmd_radius_terms_has_no_oracle():
     mf = parse_model({"model": "terms",
                       "terms": [[{"exponents": [1], "coeff": 1.0},
@@ -230,6 +244,17 @@ def test_cmd_radius_order_override_and_floor():
         cmd_radius(mf)
     out = cmd_radius(mf, order=30)
     assert "order K=30" in out
+
+
+def test_cmd_solve_names_more_than_three_variables():
+    decay = [[{"exponents": [int(i == j) for j in range(4)], "coeff": -1.0}]
+             for i in range(4)]
+    out = cmd_solve(parse_model({"model": "terms", "terms": decay,
+                                 "x0": [1.0, 2.0, 3.0, 4.0]}))
+    header, rows, _ = parse_csv(out)
+    assert header == (["t"] + [f"x{i}_num" for i in range(1, 5)]
+                      + [f"x{i}_s10" for i in range(1, 5)])
+    assert len(rows) == 11
 
 
 def test_cmd_solve_structure():

@@ -611,6 +611,22 @@ def test_radius_overflowed_coefficients_collapse_to_zero():
     assert radius_estimate(s, "ratio").value == 0.0
 
 
+def test_radius_nan_tail_collapses_to_zero():
+    # the spiral overflows at order 340; at K = 700 every top-half
+    # coefficient is NaN, which is no polynomial's zero tail
+    sol = taylor_solve(preset_ivp(Spiral(-0.5), [2.0, 2.0]), 700)
+    for s in sol.series:
+        assert np.all(np.isnan(s.coeffs[350:]))
+        assert radius_estimate(s, "ratio").value == 0.0
+        assert radius_estimate(s, "root").value == 0.0
+
+
+def test_radius_root_needs_two_usable_top_half_coefficients():
+    c = [1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]  # K = 8: top half 4..8
+    with pytest.raises(InsufficientOrderError, match="top half"):
+        radius_estimate(TruncatedSeries(c), "root")
+
+
 def test_radius_ratio_with_four_and_five_nonzero_coefficients():
     # 4 usable coefficients give 3 ratios, 5 give 4 (here gap-corrected
     # across the zeros at orders 1 and 4); every ratio is 1/2
