@@ -10,13 +10,16 @@ movable singularities are a legitimate finding for these models.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import RangeError
-from .model import InitialValueProblem, eval_field
+from .model import InitialValueProblem, _evaluate
+
+logger = logging.getLogger("seriesdyn.integrate")
 
 __all__ = ["IntegrationConfig", "Trajectory", "integrate", "sample"]
 
@@ -43,6 +46,9 @@ _MAX_FACTOR = 5.0
 _ALPHA = 0.7 / 5
 _BETA = 0.4 / 5
 _BLOWUP_NORM = 1e8  # a state norm beyond this ends the run as 'blew-up'
+# Below this relative tolerance the error norm asks for more digits than
+# a double carries: the steps shrink to nothing and the budget is spent.
+_REL_TOL_FLOOR = 100 * math.ulp(1.0)  # 100 machine epsilons
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,9 @@ class IntegrationConfig:
     def __post_init__(self):
         if not all(math.isfinite(t) and t > 0 for t in (self.rel_tol, self.abs_tol)):
             raise ValueError("tolerances must be positive and finite")
+        if self.rel_tol < _REL_TOL_FLOOR:
+            raise ValueError(f"rel_tol must be at least {_REL_TOL_FLOOR!r} "
+                             "(100 machine epsilons)")
         steps = self.max_steps
         if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
             raise ValueError("max_steps must be an integer >= 1")
@@ -69,7 +78,8 @@ class Trajectory:
     is 'completed', 'blew-up' (state norm crossed 1e8, or the step size
     underflowed with the state already far beyond its initial scale) or
     'stiff-abort' (step budget exhausted or the step size underflowed
-    without escape).
+    without escape).  ``rhs_evals`` counts evaluations of f and
+    ``rejected_steps`` the attempts the error control turned down.
     """
 
     ts: np.ndarray
@@ -78,6 +88,8 @@ class Trajectory:
     step_sizes: np.ndarray
     error_estimates: np.ndarray
     status: str
+    rhs_evals: int = 0
+    rejected_steps: int = 0
 
     def __post_init__(self):
         for name in ("ts", "states", "derivs", "step_sizes", "error_estimates"):
@@ -94,64 +106,101 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def _error_norm(err, y_old, y_new, cfg):
-    scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+def _error_norm(err, y_old, y_new, atol, rtol):
+    """RMS of err / (atol + rtol * max(|y_old|, |y_new|)), on lists of
+    Python floats.
+
+    The sum runs left to right, which is how ``np.mean`` sums fewer than
+    eight values, so for n <= 7 this is ``np.mean``'s value bit for bit.
+    ``y_old`` is an accepted state and never NaN; a NaN in ``y_new``
+    makes the norm NaN, as ``np.maximum`` would.
+    """
+    acc = 0.0
+    for e, a, b in zip(err, y_old, y_new):
+        a, b = abs(a), abs(b)
+        q = e / (atol + rtol * (a if a >= b else b))
+        acc += q * q
+    return math.sqrt(acc / len(err))
 
 
 def _initial_step(rhs, y0, f0, t_end, cfg):
     # standard starting-step heuristic: compare solution and derivative
-    # scales, then refine with a crude second-derivative probe
+    # scales, then refine with a crude second-derivative probe.  A tiny
+    # absolute tolerance can overflow these scales: that stays quiet, and
+    # a zero or non-finite first step stops the run at once.
     if not np.all(np.isfinite(f0)):
         return 0.0  # no step from a non-finite slope: the run stops at once
-    scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
-    d0 = np.sqrt(np.mean((y0 / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, t_end)
-    f1 = rhs(y0 + h0 * f0)
-    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_end)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
+        d0 = np.sqrt(np.mean((y0 / scale) ** 2))
+        d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        if not math.isfinite(h0):
+            return 0.0  # no step from a non-finite first guess either
+        h0 = min(h0, t_end)
+        f1 = rhs(y0 + h0 * f0, np.empty_like(f0))
+        d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
+        if max(d1, d2) <= 1e-15:
+            h1 = max(1e-6, h0 * 1e-3)
+        else:
+            h1 = (0.01 / max(d1, d2)) ** 0.2
+    return float(min(100 * h0, h1, t_end))
 
 
 def integrate(ivp: InitialValueProblem, t_end: float,
               cfg: IntegrationConfig | None = None) -> Trajectory:
     """Integrate dx/dt = f(x) from t = 0 to ``t_end``.
 
-    Returns every accepted step.  Deterministic: identical inputs give
-    bit-identical trajectories.
+    Returns every accepted step, with the number of f evaluations and of
+    rejected attempts; one DEBUG line per call under
+    ``seriesdyn.integrate`` reports them.  Deterministic: identical
+    inputs give bit-identical trajectories on the same numpy/BLAS build.
+
+    The step loop binds the field's compiled plans once and writes each
+    stage's f straight into its row of the stage array.  The stage sums
+    stay numpy ``@`` products (a left-to-right float sum differs from
+    them in the last bit in 10-25% of cases); the error norm, the
+    blow-up test and the step-size control run on Python floats, with
+    the same bits as the numpy forms for n <= 7 (the norm's sum order
+    differs from ``np.mean``'s pairwise one from n = 8 on).
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError("t_end must be positive and finite")
     cfg = cfg or IntegrationConfig()
-    fld = ivp.field
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
+    plans = ivp.field._plans
+    evals = 0
 
-    def rhs(y):
-        return eval_field(fld, y)
+    def rhs(y, out):
+        """f(y) written into ``out``."""
+        nonlocal evals
+        evals += 1
+        xs = y.tolist()
+        for i, plan in enumerate(plans):
+            out[i] = _evaluate(plan, xs)
+        return out
 
     t = 0.0
     y = np.array(ivp.x0, dtype=float)
-    f = rhs(y)
+    k = np.empty((7, len(y)))
+    rhs(y, k[0])  # k[0] is always f at the current state (FSAL)
     ts = [t]
-    ys = [y.copy()]
-    fs = [f.copy()]
+    ys = [y]
+    fs = [k[0].copy()]
     hs: list[float] = []
     errs: list[float] = []
     status = "completed"
 
-    h = _initial_step(rhs, y, f, t_end, cfg)
+    h = _initial_step(rhs, y, k[0], t_end, cfg)
     err_prev = 1.0
-    attempts = 0
-    k = np.empty((7, len(y)))
+    attempts = rejected = 0
+    stages = [(k[s], _A[s], k[:s]) for s in range(1, 7)]
+    y_list = y.tolist()
     # Algebraic escape such as (t_c - t)**-0.5 grows too slowly to cross
     # _BLOWUP_NORM before t exhausts double precision near t_c, so a step
     # size underflow with the state far beyond its initial scale is
     # reported as blow-up rather than stiffness.
-    escape_scale = 1e3 * (1.0 + float(np.max(np.abs(y))))
+    escape_scale = 1e3 * (1.0 + max(map(abs, y_list)))
 
     while t < t_end:
         if attempts >= cfg.max_steps:
@@ -159,27 +208,26 @@ def integrate(ivp: InitialValueProblem, t_end: float,
             break
         h = min(h, t_end - t)
         if t + h == t:  # step size underflow: cannot advance
-            status = "blew-up" if np.max(np.abs(y)) > escape_scale else "stiff-abort"
+            status = "blew-up" if max(map(abs, y_list)) > escape_scale else "stiff-abort"
             break
         attempts += 1
 
-        k[0] = f
-        for s in range(1, 7):
-            k[s] = rhs(y + h * (_A[s] @ k[:s]))
+        for row, a, ks in stages:
+            rhs(y + h * (a @ ks), row)
         y_new = y + h * (_B5 @ k)
-        err_vec = h * (_E @ k)
-        err = _error_norm(err_vec, y, y_new, cfg)
+        new_list = y_new.tolist()
+        err = _error_norm((h * (_E @ k)).tolist(), y_list, new_list, atol, rtol)
 
-        if np.isfinite(err) and err <= 1.0:
+        if err <= 1.0:  # false for NaN and inf
             t += h
-            y = y_new
-            f = k[6]  # FSAL
+            y, y_list = y_new, new_list
+            k[0] = k[6]  # a copy: a rejected attempt overwrites k[6]
             ts.append(t)
-            ys.append(y.copy())
-            fs.append(f.copy())
+            ys.append(y)
+            fs.append(k[6].copy())
             hs.append(h)
             errs.append(err)
-            if np.max(np.abs(y)) > _BLOWUP_NORM:
+            if max(map(abs, y_list)) > _BLOWUP_NORM:
                 status = "blew-up"
                 break
             factor = _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA if err > 0 \
@@ -187,9 +235,12 @@ def integrate(ivp: InitialValueProblem, t_end: float,
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
             err_prev = max(err, 1e-10)
         else:
-            shrink = _SAFETY * err ** (-0.2) if np.isfinite(err) else 0.1
+            rejected += 1
+            shrink = _SAFETY * err ** (-0.2) if math.isfinite(err) else 0.1
             h *= max(0.1, min(1.0, shrink))
 
+    logger.debug("integrate: %s at t = %r, %d accepted, %d rejected, "
+                 "%d rhs evaluations", status, t, len(hs), rejected, evals)
     return Trajectory(
         ts=np.array(ts),
         states=np.array(ys),
@@ -197,6 +248,8 @@ def integrate(ivp: InitialValueProblem, t_end: float,
         step_sizes=np.array(hs),
         error_estimates=np.array(errs),
         status=status,
+        rhs_evals=evals,
+        rejected_steps=rejected,
     )
 
 

@@ -147,6 +147,12 @@ class PolyVectorField:
         return len(self.components)
 
     @cached_property
+    def _plans(self) -> tuple:
+        """Each component's evaluation plan, bound once for every later
+        evaluation of f."""
+        return tuple(p._plan for p in self.components)
+
+    @cached_property
     def _jacobian(self) -> tuple[tuple[Polynomial, ...], ...]:
         """Exact Jacobian, entry (i, j) the polynomial d f_i / d x_j, built
         on first use and kept for every later Newton step."""
@@ -240,7 +246,7 @@ def eval_field(field: PolyVectorField, x) -> np.ndarray:
     """Evaluate f(x): each component is the sum over its terms of
     coefficient times the product of variable powers."""
     xs = _state(field, x)
-    return np.array([_evaluate(p._plan, xs) for p in field.components])
+    return np.array([_evaluate(plan, xs) for plan in field._plans])
 
 
 def field_jacobian(field: PolyVectorField) -> list[list[Polynomial]]:

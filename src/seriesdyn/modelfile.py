@@ -194,9 +194,8 @@ def parse_model(doc) -> ModelFile:
                  for key in ("rel", "abs") if key in tols}
         try:
             cfg = replace(cfg, **given)
-        except ValueError:  # the config's own check: not positive
-            raise ModelFileError("tolerances must be positive",
-                                 "key 'tolerances'") from None
+        except ValueError as exc:  # the config's own checks: positive, floor
+            raise ModelFileError(str(exc), "key 'tolerances'") from None
 
     return ModelFile(kind=kind, ivp=ivp, preset=preset, order=order,
                      grid_end=grid_end, grid_count=grid_count, cfg=cfg)

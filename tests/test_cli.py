@@ -186,6 +186,21 @@ def test_non_finite_tolerance_override_is_input_error(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_tolerance_below_the_floor_is_input_error(tmp_path, capsys):
+    # it used to warn from the starting step and spin for the whole budget
+    path = write_model(tmp_path, dict(LOGISTIC_DOC,
+                                      tolerances={"rel": 1e-300, "abs": 1e-300}))
+    assert main(["solve", path]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "rel_tol must be at least 2.220446049250313e-14" in captured.err
+    assert "(key 'tolerances')" in captured.err
+    assert "Warning" not in captured.err
+    assert main(["solve", write_model(tmp_path, LOGISTIC_DOC),
+                 "--rel-tol", "1e-300"]) == EXIT_INPUT
+    assert "rel_tol must be at least" in capsys.readouterr().err
+
+
 def csv_columns(out):
     """{header: column values} of a CSV output, '#' footer lines dropped."""
     rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")]

@@ -196,19 +196,31 @@ def test_rejected_steps_are_retried(monkeypatch):
     assert traj.status == "completed"
     exact = np.array([logistic_exact(50.0, -50.0, 1e-6, float(t)) for t in traj.ts])
     np.testing.assert_allclose(traj.states[:, 0], exact, rtol=1e-6, atol=0.0)
+    assert traj.rejected_steps >= 1
+    assert traj.rejected_steps == rejected
+    # f(x0), the starting-step probe, then six stages per attempt
+    accepted = len(traj.ts) - 1
+    assert traj.rhs_evals == 1 + 1 + 6 * (accepted + traj.rejected_steps)
 
 
-def test_non_finite_initial_slope_stops_at_once(monkeypatch):
+def test_rejection_after_an_accepted_step_restarts_from_f_at_the_state():
+    # a rejected attempt overwrites the last stage; the retry must still
+    # start from f at the accepted state, not at the rejected trial point
+    traj = integrate(preset_ivp(Logistic(200.0, -200.0), [1e-9]), 1.0)
+    assert traj.status == "completed"
+    exact = np.array([logistic_exact(200.0, -200.0, 1e-9, float(t)) for t in traj.ts])
+    # abs_tol / x0 = 1e-3 is the relative accuracy the controller can hold
+    np.testing.assert_allclose(traj.states[:, 0], exact, rtol=1e-3, atol=0.0)
+    assert traj.rejected_steps >= 1
+
+
+def test_non_finite_initial_slope_stops_at_once():
     # f(x0) = 10^400 - 10^401 is inf - inf: no step can be sized, so the
     # run ends at t = 0 instead of spending its whole step budget
-    module = importlib.import_module("seriesdyn.integrate")
-    calls = []
-    monkeypatch.setattr(module, "eval_field",
-                        lambda field, y: calls.append(1) or eval_field(field, y))
     p = Polynomial.from_coeffs({(400,): 1.0, (401,): -1.0}, 1)
     ivp = InitialValueProblem(PolyVectorField((p,)), [10.0])
     traj = integrate(ivp, 1.0, IntegrationConfig(max_steps=1000))
-    assert len(calls) <= 2
+    assert traj.rhs_evals <= 2
     assert traj.status == "stiff-abort"
     assert traj.ts.tolist() == [0.0]
 
@@ -233,6 +245,23 @@ def test_config_rejects_non_finite_tolerances():
             IntegrationConfig(rel_tol=bad)
         with pytest.raises(ValueError):
             IntegrationConfig(abs_tol=bad)
+
+
+def test_relative_tolerance_floor():
+    # rel_tol = 1e-300 used to leak RuntimeWarnings from the starting
+    # step and then spend the whole step budget at t = 0
+    floor = 100 * np.finfo(float).eps
+    for rel in (1e-300, floor / 2, np.nextafter(floor, 0.0)):
+        with pytest.raises(ValueError, match="rel_tol must be at least"):
+            IntegrationConfig(rel_tol=rel, abs_tol=1e-300)
+    assert importlib.import_module("seriesdyn.integrate")._REL_TOL_FLOOR == floor
+    cfg = IntegrationConfig(rel_tol=floor, abs_tol=1e-300)
+    for ivp, t_end in ((LOGISTIC, 1.0), (TWOSPECIES, 300.0)):
+        traj = integrate(ivp, t_end, cfg)
+        assert traj.status == "completed" and traj.t_end == t_end
+    # a zero component makes f0 / abs_tol overflow in the starting-step
+    # heuristic; that stays quiet too
+    integrate(preset_ivp(Spiral(-0.5), [0.0, 1e-5]), 1.0, cfg)
 
 
 def test_integrate_rejects_non_finite_t_end():
@@ -297,3 +326,100 @@ def test_sample_one_node_trajectory():
         warnings.simplefilter("error")
         np.testing.assert_array_equal(sample(traj, [0.0, 0.0]), [[2.0], [2.0]])
     assert sample(traj, []).shape == (0, 1)
+
+
+def reference_integrate(ivp, t_end, cfg=None):
+    """The DP5 step loop with numpy on every value: f through
+    ``eval_field`` per stage, the error norm through ``np.mean`` and the
+    blow-up test through ``np.max(np.abs(y))``; the accepted f is copied
+    out of the stage array (FSAL)."""
+    m = importlib.import_module("seriesdyn.integrate")
+    cfg = cfg or IntegrationConfig()
+
+    def rhs(y):
+        return eval_field(ivp.field, y)
+
+    t = 0.0
+    y = np.array(ivp.x0, dtype=float)
+    f = rhs(y)
+    ts, ys, fs, hs, errs = [t], [y], [f], [], []
+    status = "completed"
+    h = m._initial_step(lambda x, out: rhs(x), y, f, t_end, cfg)
+    err_prev = 1.0
+    attempts = 0
+    k = np.empty((7, len(y)))
+    escape_scale = 1e3 * (1.0 + float(np.max(np.abs(y))))
+    while t < t_end:
+        if attempts >= cfg.max_steps:
+            status = "stiff-abort"
+            break
+        h = min(h, t_end - t)
+        if t + h == t:
+            status = "blew-up" if np.max(np.abs(y)) > escape_scale else "stiff-abort"
+            break
+        attempts += 1
+        k[0] = f
+        for s in range(1, 7):
+            k[s] = rhs(y + h * (m._A[s] @ k[:s]))
+        y_new = y + h * (m._B5 @ k)
+        err_vec = h * (m._E @ k)
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
+        err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        if np.isfinite(err) and err <= 1.0:
+            t += h
+            y = y_new
+            f = k[6].copy()
+            ts.append(t)
+            ys.append(y)
+            fs.append(f)
+            hs.append(h)
+            errs.append(err)
+            if np.max(np.abs(y)) > m._BLOWUP_NORM:
+                status = "blew-up"
+                break
+            factor = (m._SAFETY * err ** (-m._ALPHA) * err_prev ** m._BETA if err > 0
+                      else m._MAX_FACTOR)
+            h *= min(m._MAX_FACTOR, max(m._MIN_FACTOR, factor))
+            err_prev = max(err, 1e-10)
+        else:
+            shrink = m._SAFETY * err ** (-0.2) if np.isfinite(err) else 0.1
+            h *= max(0.1, min(1.0, shrink))
+    return ts, ys, fs, hs, errs, status
+
+
+def random_ivp(n, seed):
+    """A damped random quadratic system in n variables."""
+    rng = np.random.default_rng(seed)
+    comps = []
+    for i in range(n):
+        terms = {tuple(int(j == i) for j in range(n)): -1.0}
+        for _ in range(3):
+            e = tuple(int(v) for v in rng.integers(0, 3, n))
+            terms[e] = terms.get(e, 0.0) + float(rng.normal())
+        comps.append(Polynomial.from_coeffs(terms, n))
+    return InitialValueProblem(PolyVectorField(tuple(comps)), rng.uniform(-1, 1, n))
+
+
+@pytest.mark.parametrize("ivp, t_end, cfg", [
+    (LOGISTIC, 1.0, None),
+    (preset_ivp(Logistic(1.0, -3.0), [0.1]), 5.0, None),
+    (preset_ivp(Spiral(-0.5), [2.0, 2.0]), 20.0, None),
+    (preset_ivp(Spiral(0.5), [2.0, 2.0]), 1.0, None),
+    (TWOSPECIES, 2000.0, None),
+    (preset_ivp(Logistic(50.0, -50.0), [1e-6]), 1.0, None),
+    (TWOSPECIES, 300.0, IntegrationConfig(max_steps=5)),
+    (preset_ivp(Spiral(-0.5), [1e120, 0.0]), 1.0, None),
+    (random_ivp(3, 31), 5.0, None),
+    (random_ivp(7, 71), 5.0, None),
+], ids=["logistic", "logistic-0.1", "spiral-decay", "spiral-blowup",
+        "two-species-2000", "logistic-rejects", "max-steps", "overflow-start",
+        "random-3d", "random-7d"])
+def test_step_loop_matches_numpy_reference_bit_for_bit(ivp, t_end, cfg):
+    traj = integrate(ivp, t_end, cfg)
+    ts, ys, fs, hs, errs, status = reference_integrate(ivp, t_end, cfg)
+    assert traj.status == status
+    np.testing.assert_array_equal(traj.ts, ts)
+    np.testing.assert_array_equal(traj.states, ys)
+    np.testing.assert_array_equal(traj.derivs, fs)
+    np.testing.assert_array_equal(traj.step_sizes, hs)
+    np.testing.assert_array_equal(traj.error_estimates, errs)
