@@ -123,23 +123,30 @@ def _error_norm(err, y_old, y_new, atol, rtol):
     return math.sqrt(acc / len(err))
 
 
+def _rms(v):
+    """Root mean square of ``v``; where the squares overflow, from
+    ``math.hypot``, which scales by the largest |component|."""
+    rms = np.sqrt(np.mean(v ** 2))
+    return rms if math.isfinite(rms) else math.hypot(*v) / math.sqrt(len(v))
+
+
 def _initial_step(rhs, y0, f0, t_end, cfg):
     # standard starting-step heuristic: compare solution and derivative
-    # scales, then refine with a crude second-derivative probe.  A tiny
-    # absolute tolerance can overflow these scales: that stays quiet, and
-    # a zero or non-finite first step stops the run at once.
+    # scales, then refine with a crude second-derivative probe.  _rms
+    # keeps a tiny abs_tol (the scale of a zero component of y0) from
+    # overflowing them; a zero or non-finite first step stops the run.
     if not np.all(np.isfinite(f0)):
         return 0.0  # no step from a non-finite slope: the run stops at once
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
-        d0 = np.sqrt(np.mean((y0 / scale) ** 2))
-        d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+        d0 = _rms(y0 / scale)
+        d1 = _rms(f0 / scale)
         h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
         if not math.isfinite(h0):
             return 0.0  # no step from a non-finite first guess either
         h0 = min(h0, t_end)
         f1 = rhs(y0 + h0 * f0, np.empty_like(f0))
-        d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
+        d2 = _rms((f1 - f0) / scale) / h0
         if max(d1, d2) <= 1e-15:
             h1 = max(1e-6, h0 * 1e-3)
         else:
@@ -156,8 +163,8 @@ def integrate(ivp: InitialValueProblem, t_end: float,
     ``seriesdyn.integrate`` reports them.  Deterministic: identical
     inputs give bit-identical trajectories on the same numpy/BLAS build.
 
-    The step loop binds the field's compiled plans once and writes each
-    stage's f straight into its row of the stage array.  The stage sums
+    The step loop binds the field's program once and writes each stage's
+    f straight into its row of the stage array.  The stage sums
     stay numpy ``@`` products (a left-to-right float sum differs from
     them in the last bit in 10-25% of cases); the error norm, the
     blow-up test and the step-size control run on Python floats, with
@@ -168,17 +175,14 @@ def integrate(ivp: InitialValueProblem, t_end: float,
         raise ValueError("t_end must be positive and finite")
     cfg = cfg or IntegrationConfig()
     atol, rtol = cfg.abs_tol, cfg.rel_tol
-    plans = ivp.field._plans
+    program = ivp.field._program
     evals = 0
 
     def rhs(y, out):
         """f(y) written into ``out``."""
         nonlocal evals
         evals += 1
-        xs = y.tolist()
-        for i, plan in enumerate(plans):
-            out[i] = _evaluate(plan, xs)
-        return out
+        return _evaluate(program, y.tolist(), out, pow)
 
     t = 0.0
     y = np.array(ivp.x0, dtype=float)

@@ -53,11 +53,7 @@ class Monomial:
         return sum(self.exponents)
 
     def __call__(self, x) -> float:
-        v = 1.0
-        for xi, e in zip(x, self.exponents):
-            if e:
-                v *= xi ** e
-        return v
+        return Polynomial({self: 1.0}, self.dimension)(x)
 
 
 @dataclass(frozen=True)
@@ -92,18 +88,12 @@ class Polynomial:
         return max((m.degree for m in self.terms), default=0)
 
     @cached_property
-    def _plan(self) -> tuple[tuple[float, tuple[tuple[int, int], ...]], ...]:
-        """Evaluation plan, built once: per term in canonical order, its
-        coefficient and its (variable, exponent) pairs with exponent > 0."""
-        return tuple((c, tuple((i, e) for i, e in enumerate(m.exponents) if e))
-                     for m, c in self.terms.items())
+    def _program(self):
+        """This polynomial's program (see ``_compile``), built on first use."""
+        return _compile((self,))
 
     def __call__(self, x) -> float:
-        if len(x) != self.dimension:
-            raise DimensionError(
-                f"state has length {len(x)}, polynomial has {self.dimension} variables"
-            )
-        return _evaluate(self._plan, np.asarray(x, dtype=float).tolist())
+        return float(_evaluate(self._program, _state(x, self.dimension), [0.0], pow)[0])
 
     def diff(self, var: int) -> "Polynomial":
         """Exact partial derivative with respect to variable ``var``."""
@@ -147,17 +137,21 @@ class PolyVectorField:
         return len(self.components)
 
     @cached_property
-    def _plans(self) -> tuple:
-        """Each component's evaluation plan, bound once for every later
-        evaluation of f."""
-        return tuple(p._plan for p in self.components)
-
-    @cached_property
     def _jacobian(self) -> tuple[tuple[Polynomial, ...], ...]:
         """Exact Jacobian, entry (i, j) the polynomial d f_i / d x_j, built
         on first use and kept for every later Newton step."""
         n = self.dimension
         return tuple(tuple(p.diff(j) for j in range(n)) for p in self.components)
+
+    @cached_property
+    def _program(self):
+        """The program of f (see ``_compile``), built on first use."""
+        return _compile(self.components)
+
+    @cached_property
+    def _program_with_jacobian(self):
+        """The program of f followed by its n^2 Jacobian entries, row by row."""
+        return _compile(self.components + sum(self._jacobian, ()))
 
     def __call__(self, x) -> np.ndarray:
         return eval_field(self, x)
@@ -186,67 +180,86 @@ class InitialValueProblem:
         return self.field.dimension
 
 
-def _evaluate(plan, xs: list[float]) -> float:
-    """Sum over a polynomial's terms, left to right, of coefficient times
-    the product of variable powers.
+def _compile(polynomials: tuple[Polynomial, ...]):
+    """The program of polynomials in the same n variables: a product graph
+    ``products``, and per polynomial its constant and its other terms as
+    (coefficient, node) pairs in canonical order.
 
-    ``xs`` holds Python floats, whose ``**`` gives the same bits as numpy
-    float64 scalars.  Where a power overflows Python raises instead of
-    returning inf, so the terms are evaluated again on numpy scalars,
-    whose overflow gives ±inf (or nan from inf - inf) without a warning.
+    Nodes 0..n-1 are the variables; node n + k is ``products[k]`` =
+    (a, b, e), the product of the earlier nodes a and b.  A power x_i^e
+    has operands (x_i^(e-1), i) and is tagged with e (0 on any other
+    product), and a term is the left-to-right product of its factor
+    powers.  Nodes are keyed by their factors, so the polynomials share
+    powers and prefixes.
     """
+    n = polynomials[0].dimension
+    nodes = {((i, 1),): i for i in range(n)}
+    products: list[tuple[int, int, int]] = []
+
+    def node(factors) -> int:
+        if factors not in nodes:
+            if len(factors) > 1:
+                operands = node(factors[:-1]), node(factors[-1:]), 0
+            else:
+                (i, e), = factors
+                for lower in range(2, e):  # lower powers first, without deep recursion
+                    node(((i, lower),))
+                operands = nodes[((i, e - 1),)], i, e
+            nodes[factors] = n + len(products)
+            products.append(operands)
+        return nodes[factors]
+
+    components = []
+    for p in polynomials:
+        terms = [(c, tuple((i, e) for i, e in enumerate(m.exponents) if e))
+                 for m, c in p.terms.items()]
+        components.append((sum((c for c, factors in terms if not factors), 0.0),
+                           tuple((c, node(factors)) for c, factors in terms if factors)))
+    return products, tuple(components)
+
+
+def _evaluate(program, xs: list, out, power):
+    """Write each polynomial of ``program`` at the state ``xs`` into
+    ``out[0], out[1], ...`` and return ``out``.  A power node is
+    ``power(x_i, e)``, any other node the product of its operands, and a
+    polynomial its constant plus, left to right, coefficient times node.
+
+    ``xs`` is n Python floats with ``power=pow``, or n columns of states
+    with ``power=np.float_power``.  Both call the C library's ``pow``
+    (``np.power`` may use a SIMD power with other last bits), so each
+    column equals the scalar walk bit for bit.  A Python float power that
+    overflows raises, so the walk is redone on numpy scalars, which give
+    ±inf (or nan from inf - inf) without a warning; columns give ±inf
+    under the caller's ``np.errstate``.
+    """
+    products, components = program
+    vals = list(xs)
     try:
-        total = 0.0
-        for c, powers in plan:
-            v = 1.0
-            for i, e in powers:
-                v *= xs[i] ** e
-            total += c * v
-        return total
+        for a, b, e in products:
+            vals.append(power(vals[b], e) if e else vals[a] * vals[b])
+        for i, (total, terms) in enumerate(components):
+            for c, k in terms:
+                total += c * vals[k]
+            out[i] = total
     except OverflowError:
         with np.errstate(over="ignore", invalid="ignore"):
-            return float(_evaluate(plan, [np.float64(v) for v in xs]))
-
-
-def _evaluate_rows(plans, xs: np.ndarray) -> np.ndarray:
-    """``_evaluate`` of every plan on every row of ``xs`` (shape (B, n)),
-    as an array of shape (len(plans), B), bit for bit.
-
-    Each power is computed once per call with ``np.float_power``, which
-    calls the C library's ``pow`` as Python's float ``**`` does (numpy's
-    ``np.power`` may use a SIMD power with other last bits).  Products
-    and sums run in ``_evaluate``'s order.  Overflow gives ±inf; callers
-    silence the warning with ``np.errstate``.
-    """
-    powers: dict[tuple[int, int], np.ndarray] = {}
-    out = np.empty((len(plans), len(xs)))
-    for k, plan in enumerate(plans):
-        total = np.zeros(len(xs))
-        for c, factors in plan:
-            v = 1.0
-            for i, e in factors:
-                if (i, e) not in powers:
-                    powers[i, e] = np.float_power(xs[:, i], e)
-                v = v * powers[i, e]
-            total += c * v
-        out[k] = total
+            _evaluate(program, [np.float64(v) for v in xs], out, power)
     return out
 
 
-def _state(field: PolyVectorField, x) -> list[float]:
+def _state(x, n: int) -> list[float]:
+    """A state of n variables as Python floats."""
     x = np.asarray(x, dtype=float)
-    if x.shape != (field.dimension,):
-        raise DimensionError(
-            f"state has shape {x.shape}, field dimension is {field.dimension}"
-        )
+    if x.shape != (n,):
+        raise DimensionError(f"state has shape {x.shape}, expected ({n},)")
     return x.tolist()
 
 
 def eval_field(field: PolyVectorField, x) -> np.ndarray:
     """Evaluate f(x): each component is the sum over its terms of
     coefficient times the product of variable powers."""
-    xs = _state(field, x)
-    return np.array([_evaluate(plan, xs) for plan in field._plans])
+    n = field.dimension
+    return _evaluate(field._program, _state(x, n), np.empty(n), pow)
 
 
 def field_jacobian(field: PolyVectorField) -> list[list[Polynomial]]:
@@ -256,9 +269,9 @@ def field_jacobian(field: PolyVectorField) -> list[list[Polynomial]]:
 
 def jacobian_at(field: PolyVectorField, x) -> np.ndarray:
     """Jacobian matrix of f evaluated at a state vector."""
-    xs = _state(field, x)
-    return np.array([[_evaluate(d._plan, xs) for d in row]
-                     for row in field._jacobian])
+    n = field.dimension
+    out = _evaluate(field._program_with_jacobian, _state(x, n), np.empty(n + n * n), pow)
+    return out[n:].reshape(n, n)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ Roots of the vector field are found by Newton iteration seeded on a
 rectangular grid; population models in product form additionally get
 their closed-form axis and interior candidates injected as seeds, so the
 catalog is exact where a closed form exists.  All seeds iterate together
-as one array, evaluated from the fields' compiled plans with the same
-bits as ``eval_field`` and ``jacobian_at``.  Classification is by the
-eigenvalues of the Jacobian at the root.  A purely imaginary pair is
-reported as center-linear rather than guessed: linearization cannot
+as one array, walking the field's program of f and its Jacobian with
+the same bits as ``eval_field`` and ``jacobian_at``.  Classification is
+by the eigenvalues of the Jacobian at the root.  A purely imaginary pair
+is reported as center-linear rather than guessed: linearization cannot
 decide spiral stability there, the radial law of the exact solution can.
 """
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAFixedPointError
-from .model import PolyVectorField, _evaluate_rows, eval_field, jacobian_at
+from .model import PolyVectorField, _evaluate, eval_field, jacobian_at
 
 logger = logging.getLogger("seriesdyn.phase")
 
@@ -64,21 +64,20 @@ class CriticalPoint:
 
 def _product_form(field: PolyVectorField):
     """Per-component (b_i, [a_i1, ..., a_in]) when every component is
-    x_i * (b_i + sum_j a_ij x_j), read from the compiled plans; None
+    x_i * (b_i + sum_j a_ij x_j), read from the components' terms; None
     otherwise.  The coefficients are Python floats, so the closed forms
     built from them divide to inf without a numpy RuntimeWarning."""
     n = field.dimension
     parts = []
     for i, comp in enumerate(field.components):
         b, lin = 0.0, [0.0] * n
-        for c, powers in comp._plan:
-            exps = dict(powers)
-            if i not in exps or sum(exps.values()) > 2:
+        for m, c in comp.terms.items():
+            exps = list(m.exponents)
+            if not exps[i] or sum(exps) > 2:
                 return None
             exps[i] -= 1
-            rest = [j for j, e in exps.items() if e]  # the x_j beside x_i
-            if rest:
-                lin[rest[0]] = c
+            if sum(exps):
+                lin[exps.index(1)] = c  # the x_j beside x_i
             else:
                 b = c
         parts.append((b, lin))
@@ -120,21 +119,24 @@ def _injected_seeds(field: PolyVectorField) -> list[np.ndarray]:
     return seeds
 
 
-def _newton_all(field: PolyVectorField, xs: np.ndarray) -> np.ndarray:
+def _newton_all(field: PolyVectorField, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton's method on all rows of ``xs`` (shape (B, n)) at once, in
     place, by the scalar rules: a row converges when ||f|| < 1e-10 at the
     top of an iteration, and is dropped on a non-finite f or iterate,
     ||x|| > 1e12, det J == 0, or after 60 steps.  Returns each row's
-    outcome; finished rows cost no further work."""
+    outcome and last ||f||; finished rows cost no further work."""
     n = field.dimension
-    plans = [p._plan for p in field.components + sum(field._jacobian, ())]
+    program = field._program_with_jacobian
     outcome = np.full(len(xs), _ACTIVE)
+    residual = np.empty(len(xs))
     rows = np.arange(len(xs))
     with np.errstate(all="ignore"):  # diverging seeds overflow
         for _ in range(60):
-            f, jac = np.split(_evaluate_rows(plans, xs[rows]), [n])
+            fj = np.empty((n + n * n, len(rows)))
+            f, jac = np.split(_evaluate(program, list(xs[rows].T), fj, np.float_power), [n])
             bad = ~np.isfinite(f).all(axis=0)
-            done = ~bad & (np.sqrt((f * f).sum(axis=0)) < _RESIDUAL_TOL)
+            residual[rows] = np.sqrt((f * f).sum(axis=0))
+            done = ~bad & (residual[rows] < _RESIDUAL_TOL)
             if n == 1:
                 det, step = jac[0], f / jac[0]
             else:
@@ -152,7 +154,7 @@ def _newton_all(field: PolyVectorField, xs: np.ndarray) -> np.ndarray:
             rows = rows[~far]
             if not rows.size:
                 break
-    return outcome
+    return outcome, residual
 
 
 def fixed_points(field: PolyVectorField,
@@ -166,9 +168,10 @@ def fixed_points(field: PolyVectorField,
     ``_default_box``), and all seeds iterate together as one array.  The
     box places seeds; converged roots are kept even if Newton wanders
     outside it.  In seed order, roots closer than 1e-6 are merged, the
-    smaller residual winning; every returned root has ||f(x*)|| < 1e-10,
-    and finding nothing returns an empty list.  ``grid`` is an integer
-    from 2 to MAX_GRID, and each interval needs finite lo < hi.
+    smaller residual ||f|| (as Newton computed it) winning; every returned
+    root has ||f(x*)|| < 1e-10, and finding nothing returns an empty list.
+    ``grid`` is an integer from 2 to MAX_GRID, and each interval needs
+    finite lo < hi.
     """
     n = field.dimension
     if n not in (1, 2):
@@ -187,11 +190,11 @@ def fixed_points(field: PolyVectorField,
                        indexing="ij")
     xs = np.concatenate([np.reshape(_injected_seeds(field), (-1, n)),
                          np.stack([a.ravel() for a in axes], axis=1)])
-    outcome = _newton_all(field, xs)
+    outcome, residual = _newton_all(field, xs)
 
     roots: list[tuple[list[float], float]] = []
-    for x in xs[outcome == _CONVERGED].tolist():
-        res = float(np.linalg.norm(eval_field(field, x)))
+    converged = outcome == _CONVERGED
+    for x, res in zip(xs[converged].tolist(), residual[converged].tolist()):
         for idx, (known, known_res) in enumerate(roots):
             if math.dist(x, known) < _DEDUP_DISTANCE:
                 if res < known_res:

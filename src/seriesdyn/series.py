@@ -168,10 +168,10 @@ def poly_apply_series(p: Polynomial, variables, order: int) -> TruncatedSeries:
         raise DimensionError(
             f"polynomial has {p.dimension} variables, got {len(variables)} series"
         )
-    products, ((constant, terms),) = _program((p,))
+    products, ((constant, terms),) = p._program
     # one truncated product per node of p's product graph
     nodes = [_mul(v.coeffs, [1.0], order) for v in variables]  # cut or padded
-    for a, b in products:
+    for a, b, _ in products:
         nodes.append(_mul(nodes[a], nodes[b], order))
     out = np.zeros(order + 1)
     out[0] = constant
@@ -180,46 +180,12 @@ def poly_apply_series(p: Polynomial, variables, order: int) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-# -- the product graph behind the series routes --------------------------------
+# -- the series routes -----------------------------------------------------------
 #
-# Nodes 0..n-1 are the variables; every later node is the product of two
-# earlier ones.  A power x_i^e is x_i^(e-1) * x_i, and a term is the
-# left-to-right product of its factor powers.  Nodes are keyed by their
-# factor tuple, so the components of a field share powers and prefixes.
-# taylor_solve, hpm_solve and poly_apply_series all walk it.  Because a node
-# only depends on earlier nodes, the next coefficient of every node can be
-# computed in node order from the coefficients already known: each product
-# yields one new coefficient per order (Taylor mode).
-
-def _program(polynomials: tuple[Polynomial, ...]) -> tuple[
-        list[tuple[int, int]], tuple[tuple[float, tuple[tuple[float, int], ...]], ...]]:
-    """Product graph of polynomials in the same n variables: the (a, b)
-    operands of node n + k for each product k, and per polynomial its
-    constant term and its other terms as (coefficient, node) pairs in plan
-    order."""
-    n = polynomials[0].dimension
-    nodes = {((i, 1),): i for i in range(n)}
-    products: list[tuple[int, int]] = []
-
-    def node(factors) -> int:
-        if factors not in nodes:
-            if len(factors) > 1:
-                operands = node(factors[:-1]), node(factors[-1:])
-            else:
-                (i, e), = factors
-                for lower in range(2, e):  # lower powers first, without deep recursion
-                    node(((i, lower),))
-                operands = nodes[((i, e - 1),)], i
-            nodes[factors] = n + len(products)
-            products.append(operands)
-        return nodes[factors]
-
-    components = tuple(
-        (sum((c for c, factors in p._plan if not factors), 0.0),
-         tuple((c, node(factors)) for c, factors in p._plan if factors))
-        for p in polynomials)
-    return products, components
-
+# Both routes and poly_apply_series walk the program a field (or polynomial)
+# built on first use (model._compile), multiplying the operands of every
+# node, a power x_i^e as x_i^(e-1) * x_i.  A node depends only on earlier
+# nodes, so each yields one new coefficient per order (Taylor mode).
 
 def taylor_solve(ivp: InitialValueProblem, order: int) -> TaylorSolution:
     """Expansion of the solution about t = 0 via the direct recursion.
@@ -233,14 +199,14 @@ def taylor_solve(ivp: InitialValueProblem, order: int) -> TaylorSolution:
     if order < 1:
         raise ValueError("order must be >= 1")
     n = ivp.dimension
-    products, components = _program(ivp.field.components)
+    products, components = ivp.field._program
     # C[node, j]: the t^j coefficient of every variable and product node
     C = np.zeros((n + len(products), order + 1))
     C[:n, 0] = ivp.x0
     # overflow is reported through overflow_order, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(order):
-            for k, (a, b) in enumerate(products, start=n):
+            for k, (a, b, _) in enumerate(products, start=n):
                 C[k, j] = np.dot(C[a, : j + 1], C[b, j::-1])
             for i, (constant, terms) in enumerate(components):
                 f = constant if j == 0 else 0.0
@@ -272,7 +238,7 @@ def hpm_solve(ivp: InitialValueProblem, order: int) -> HpmExpansion:
         raise ValueError("order must be >= 1")
     n = ivp.dimension
     K = order
-    products, components = _program(ivp.field.components)
+    products, components = ivp.field._program
     # X[node, lam_power, t_power]; row p is a polynomial in t of degree <= p
     X = np.zeros((n + len(products), K + 1, K + 1))
     X[:n, 0, 0] = ivp.x0
@@ -283,7 +249,7 @@ def hpm_solve(ivp: InitialValueProblem, order: int) -> HpmExpansion:
             r = j - 1
             # the t-power of entry (k, l) of A_q^T B_(r-q) is k + l
             diagonal = np.add.outer(np.arange(j), np.arange(j)).ravel()
-            for k, (a, b) in enumerate(products, start=n):
+            for k, (a, b, _) in enumerate(products, start=n):
                 m = X[a, :j, :j].T @ X[b, r::-1, :j]
                 X[k, r, :j] = np.bincount(diagonal, m.ravel())[:j]
             for i, (constant, terms) in enumerate(components):

@@ -259,9 +259,15 @@ def test_relative_tolerance_floor():
     for ivp, t_end in ((LOGISTIC, 1.0), (TWOSPECIES, 300.0)):
         traj = integrate(ivp, t_end, cfg)
         assert traj.status == "completed" and traj.t_end == t_end
-    # a zero component makes f0 / abs_tol overflow in the starting-step
-    # heuristic; that stays quiet too
-    integrate(preset_ivp(Spiral(-0.5), [0.0, 1e-5]), 1.0, cfg)
+    # a zero component makes (f0 / abs_tol) ** 2 overflow in the
+    # starting-step heuristic; the first step used to be 0, so the run
+    # ended 'stiff-abort' at t = 0, also at the default rel_tol
+    ivp = preset_ivp(Spiral(-0.5), [0.0, 1e-5])
+    for start_cfg in (cfg, IntegrationConfig(abs_tol=1e-200)):
+        traj = integrate(ivp, 1.0, start_cfg)
+        assert traj.status == "completed" and traj.t_end == 1.0
+        exact = [spiral_exact(-0.5, 0.0, 1e-5, t) for t in traj.ts]
+        assert np.max(np.abs(traj.states - exact)) < 1e-8 * 1e-5
 
 
 def test_integrate_rejects_non_finite_t_end():

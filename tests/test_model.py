@@ -1,5 +1,7 @@
 """Polynomial field representation, evaluation, and exact Jacobians."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from seriesdyn.model import (
     PolyVectorField,
     Spiral,
     TwoSpecies,
-    _evaluate_rows,
+    _evaluate,
     eval_field,
     field_jacobian,
     jacobian_at,
@@ -259,8 +261,8 @@ def test_compiled_evaluation_is_bit_identical_to_float64_walk():
 
 
 def test_batched_evaluation_is_bit_identical_to_scalar():
-    # the Newton search evaluates field and Jacobian on many states at
-    # once; every row must equal eval_field / jacobian_at bit for bit,
+    # the Newton search walks the field's f + J program on many states at
+    # once; every column must equal eval_field / jacobian_at bit for bit,
     # including powers that overflow to inf
     rng = np.random.default_rng(3)
     fields = [Logistic(1.0, -3.0).build_field(),
@@ -272,14 +274,41 @@ def test_batched_evaluation_is_bit_identical_to_scalar():
         n = field.dimension
         xs = rng.uniform(-50.0, 50.0, (200, n)) * 10.0 ** rng.integers(-8, 9, (200, 1))
         xs[:3] = [[1e200] * n, [-1e120] * n, [0.0] * n]
-        plans = [p._plan for p in field.components]
-        plans += [d._plan for row in field_jacobian(field) for d in row]
+        out = np.empty((n + n * n, len(xs)))
         with np.errstate(all="ignore"):
-            got = _evaluate_rows(plans, xs)
+            got = _evaluate(field._program_with_jacobian, list(xs.T), out,
+                            np.float_power)
             want = np.array([np.concatenate([eval_field(field, x),
                                              jacobian_at(field, x).ravel()])
                              for x in xs]).T
         np.testing.assert_array_equal(got, want)
+
+
+def test_field_builds_each_program_once():
+    # f and f + J are compiled on first use; every later caller reuses them.
+    # The profiler sees every call of _compile, however it was imported.
+    import seriesdyn.model as model
+    from seriesdyn import fixed_points, hpm_solve, integrate, taylor_solve
+
+    built = []
+
+    def spy(frame, event, arg):
+        if event == "call" and frame.f_code is model._compile.__code__:
+            built.append(len(frame.f_locals["polynomials"]))
+
+    field = TwoSpecies.reference().build_field()
+    ivp = InitialValueProblem(field, [4.0, 10.0])
+    sys.setprofile(spy)
+    try:
+        for _ in range(2):
+            taylor_solve(ivp, 8)
+            hpm_solve(ivp, 4)
+            integrate(ivp, 1.0)
+            fixed_points(field, grid=4)
+            jacobian_at(field, [4.0, 10.0])
+    finally:
+        sys.setprofile(None)
+    assert built == [2, 2 + 4]  # f, then f and its four Jacobian entries
 
 
 def test_field_jacobian_entries_are_the_partial_derivatives():

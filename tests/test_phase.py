@@ -256,7 +256,7 @@ def test_tiny_self_interaction_leaks_no_warning():
     assert [0.0, 0.0] in [r.tolist() for r in roots]
 
 
-def test_product_form_reads_the_plan():
+def test_product_form_reads_the_terms():
     assert _product_form(Logistic(2.0, -3.0).build_field()) == [(2.0, [-3.0])]
     assert _product_form(TwoSpecies(1.0, 2.0, 3.0, 4.0, 5.0, 6.0).build_field()) == [
         (1.0, [3.0, 4.0]), (2.0, [5.0, 6.0])]
@@ -395,12 +395,14 @@ def test_every_seed_matches_scalar_reference_bit_for_bit(field):
     axes = [np.linspace(lo, hi, 9) for lo, hi in _default_box(field)]
     seeds = np.stack(np.meshgrid(*axes), axis=-1).reshape(-1, field.dimension)
     xs = seeds.copy()
-    outcome = _newton_all(field, xs)
-    for seed, x, out in zip(seeds, xs, outcome):
+    outcome, residual = _newton_all(field, xs)
+    for seed, x, out, res in zip(seeds, xs, outcome, residual):
         want = _ref_newton(field, seed)
         assert (out == _CONVERGED) == (want is not None), seed
         if want is not None:
             assert x.tolist() == want, seed
+            # the merge in fixed_points ranks roots by this ||f||
+            assert res == math.sqrt(sum(v * v for v in eval_field(field, x))), seed
 
 
 def _poly(coeffs, n):
