@@ -52,8 +52,13 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exponents)
 
+    @cached_property
+    def _polynomial(self) -> "Polynomial":
+        """This monomial as a one-term polynomial, built on first use."""
+        return Polynomial({self: 1.0}, self.dimension)
+
     def __call__(self, x) -> float:
-        return Polynomial({self: 1.0}, self.dimension)(x)
+        return self._polynomial(x)
 
 
 @dataclass(frozen=True)
@@ -180,6 +185,42 @@ class InitialValueProblem:
         return self.field.dimension
 
 
+class _Program(tuple):
+    """The pair (products, components) that ``_compile`` builds for
+    polynomials in n variables, plus its code ``run``, generated on the
+    first evaluation.  The series recursions read only the pair, so they
+    never pay for the code."""
+
+    def __new__(cls, n: int, products, components):
+        program = super().__new__(cls, (products, components))
+        program.n = n
+        return program
+
+    @cached_property
+    def run(self):
+        """The program as one Python function ``run(xs, out, power)``: a
+        line per node in node order, then per polynomial ``t = constant``,
+        a line ``t += c * v`` per term in canonical order and
+        ``out[i] = t``.  The coefficients are bound as names, never
+        written into the source, and no line nests another, so a field of
+        any size compiles without deep recursion."""
+        products, components = self
+        names = {}
+        lines = ["def run(xs, out, power):",
+                 "    " + "".join(f"v{i}, " for i in range(self.n)) + "= xs"]
+        for k, (a, b, e) in enumerate(products, start=self.n):
+            lines.append(f"    v{k} = power(v{b}, {e})" if e else f"    v{k} = v{a} * v{b}")
+        for i, (constant, terms) in enumerate(components):
+            names[f"k{i}"] = constant
+            lines.append(f"    t = k{i}")
+            for j, (c, k) in enumerate(terms):
+                names[f"c{i}_{j}"] = c
+                lines.append(f"    t += c{i}_{j} * v{k}")
+            lines.append(f"    out[{i}] = t")
+        exec("\n".join(lines), names)
+        return names["run"]
+
+
 def _compile(polynomials: tuple[Polynomial, ...]):
     """The program of polynomials in the same n variables: a product graph
     ``products``, and per polynomial its constant and its other terms as
@@ -190,7 +231,8 @@ def _compile(polynomials: tuple[Polynomial, ...]):
     has operands (x_i^(e-1), i) and is tagged with e (0 on any other
     product), and a term is the left-to-right product of its factor
     powers.  Nodes are keyed by their factors, so the polynomials share
-    powers and prefixes.
+    powers and prefixes.  The result is a ``_Program``, whose code is
+    generated only when it is first evaluated.
     """
     n = polynomials[0].dimension
     nodes = {((i, 1),): i for i in range(n)}
@@ -215,7 +257,7 @@ def _compile(polynomials: tuple[Polynomial, ...]):
                  for m, c in p.terms.items()]
         components.append((sum((c for c, factors in terms if not factors), 0.0),
                            tuple((c, node(factors)) for c, factors in terms if factors)))
-    return products, tuple(components)
+    return _Program(n, products, tuple(components))
 
 
 def _evaluate(program, xs: list, out, power):
@@ -224,26 +266,21 @@ def _evaluate(program, xs: list, out, power):
     ``power(x_i, e)``, any other node the product of its operands, and a
     polynomial its constant plus, left to right, coefficient times node.
 
-    ``xs`` is n Python floats with ``power=pow``, or n columns of states
-    with ``power=np.float_power``.  Both call the C library's ``pow``
+    The work is done by the program's straight-line code (see
+    ``_Program.run``), generated on the first evaluation.  ``xs`` is n
+    Python floats with ``power=pow``, or n columns of states with
+    ``power=np.float_power``.  Both call the C library's ``pow``
     (``np.power`` may use a SIMD power with other last bits), so each
-    column equals the scalar walk bit for bit.  A Python float power that
-    overflows raises, so the walk is redone on numpy scalars, which give
-    ±inf (or nan from inf - inf) without a warning; columns give ±inf
-    under the caller's ``np.errstate``.
+    column equals the scalar evaluation bit for bit.  A Python float
+    power that overflows raises, so the same code is rerun on numpy
+    scalars, which give ±inf (or nan from inf - inf) without a warning;
+    columns give ±inf under the caller's ``np.errstate``.
     """
-    products, components = program
-    vals = list(xs)
     try:
-        for a, b, e in products:
-            vals.append(power(vals[b], e) if e else vals[a] * vals[b])
-        for i, (total, terms) in enumerate(components):
-            for c, k in terms:
-                total += c * vals[k]
-            out[i] = total
+        program.run(xs, out, power)
     except OverflowError:
         with np.errstate(over="ignore", invalid="ignore"):
-            _evaluate(program, [np.float64(v) for v in xs], out, power)
+            program.run([np.float64(v) for v in xs], out, power)
     return out
 
 

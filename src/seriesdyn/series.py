@@ -17,6 +17,7 @@ resulting partial sums can possibly be useful.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
@@ -24,6 +25,8 @@ import numpy as np
 
 from .errors import DimensionError, InsufficientOrderError
 from .model import InitialValueProblem, Polynomial
+
+logger = logging.getLogger("seriesdyn.series")
 
 __all__ = [
     "TruncatedSeries",
@@ -187,6 +190,12 @@ def poly_apply_series(p: Polynomial, variables, order: int) -> TruncatedSeries:
 # node, a power x_i^e as x_i^(e-1) * x_i.  A node depends only on earlier
 # nodes, so each yields one new coefficient per order (Taylor mode).
 
+def _first_overflow(finite: np.ndarray) -> int | None:
+    """The first order whose coefficients are not all finite, from the
+    per-order flags of orders 1..K, or None."""
+    return None if finite.all() else int(np.argmin(finite)) + 1
+
+
 def taylor_solve(ivp: InitialValueProblem, order: int) -> TaylorSolution:
     """Expansion of the solution about t = 0 via the direct recursion.
 
@@ -213,11 +222,13 @@ def taylor_solve(ivp: InitialValueProblem, order: int) -> TaylorSolution:
                 for c, k in terms:
                     f += c * C[k, j]
                 C[i, j + 1] = f / (j + 1)
-    finite = np.isfinite(C[:n, 1:]).all(axis=0)  # per order 1..K
+    overflow_order = _first_overflow(np.isfinite(C[:n, 1:]).all(axis=0))
+    logger.debug("taylor_solve: order %d, %d graph nodes, overflow_order %s",
+                 order, len(C), overflow_order)
     return TaylorSolution(
         series=tuple(TruncatedSeries(C[i]) for i in range(n)),
         ivp=ivp,
-        overflow_order=None if finite.all() else int(np.argmin(finite)) + 1,
+        overflow_order=overflow_order,
     )
 
 
@@ -259,6 +270,9 @@ def hpm_solve(ivp: InitialValueProblem, order: int) -> HpmExpansion:
                 for c, k in terms:
                     g += c * X[k, r, :j]
                 X[i, j, 1: j + 1] = g / np.arange(1, j + 1)
+    if logger.isEnabledFor(logging.DEBUG):  # the overflow scan only for the log
+        logger.debug("hpm_solve: order %d, %d graph nodes, overflow_order %s", K,
+                     len(X), _first_overflow(np.isfinite(X[:n, 1:]).all(axis=(0, 2))))
     corrections = tuple(
         tuple(TruncatedSeries(X[i, j]) for i in range(n)) for j in range(K + 1)
     )

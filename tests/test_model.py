@@ -311,6 +311,69 @@ def test_field_builds_each_program_once():
     assert built == [2, 2 + 4]  # f, then f and its four Jacobian entries
 
 
+def test_field_generates_code_lazily_and_once():
+    # The series layer reads only the product graph, so it generates no
+    # code; the code of f and of f + J is generated on first evaluation,
+    # once each, and reused by every later caller.
+    import seriesdyn.model as model
+    from seriesdyn import (fixed_points, hpm_solve, integrate, poly_apply_series,
+                           radius_estimate, taylor_solve)
+
+    generated = []
+
+    def spy(frame, event, arg):
+        if event == "call" and frame.f_code is model._Program.run.func.__code__:
+            generated.append(len(frame.f_locals["self"][1]))
+
+    field = TwoSpecies.reference().build_field()
+    ivp = InitialValueProblem(field, [4.0, 10.0])
+    sys.setprofile(spy)
+    try:
+        for _ in range(2):
+            sol = taylor_solve(ivp, 8)
+            hpm_solve(ivp, 4)
+            poly_apply_series(field.components[0], sol.series, 8)
+            radius_estimate(sol.series[0])
+        series_only = list(generated)
+        for _ in range(2):
+            integrate(ivp, 1.0)
+            eval_field(field, [4.0, 10.0])
+            jacobian_at(field, [4.0, 10.0])
+            fixed_points(field, grid=4)
+    finally:
+        sys.setprofile(None)
+    assert series_only == []
+    assert generated == [2, 2 + 4]  # f, then f and its four Jacobian entries
+
+
+def test_large_field_generates_flat_code():
+    # 1330 terms (every monomial of degree <= 18 in three variables) plus
+    # x^400: one line per node and per term, so compiling nests nothing
+    rng = np.random.default_rng(5)
+    exps = [(i, j, k) for i in range(19) for j in range(19 - i) for k in range(19 - i - j)]
+    comps = [Polynomial.from_coeffs({**{e: float(rng.uniform(-2, 2)) for e in exps},
+                                     (400, 0, 0): 0.5}, 3) for _ in range(3)]
+    field = PolyVectorField(tuple(comps))
+    assert len(comps[0].terms) >= 1000
+    x = rng.uniform(-1.1, 1.1, 3)
+    np.testing.assert_array_equal(eval_field(field, x),
+                                  [float64_walk(p, x) for p in comps])
+    # x^400 overflows a Python float: the numpy-scalar rerun gives inf,
+    # and no RuntimeWarning leaks (the suite makes one an error)
+    far = np.array([10.0, 0.5, -0.5])
+    got = eval_field(field, far)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [float64_walk(p, far) for p in comps]
+    np.testing.assert_array_equal(got, want)
+    assert np.all(np.isinf(got))
+    xs = np.vstack([rng.uniform(-1.1, 1.1, (20, 3)), [far]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _evaluate(field._program, list(xs.T), np.empty((3, len(xs))),
+                        np.float_power)
+        want = np.array([[float64_walk(p, x) for p in comps] for x in xs]).T
+    np.testing.assert_array_equal(got, want)
+
+
 def test_field_jacobian_entries_are_the_partial_derivatives():
     field = Spiral(-0.5).build_field()
     jac = field_jacobian(field)

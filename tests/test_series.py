@@ -2,7 +2,9 @@
 recursion and its collapse onto the Taylor expansion, and radius
 estimation from coefficient tails."""
 
+import logging
 import math
+import re
 import warnings
 from fractions import Fraction
 
@@ -363,6 +365,37 @@ def test_hpm_overflow_leaves_no_warnings():
         h = hpm_solve(ivp, 10)
     assert np.all(np.isfinite(h.corrections[1][0].coeffs))
     assert not np.all(np.isfinite(h.corrections[10][0].coeffs))
+
+
+_SERIES_SUMMARY = re.compile(
+    r"(taylor_solve|hpm_solve): order (\d+), (\d+) graph nodes, overflow_order (\d+|None)")
+
+
+def _series_summaries(caplog):
+    return [_SERIES_SUMMARY.fullmatch(r.getMessage()).groups()
+            for r in caplog.records if r.name == "seriesdyn.series"]
+
+
+def test_one_series_summary_line_per_call(caplog):
+    # one DEBUG line per call, never per order: the order, the nodes of
+    # the field's product graph and the first overflowed order
+    caplog.set_level(logging.DEBUG, logger="seriesdyn.series")
+    spiral = preset_ivp(Spiral(-0.5), [2.0, 2.0])
+    nodes = str(2 + len(spiral.field._program[0]))
+    taylor_solve(spiral, 360)
+    hpm_solve(spiral, 12)
+    far = preset_ivp(Logistic(1.0, -3.0), [1e100])
+    h = hpm_solve(far, 10)
+    first = next(j for j, (c,) in enumerate(h.corrections)
+                 if not np.all(np.isfinite(c.coeffs)))
+    sol = taylor_solve(far, 6)
+    assert _series_summaries(caplog) == [
+        ("taylor_solve", "360", nodes, "340"),
+        ("hpm_solve", "12", nodes, "None"),
+        ("hpm_solve", "10", "2", str(first)),
+        ("taylor_solve", "6", "2", str(sol.overflow_order)),
+    ]
+    assert sol.overflow_order is not None
 
 
 def test_hpm_zero_field_has_no_corrections():
