@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError
-from .model import InitialValueProblem, _evaluate
+from .model import InitialValueProblem, _evaluate, _field_lines
 
 logger = logging.getLogger("seriesdyn.integrate")
 
@@ -25,19 +25,19 @@ __all__ = ["IntegrationConfig", "Trajectory", "integrate", "sample"]
 
 # Dormand-Prince 5(4) tableau (FSAL: the 7th stage is f at the new point).
 # The system is autonomous, so no stage needs its time node c.
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 # b5 - b4: weights of the embedded error estimate
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920,
-               -17253 / 339200, 22 / 525, -1 / 40])
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+_TABLEAU = sum(_A, ()) + _B5 + _E
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -154,6 +154,55 @@ def _initial_step(rhs, y0, f0, t_end, cfg):
     return float(min(100 * h0, h1, t_end))
 
 
+def _attempt_source(shape) -> list[str]:
+    """The body of the DP5 attempt's factory for a field of this shape
+    (see ``model._factory``), which binds the tableau ``_TABLEAU`` as the
+    names a{s}_{j}, b{j} and e{j}.
+
+    ``attempt(y, f0, h, power)`` takes the state and f there as lists of
+    n floats and returns the new state, f at the 7th stage (FSAL) and the
+    error estimate, as three lists.  It is straight-line code: per stage
+    s = 1..6 one line per component, ``v{i} = y{i} + h * (a{s}_0 * s0_{i}
+    + ... )``, then the field's lines with f written to s{s}_0, s{s}_1,
+    ...; the new state is ``y{i} + h * (b0 * s0_{i} + ... + b6 * s6_{i})``
+    and the error ``h * (e0 * s0_{i} + ... )``.  Each weighted sum runs
+    left to right over the whole tableau row, zero entries included, so a
+    non-finite stage makes the error estimate NaN.
+    """
+    n = shape[0]
+
+    def weighted(w, stages, i):
+        return " + ".join(f"{w}{j} * s{j}_{i}" for j in range(stages))
+
+    names = [f"a{s}_{j}" for s, row in enumerate(_A) for j in range(len(row))]
+    names += [f"b{j}" for j in range(7)] + [f"e{j}" for j in range(7)]
+    lines = [", ".join(names) + ", = constants",
+             "def attempt(y, f0, h, power):",
+             "    " + "".join(f"y{i}, " for i in range(n)) + "= y",
+             "    " + "".join(f"s0_{i}, " for i in range(n)) + "= f0"]
+    for s in range(1, 7):
+        lines += [f"    v{i} = y{i} + h * ({weighted(f'a{s}_', s, i)})" for i in range(n)]
+        lines += ["    " + line for line in
+                  _field_lines(shape, [f"s{s}_{i}" for i in range(n)])]
+    lines += ["    return ([" + ", ".join(f"y{i} + h * ({weighted('b', 7, i)})"
+                                         for i in range(n)) + "],",
+              "            [" + ", ".join(f"s6_{i}" for i in range(n)) + "],",
+              "            [" + ", ".join(f"h * ({weighted('e', 7, i)})"
+                                         for i in range(n)) + "])",
+              "return attempt"]
+    return lines
+
+
+def _numpy_attempt(attempt, y, f, h):
+    """The attempt rerun on numpy scalars, where a Python float power
+    raised ``OverflowError``: they give ±inf (or nan from inf - inf)
+    without a warning.  Returns Python floats, so the error norm and the
+    step control never see a numpy scalar."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        parts = attempt([np.float64(v) for v in y], [np.float64(v) for v in f], h, pow)
+    return tuple([float(v) for v in part] for part in parts)
+
+
 def integrate(ivp: InitialValueProblem, t_end: float,
               cfg: IntegrationConfig | None = None) -> Trajectory:
     """Integrate dx/dt = f(x) from t = 0 to ``t_end``.
@@ -161,24 +210,24 @@ def integrate(ivp: InitialValueProblem, t_end: float,
     Returns every accepted step, with the number of f evaluations and of
     rejected attempts; one DEBUG line per call under
     ``seriesdyn.integrate`` reports them.  Deterministic: identical
-    inputs give bit-identical trajectories on the same numpy/BLAS build.
+    inputs give bit-identical trajectories, on any BLAS build or CPU.
 
-    The step loop binds the field's program once and writes each stage's
-    f straight into its row of the stage array.  Each weighted sum of
-    stages is one BLAS product, ``a.dot(ks)``, the same ``dgemv`` as
-    ``a @ ks`` at half the call cost (a left-to-right float sum differs
-    from it in the last bit in 10-25% of cases).  The rest runs on Python
-    floats: the stage state, the new state and the error estimate are one
-    multiply and one add per component, as in numpy, and the state goes
-    to f as a list.  The error norm, the blow-up test and the step-size
-    control have the same bits as the numpy forms for n <= 7 (the norm's
-    sum order differs from ``np.mean``'s pairwise one from n = 8 on).
+    Each attempt is one call of the field's DP5 attempt (see
+    ``_attempt_source``), generated once per field shape and bound to
+    this field's coefficients and the tableau: the six stages, the new
+    state and the error estimate as straight-line Python float code, so
+    the step loop calls no numpy.  Where a power overflows a Python
+    float, the attempt is rerun on numpy scalars (``_numpy_attempt``).
+    The error norm, the blow-up test and the step-size control have the
+    same bits as the numpy forms for n <= 7 (the norm's sum order differs
+    from ``np.mean``'s pairwise one from n = 8 on).
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError("t_end must be positive and finite")
     cfg = cfg or IntegrationConfig()
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     program = ivp.field._program
+    attempt = program.bind(_attempt_source, _TABLEAU)
     evals = 0
 
     def rhs(y: list, out):
@@ -188,20 +237,18 @@ def integrate(ivp: InitialValueProblem, t_end: float,
         return _evaluate(program, y, out, pow)
 
     t = 0.0
-    k = np.empty((7, ivp.dimension))
     y_list = ivp.x0.tolist()
-    rhs(y_list, k[0])  # k[0] is always f at the current state (FSAL)
+    f = rhs(y_list, [0.0] * ivp.dimension)  # always f at the current state (FSAL)
     ts = [t]
     ys = [y_list]
-    fs = [k[0].copy()]
+    fs = [f]
     hs: list[float] = []
     errs: list[float] = []
     status = "completed"
 
-    h = _initial_step(rhs, ivp.x0, k[0], t_end, cfg)
+    h = _initial_step(rhs, ivp.x0, np.array(f), t_end, cfg)
     err_prev = 1.0
     attempts = rejected = 0
-    stages = [(k[s], _A[s], k[:s]) for s in range(1, 7)]
     # Algebraic escape such as (t_c - t)**-0.5 grows too slowly to cross
     # _BLOWUP_NORM before t exhausts double precision near t_c, so a step
     # size underflow with the state far beyond its initial scale is
@@ -217,20 +264,20 @@ def integrate(ivp: InitialValueProblem, t_end: float,
             status = "blew-up" if max(map(abs, y_list)) > escape_scale else "stiff-abort"
             break
         attempts += 1
-
-        for row, a, ks in stages:
-            rhs([yi + h * si for yi, si in zip(y_list, a.dot(ks).tolist())], row)
-        new_list = [yi + h * si for yi, si in zip(y_list, _B5.dot(k).tolist())]
-        err = _error_norm([h * ei for ei in _E.dot(k).tolist()],
-                          y_list, new_list, atol, rtol)
+        evals += 6
+        try:
+            new_list, f_new, err_vec = attempt(y_list, f, h, pow)
+        except OverflowError:
+            new_list, f_new, err_vec = _numpy_attempt(attempt, y_list, f, h)
+        err = _error_norm(err_vec, y_list, new_list, atol, rtol)
 
         if err <= 1.0:  # false for NaN and inf
             t += h
             y_list = new_list
-            k[0] = k[6]  # a copy: a rejected attempt overwrites k[6]
+            f = f_new  # a rejected attempt retries from f at the accepted state
             ts.append(t)
             ys.append(y_list)
-            fs.append(k[6].copy())
+            fs.append(f)
             hs.append(h)
             errs.append(err)
             if max(map(abs, y_list)) > _BLOWUP_NORM:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -187,7 +187,11 @@ class InitialValueProblem:
 
 class _Program(tuple):
     """The pair (products, components) that ``_compile`` builds for
-    polynomials in n variables, plus its code ``run``, generated on the
+    polynomials in n variables.  Its code is generated from its ``shape``
+    by a source emitter (``_run_source`` for f, the integrator's
+    ``_attempt_source`` for a DP5 attempt), both built on
+    ``_field_lines``, compiled once per shape by ``_factory`` and bound
+    to the program's coefficients by ``bind``; ``run`` is bound on the
     first evaluation.  The series recursions read only the pair, so they
     never pay for the code."""
 
@@ -197,28 +201,74 @@ class _Program(tuple):
         return program
 
     @cached_property
-    def run(self):
-        """The program as one Python function ``run(xs, out, power)``: a
-        line per node in node order, then per polynomial ``t = constant``,
-        a line ``t += c * v`` per term in canonical order and
-        ``out[i] = t``.  The coefficients are bound as names, never
-        written into the source, and no line nests another, so a field of
-        any size compiles without deep recursion."""
+    def shape(self):
+        """Everything the generated code depends on: n, the products and
+        each polynomial's term nodes, but no coefficient."""
         products, components = self
-        names = {}
-        lines = ["def run(xs, out, power):",
-                 "    " + "".join(f"v{i}, " for i in range(self.n)) + "= xs"]
-        for k, (a, b, e) in enumerate(products, start=self.n):
-            lines.append(f"    v{k} = power(v{b}, {e})" if e else f"    v{k} = v{a} * v{b}")
-        for i, (constant, terms) in enumerate(components):
-            names[f"k{i}"] = constant
-            lines.append(f"    t = k{i}")
-            for j, (c, k) in enumerate(terms):
-                names[f"c{i}_{j}"] = c
-                lines.append(f"    t += c{i}_{j} * v{k}")
-            lines.append(f"    out[{i}] = t")
-        exec("\n".join(lines), names)
-        return names["run"]
+        return (self.n, tuple(products),
+                tuple(tuple(k for c, k in terms) for constant, terms in components))
+
+    def bind(self, source, constants=()):
+        """The function that ``source`` generates for this program's shape
+        (see ``_factory``), with this program's coefficients and the
+        given constants bound as closure cells."""
+        return _factory(source, self.shape)(
+            [v for constant, terms in self[1] for v in (constant, *(c for c, k in terms))],
+            constants)
+
+    @cached_property
+    def run(self):
+        """The program as one Python function ``run(xs, out, power)`` that
+        writes polynomial i at the state ``xs`` into ``out[i]`` (see
+        ``_run_source``)."""
+        return self.bind(_run_source)
+
+
+def _field_lines(shape, outs) -> list[str]:
+    """Straight-line code that evaluates a program of the given shape on
+    the names v0, v1, ... of its variables and assigns polynomial i to
+    ``outs[i]``: a line per node in node order (``v{k} = power(v{b}, e)``
+    or ``v{k} = v{a} * v{b}``), then per polynomial ``t = k{i}``, a line
+    ``t += c{i}_{j} * v{k}`` per term in canonical order and
+    ``outs[i] = t``.  No line nests another, so a field of any size
+    compiles without deep recursion."""
+    n, products, components = shape
+    lines = [f"v{k} = power(v{b}, {e})" if e else f"v{k} = v{a} * v{b}"
+             for k, (a, b, e) in enumerate(products, start=n)]
+    for i, (nodes, out) in enumerate(zip(components, outs)):
+        lines.append(f"t = k{i}")
+        lines += [f"t += c{i}_{j} * v{k}" for j, k in enumerate(nodes)]
+        lines.append(f"{out} = t")
+    return lines
+
+
+def _run_source(shape) -> list[str]:
+    """The body of ``_Program.run``'s factory."""
+    n, _, components = shape
+    return ["def run(xs, out, power):",
+            "    " + "".join(f"v{i}, " for i in range(n)) + "= xs",
+            *("    " + line for line in
+              _field_lines(shape, [f"out[{i}]" for i in range(len(components))])),
+            "return run"]
+
+
+@lru_cache(maxsize=256)
+def _factory(source, shape):
+    """Compile the factory ``factory(coefficients, constants)`` whose body
+    ``source(shape)`` generates: it unpacks the coefficients of a program
+    of this shape into the names k{i} (constant of polynomial i) and
+    c{i}_{j} (coefficient of its term j), which the body's functions read
+    as closure cells, never as literals in the source.  For a field of
+    two variables, compiling takes about 0.3 ms (f) to 2 ms (a DP5
+    attempt) and calling the factory about 6 µs, so each (source, shape)
+    is compiled once and the 256 most recently used are kept."""
+    names = "".join(f"k{i}, " + "".join(f"c{i}_{j}, " for j in range(len(nodes)))
+                    for i, nodes in enumerate(shape[2]))
+    lines = ["def factory(coefficients, constants):", f"    {names}= coefficients"]
+    lines += ["    " + line for line in source(shape)]
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["factory"]
 
 
 def _compile(polynomials: tuple[Polynomial, ...]):
@@ -267,7 +317,8 @@ def _evaluate(program, xs: list, out, power):
     polynomial its constant plus, left to right, coefficient times node.
 
     The work is done by the program's straight-line code (see
-    ``_Program.run``), generated on the first evaluation.  ``xs`` is n
+    ``_Program.run``), compiled once per program shape and bound to the
+    program's coefficients on its first evaluation.  ``xs`` is n
     Python floats with ``power=pow``, or n columns of states with
     ``power=np.float_power``.  Both call the C library's ``pow``
     (``np.power`` may use a SIMD power with other last bits), so each

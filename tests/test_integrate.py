@@ -3,7 +3,11 @@ dense output, statuses, and determinism."""
 
 import importlib
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -334,11 +338,27 @@ def test_sample_one_node_trajectory():
     assert sample(traj, []).shape == (0, 1)
 
 
-def reference_integrate(ivp, t_end, cfg=None):
+def left_to_right(weights, rows):
+    """w0 * k0 + w1 * k1 + ..., summed left to right over every weight,
+    zeros included, one IEEE multiply and add per component."""
+    acc = weights[0] * rows[0]
+    for w, k in zip(weights[1:], rows[1:]):
+        acc = acc + w * k
+    return acc
+
+
+def numpy_product(weights, rows):
+    """The same weighted sum as one numpy ``@`` product: a BLAS ``dgemv``,
+    whose blocking and fused multiply-adds depend on the CPU kernel."""
+    return np.array(weights) @ rows
+
+
+def reference_integrate(ivp, t_end, cfg=None, weighted=left_to_right):
     """The DP5 step loop with numpy on every value: f through
-    ``eval_field`` per stage, the error norm through ``np.mean`` and the
-    blow-up test through ``np.max(np.abs(y))``; the accepted f is copied
-    out of the stage array (FSAL)."""
+    ``eval_field`` per stage, the weighted sums of stages through
+    ``weighted``, the error norm through ``np.mean`` and the blow-up test
+    through ``np.max(np.abs(y))``; the accepted f is copied out of the
+    stage array (FSAL)."""
     m = importlib.import_module("seriesdyn.integrate")
     cfg = cfg or IntegrationConfig()
 
@@ -366,9 +386,9 @@ def reference_integrate(ivp, t_end, cfg=None):
         attempts += 1
         k[0] = f
         for s in range(1, 7):
-            k[s] = rhs(y + h * (m._A[s] @ k[:s]))
-        y_new = y + h * (m._B5 @ k)
-        err_vec = h * (m._E @ k)
+            k[s] = rhs(y + h * weighted(m._A[s], k[:s]))
+        y_new = y + h * weighted(m._B5, k)
+        err_vec = h * weighted(m._E, k)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
         if np.isfinite(err) and err <= 1.0:
@@ -393,6 +413,11 @@ def reference_integrate(ivp, t_end, cfg=None):
     return ts, ys, fs, hs, errs, status
 
 
+def numpy_reference(ivp, t_end, cfg=None):
+    """The same loop with every weighted sum a numpy ``@`` product."""
+    return reference_integrate(ivp, t_end, cfg, weighted=numpy_product)
+
+
 def random_ivp(n, seed):
     """A damped random quadratic system in n variables."""
     rng = np.random.default_rng(seed)
@@ -406,7 +431,7 @@ def random_ivp(n, seed):
     return InitialValueProblem(PolyVectorField(tuple(comps)), rng.uniform(-1, 1, n))
 
 
-@pytest.mark.parametrize("ivp, t_end, cfg", [
+STEP_LOOP_CASES = [
     (LOGISTIC, 1.0, None),
     (preset_ivp(Logistic(1.0, -3.0), [0.1]), 5.0, None),
     (preset_ivp(Spiral(-0.5), [2.0, 2.0]), 20.0, None),
@@ -417,9 +442,13 @@ def random_ivp(n, seed):
     (preset_ivp(Spiral(-0.5), [1e120, 0.0]), 1.0, None),
     (random_ivp(3, 31), 5.0, None),
     (random_ivp(7, 71), 5.0, None),
-], ids=["logistic", "logistic-0.1", "spiral-decay", "spiral-blowup",
-        "two-species-2000", "logistic-rejects", "max-steps", "overflow-start",
-        "random-3d", "random-7d"])
+]
+STEP_LOOP_IDS = ["logistic", "logistic-0.1", "spiral-decay", "spiral-blowup",
+                 "two-species-2000", "logistic-rejects", "max-steps", "overflow-start",
+                 "random-3d", "random-7d"]
+
+
+@pytest.mark.parametrize("ivp, t_end, cfg", STEP_LOOP_CASES, ids=STEP_LOOP_IDS)
 def test_step_loop_matches_numpy_reference_bit_for_bit(ivp, t_end, cfg):
     traj = integrate(ivp, t_end, cfg)
     ts, ys, fs, hs, errs, status = reference_integrate(ivp, t_end, cfg)
@@ -429,3 +458,88 @@ def test_step_loop_matches_numpy_reference_bit_for_bit(ivp, t_end, cfg):
     np.testing.assert_array_equal(traj.derivs, fs)
     np.testing.assert_array_equal(traj.step_sizes, hs)
     np.testing.assert_array_equal(traj.error_estimates, errs)
+
+
+@pytest.mark.parametrize("ivp, t_end, cfg", STEP_LOOP_CASES, ids=STEP_LOOP_IDS)
+def test_step_loop_is_within_rounding_of_the_blas_reference(ivp, t_end, cfg):
+    # The stage sums as BLAS products round differently (fused
+    # multiply-adds, blocked order), but only in the last bits: the same
+    # steps are accepted and the end points agree to rounding
+    traj = integrate(ivp, t_end, cfg)
+    ts, ys, fs, hs, errs, status = numpy_reference(ivp, t_end, cfg)
+    assert traj.status == status
+    if cfg is None:  # five steps from t = 0 are all rounding: no count to keep
+        assert len(traj.step_sizes) == len(hs)
+    if status == "completed":
+        np.testing.assert_allclose(traj.states[-1], ys[-1], rtol=1e-12, atol=0.0)
+    if status == "blew-up":
+        assert abs(traj.t_end - ts[-1]) < 1e-10
+
+
+def large_field(rng):
+    """Three components of 1330 terms each (every monomial of degree <= 18
+    in three variables) plus x^400."""
+    exps = [(i, j, k) for i in range(19) for j in range(19 - i) for k in range(19 - i - j)]
+    return PolyVectorField(tuple(
+        Polynomial.from_coeffs({**{e: float(rng.uniform(-2, 2)) for e in exps},
+                                (400, 0, 0): 0.5}, 3) for _ in range(3)))
+
+
+def test_large_field_attempt_is_flat_and_matches_the_reference():
+    # the attempt inlines f six times: about 34 000 lines, none nested
+    rng = np.random.default_rng(5)
+    ivp = InitialValueProblem(large_field(rng), rng.uniform(-0.5, 0.5, 3))
+    cfg = IntegrationConfig(max_steps=3)
+    traj = integrate(ivp, 1.0, cfg)
+    ts, ys, fs, hs, errs, status = reference_integrate(ivp, 1.0, cfg)
+    assert traj.status == status == "stiff-abort"
+    np.testing.assert_array_equal(traj.ts, ts)
+    np.testing.assert_array_equal(traj.states, ys)
+    np.testing.assert_array_equal(traj.derivs, fs)
+    np.testing.assert_array_equal(traj.error_estimates, errs)
+
+
+def test_power_overflow_mid_attempt_rejects_the_attempt(monkeypatch):
+    # f(5.8) = 1e-300 * 5.8^400 is finite, but the first stage lands past
+    # 5.9, where 5.9^400 overflows a Python float: the attempt reruns on
+    # numpy scalars, its error is NaN and it is rejected
+    module = importlib.import_module("seriesdyn.integrate")
+    numpy_attempt, reruns = module._numpy_attempt, []
+    monkeypatch.setattr(module, "_numpy_attempt",
+                        lambda *args: reruns.append(numpy_attempt(*args)) or reruns[-1])
+    p = Polynomial.from_coeffs({(400,): 1e-300}, 1)
+    ivp = InitialValueProblem(PolyVectorField((p,)), [5.8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(ivp, 1.0)
+    assert reruns and all(not math.isfinite(err[0]) for new, f, err in reruns)
+    assert traj.rejected_steps >= len(reruns)
+    assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.derivs))
+    with np.errstate(all="ignore"):  # the numpy loop overflows in its stage sums
+        ts, ys, fs, hs, errs, status = reference_integrate(ivp, 1.0)
+    assert traj.status == status
+    np.testing.assert_array_equal(traj.ts, ts)
+    np.testing.assert_array_equal(traj.states, ys)
+
+
+def test_trajectories_do_not_depend_on_the_blas_kernel(capsys):
+    # OpenBLAS picks its dgemv kernel by CPU; Prescott has neither AVX nor
+    # FMA.  The step loop calls no BLAS, so a child process forced onto
+    # that kernel prints the same bytes
+    import seriesdyn
+    code = "\n".join([
+        "from seriesdyn import Spiral, TwoSpecies, integrate, preset_ivp",
+        "for ivp, t_end in [(preset_ivp(Spiral(-0.5), [2.0, 2.0]), 20.0),",
+        "                   (preset_ivp(TwoSpecies.reference(), [4.0, 10.0]), 300.0)]:",
+        "    traj = integrate(ivp, t_end)",
+        "    print(traj.ts.tobytes().hex(), traj.states.tobytes().hex())",
+    ])
+    src = str(Path(seriesdyn.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True, timeout=60)
+    exec(code, {})
+    here = capsys.readouterr().out
+    assert len(here.splitlines()) == 2
+    assert child.stdout == here

@@ -313,20 +313,37 @@ def test_field_builds_each_program_once():
 
 def test_field_generates_code_lazily_and_once():
     # The series layer reads only the product graph, so it generates no
-    # code; the code of f and of f + J is generated on first evaluation,
-    # once each, and reused by every later caller.
+    # code; the code of f and of f + J is bound on first evaluation, once
+    # each, and reused by every later caller.  Code is compiled once per
+    # program shape: a field of the same shape with other coefficients
+    # compiles nothing and only binds its own coefficients.
     import seriesdyn.model as model
     from seriesdyn import (fixed_points, hpm_solve, integrate, poly_apply_series,
                            radius_estimate, taylor_solve)
 
-    generated = []
+    generated, compiled = [], []
 
     def spy(frame, event, arg):
-        if event == "call" and frame.f_code is model._Program.run.func.__code__:
+        if event != "call":
+            return
+        if frame.f_code is model._Program.run.func.__code__:
             generated.append(len(frame.f_locals["self"][1]))
+        if frame.f_code is model._factory.__wrapped__.__code__:
+            compiled.append((frame.f_locals["source"].__name__,
+                             len(frame.f_locals["shape"][2])))
 
+    def evaluate_all(ivp):
+        integrate(ivp, 1.0)
+        eval_field(ivp.field, ivp.x0)
+        jacobian_at(ivp.field, ivp.x0)
+        fixed_points(ivp.field, grid=4)
+
+    model._factory.cache_clear()
     field = TwoSpecies.reference().build_field()
     ivp = InitialValueProblem(field, [4.0, 10.0])
+    other = InitialValueProblem(
+        TwoSpecies(0.3, 0.2, -0.01, -0.02, -0.03, -0.04).build_field(), [4.0, 10.0])
+    assert other.field._program.shape == field._program.shape
     sys.setprofile(spy)
     try:
         for _ in range(2):
@@ -334,16 +351,48 @@ def test_field_generates_code_lazily_and_once():
             hpm_solve(ivp, 4)
             poly_apply_series(field.components[0], sol.series, 8)
             radius_estimate(sol.series[0])
-        series_only = list(generated)
+        series_only = list(generated + compiled)
         for _ in range(2):
-            integrate(ivp, 1.0)
-            eval_field(field, [4.0, 10.0])
-            jacobian_at(field, [4.0, 10.0])
-            fixed_points(field, grid=4)
+            evaluate_all(ivp)
+        first = list(compiled)
+        del generated[:], compiled[:]
+        evaluate_all(other)
     finally:
         sys.setprofile(None)
     assert series_only == []
+    assert first == [("_attempt_source", 2), ("_run_source", 2), ("_run_source", 6)]
     assert generated == [2, 2 + 4]  # f, then f and its four Jacobian entries
+    assert compiled == []
+    rng = np.random.default_rng(8)
+    comps = other.field.components
+    for x in rng.uniform(-50.0, 50.0, (20, 2)):
+        np.testing.assert_array_equal(eval_field(other.field, x),
+                                      [float64_walk(p, x) for p in comps])
+        np.testing.assert_array_equal(jacobian_at(other.field, x),
+                                      [[float64_walk(p.diff(j), x) for j in range(2)]
+                                       for p in comps])
+
+
+def test_code_cache_is_bounded():
+    # a process that builds fields of ever new shapes keeps at most
+    # maxsize compiled factories, and an evicted shape compiles again
+    import seriesdyn.model as model
+
+    maxsize = model._factory.cache_info().maxsize
+    assert maxsize is not None
+    model._factory.cache_clear()
+    def field(i, j):
+        return PolyVectorField((Polynomial.from_coeffs({(i, j): 1.5}, 2),
+                                Polynomial.from_coeffs({(0, 1): -1.0}, 2)))
+
+    shapes = [(i, j) for i in range(1, 40) for j in range(40)][:maxsize + 20]
+    for i, j in shapes:
+        assert eval_field(field(i, j), [1.5, 0.5])[0] == 1.5 * (1.5 ** i * 0.5 ** j)
+    info = model._factory.cache_info()
+    assert info.currsize == maxsize
+    assert info.misses == len(shapes)
+    field(*shapes[0])._program.run  # the least recently used shape
+    assert model._factory.cache_info().misses == len(shapes) + 1
 
 
 def test_large_field_generates_flat_code():
