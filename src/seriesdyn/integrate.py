@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError
-from .model import InitialValueProblem, _evaluate, _field_lines
+from .model import InitialValueProblem, _check_count, _field_lines
 
 logger = logging.getLogger("seriesdyn.integrate")
 
@@ -63,9 +63,7 @@ class IntegrationConfig:
         if self.rel_tol < _REL_TOL_FLOOR:
             raise ValueError(f"rel_tol must be at least {_REL_TOL_FLOOR!r} "
                              "(100 machine epsilons)")
-        steps = self.max_steps
-        if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-            raise ValueError("max_steps must be an integer >= 1")
+        _check_count(self.max_steps, "max_steps")
 
 
 @dataclass(frozen=True)
@@ -159,15 +157,16 @@ def _attempt_source(shape) -> list[str]:
     (see ``model._factory``), which binds the tableau ``_TABLEAU`` as the
     names a{s}_{j}, b{j} and e{j}.
 
-    ``attempt(y, f0, h, power)`` takes the state and f there as lists of
-    n floats and returns the new state, f at the 7th stage (FSAL) and the
+    ``attempt(y, f0, h)`` takes the state and f there as lists of n
+    floats and returns the new state, f at the 7th stage (FSAL) and the
     error estimate, as three lists.  It is straight-line code: per stage
     s = 1..6 one line per component, ``v{i} = y{i} + h * (a{s}_0 * s0_{i}
     + ... )``, then the field's lines with f written to s{s}_0, s{s}_1,
     ...; the new state is ``y{i} + h * (b0 * s0_{i} + ... + b6 * s6_{i})``
     and the error ``h * (e0 * s0_{i} + ... )``.  Each weighted sum runs
     left to right over the whole tableau row, zero entries included, so a
-    non-finite stage makes the error estimate NaN.
+    non-finite stage (float products and sums overflow to ±inf or nan and
+    never raise) makes the error estimate NaN.
     """
     n = shape[0]
 
@@ -177,7 +176,7 @@ def _attempt_source(shape) -> list[str]:
     names = [f"a{s}_{j}" for s, row in enumerate(_A) for j in range(len(row))]
     names += [f"b{j}" for j in range(7)] + [f"e{j}" for j in range(7)]
     lines = [", ".join(names) + ", = constants",
-             "def attempt(y, f0, h, power):",
+             "def attempt(y, f0, h):",
              "    " + "".join(f"y{i}, " for i in range(n)) + "= y",
              "    " + "".join(f"s0_{i}, " for i in range(n)) + "= f0"]
     for s in range(1, 7):
@@ -193,16 +192,6 @@ def _attempt_source(shape) -> list[str]:
     return lines
 
 
-def _numpy_attempt(attempt, y, f, h):
-    """The attempt rerun on numpy scalars, where a Python float power
-    raised ``OverflowError``: they give ±inf (or nan from inf - inf)
-    without a warning.  Returns Python floats, so the error norm and the
-    step control never see a numpy scalar."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        parts = attempt([np.float64(v) for v in y], [np.float64(v) for v in f], h, pow)
-    return tuple([float(v) for v in part] for part in parts)
-
-
 def integrate(ivp: InitialValueProblem, t_end: float,
               cfg: IntegrationConfig | None = None) -> Trajectory:
     """Integrate dx/dt = f(x) from t = 0 to ``t_end``.
@@ -216,8 +205,7 @@ def integrate(ivp: InitialValueProblem, t_end: float,
     ``_attempt_source``), generated once per field shape and bound to
     this field's coefficients and the tableau: the six stages, the new
     state and the error estimate as straight-line Python float code, so
-    the step loop calls no numpy.  Where a power overflows a Python
-    float, the attempt is rerun on numpy scalars (``_numpy_attempt``).
+    the step loop calls no numpy; an attempt that overflows is rejected.
     The error norm, the blow-up test and the step-size control have the
     same bits as the numpy forms for n <= 7 (the norm's sum order differs
     from ``np.mean``'s pairwise one from n = 8 on).
@@ -234,7 +222,7 @@ def integrate(ivp: InitialValueProblem, t_end: float,
         """f at the state ``y`` (Python floats) written into ``out``."""
         nonlocal evals
         evals += 1
-        return _evaluate(program, y, out, pow)
+        return program.run(y, out)
 
     t = 0.0
     y_list = ivp.x0.tolist()
@@ -265,10 +253,7 @@ def integrate(ivp: InitialValueProblem, t_end: float,
             break
         attempts += 1
         evals += 6
-        try:
-            new_list, f_new, err_vec = attempt(y_list, f, h, pow)
-        except OverflowError:
-            new_list, f_new, err_vec = _numpy_attempt(attempt, y_list, f, h)
+        new_list, f_new, err_vec = attempt(y_list, f, h)
         err = _error_norm(err_vec, y_list, new_list, atol, rtol)
 
         if err <= 1.0:  # false for NaN and inf

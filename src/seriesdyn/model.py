@@ -98,7 +98,7 @@ class Polynomial:
         return _compile((self,))
 
     def __call__(self, x) -> float:
-        return float(_evaluate(self._program, _state(x, self.dimension), [0.0], pow)[0])
+        return self._program.run(_state(x, self.dimension), [0.0])[0]
 
     def diff(self, var: int) -> "Polynomial":
         """Exact partial derivative with respect to variable ``var``."""
@@ -193,7 +193,7 @@ class _Program(tuple):
     ``_field_lines``, compiled once per shape by ``_factory`` and bound
     to the program's coefficients by ``bind``; ``run`` is bound on the
     first evaluation.  The series recursions read only the pair, so they
-    never pay for the code."""
+    never pay for the code, and do the same products as the code."""
 
     def __new__(cls, n: int, products, components):
         program = super().__new__(cls, (products, components))
@@ -218,23 +218,23 @@ class _Program(tuple):
 
     @cached_property
     def run(self):
-        """The program as one Python function ``run(xs, out, power)`` that
-        writes polynomial i at the state ``xs`` into ``out[i]`` (see
-        ``_run_source``)."""
+        """The program as one function ``run(xs, out)`` that writes
+        polynomial i at the state ``xs`` (n floats, or n columns of states
+        with the same products bit for bit) into ``out[i]`` and returns
+        ``out`` (see ``_run_source``).  An overflow gives ±inf or nan and
+        never raises; columns need the caller's ``np.errstate``."""
         return self.bind(_run_source)
 
 
 def _field_lines(shape, outs) -> list[str]:
     """Straight-line code that evaluates a program of the given shape on
     the names v0, v1, ... of its variables and assigns polynomial i to
-    ``outs[i]``: a line per node in node order (``v{k} = power(v{b}, e)``
-    or ``v{k} = v{a} * v{b}``), then per polynomial ``t = k{i}``, a line
-    ``t += c{i}_{j} * v{k}`` per term in canonical order and
-    ``outs[i] = t``.  No line nests another, so a field of any size
-    compiles without deep recursion."""
+    ``outs[i]``: a line ``v{k} = v{a} * v{b}`` per node in node order,
+    then per polynomial ``t = k{i}``, a line ``t += c{i}_{j} * v{k}`` per
+    term in canonical order and ``outs[i] = t``.  No line nests another,
+    so a field of any size compiles without deep recursion."""
     n, products, components = shape
-    lines = [f"v{k} = power(v{b}, {e})" if e else f"v{k} = v{a} * v{b}"
-             for k, (a, b, e) in enumerate(products, start=n)]
+    lines = [f"v{k} = v{a} * v{b}" for k, (a, b) in enumerate(products, start=n)]
     for i, (nodes, out) in enumerate(zip(components, outs)):
         lines.append(f"t = k{i}")
         lines += [f"t += c{i}_{j} * v{k}" for j, k in enumerate(nodes)]
@@ -245,10 +245,11 @@ def _field_lines(shape, outs) -> list[str]:
 def _run_source(shape) -> list[str]:
     """The body of ``_Program.run``'s factory."""
     n, _, components = shape
-    return ["def run(xs, out, power):",
+    return ["def run(xs, out):",
             "    " + "".join(f"v{i}, " for i in range(n)) + "= xs",
             *("    " + line for line in
               _field_lines(shape, [f"out[{i}]" for i in range(len(components))])),
+            "    return out",
             "return run"]
 
 
@@ -277,26 +278,26 @@ def _compile(polynomials: tuple[Polynomial, ...]):
     (coefficient, node) pairs in canonical order.
 
     Nodes 0..n-1 are the variables; node n + k is ``products[k]`` =
-    (a, b, e), the product of the earlier nodes a and b.  A power x_i^e
-    has operands (x_i^(e-1), i) and is tagged with e (0 on any other
-    product), and a term is the left-to-right product of its factor
-    powers.  Nodes are keyed by their factors, so the polynomials share
-    powers and prefixes.  The result is a ``_Program``, whose code is
-    generated only when it is first evaluated.
+    (a, b), the product of the earlier nodes a and b.  A power x_i^e is
+    x_i^(e-1) times x_i, and a term is the left-to-right product of its
+    factor powers, so f, its Jacobian and both series routes share one
+    arithmetic.  Nodes are keyed by their factors, so the polynomials
+    share powers and prefixes.  The result is a ``_Program``, whose code
+    is generated only when it is first evaluated.
     """
     n = polynomials[0].dimension
     nodes = {((i, 1),): i for i in range(n)}
-    products: list[tuple[int, int, int]] = []
+    products: list[tuple[int, int]] = []
 
     def node(factors) -> int:
         if factors not in nodes:
             if len(factors) > 1:
-                operands = node(factors[:-1]), node(factors[-1:]), 0
+                operands = node(factors[:-1]), node(factors[-1:])
             else:
                 (i, e), = factors
                 for lower in range(2, e):  # lower powers first, without deep recursion
                     node(((i, lower),))
-                operands = nodes[((i, e - 1),)], i, e
+                operands = nodes[((i, e - 1),)], i
             nodes[factors] = n + len(products)
             products.append(operands)
         return nodes[factors]
@@ -310,29 +311,10 @@ def _compile(polynomials: tuple[Polynomial, ...]):
     return _Program(n, products, tuple(components))
 
 
-def _evaluate(program, xs: list, out, power):
-    """Write each polynomial of ``program`` at the state ``xs`` into
-    ``out[0], out[1], ...`` and return ``out``.  A power node is
-    ``power(x_i, e)``, any other node the product of its operands, and a
-    polynomial its constant plus, left to right, coefficient times node.
-
-    The work is done by the program's straight-line code (see
-    ``_Program.run``), compiled once per program shape and bound to the
-    program's coefficients on its first evaluation.  ``xs`` is n
-    Python floats with ``power=pow``, or n columns of states with
-    ``power=np.float_power``.  Both call the C library's ``pow``
-    (``np.power`` may use a SIMD power with other last bits), so each
-    column equals the scalar evaluation bit for bit.  A Python float
-    power that overflows raises, so the same code is rerun on numpy
-    scalars, which give ±inf (or nan from inf - inf) without a warning;
-    columns give ±inf under the caller's ``np.errstate``.
-    """
-    try:
-        program.run(xs, out, power)
-    except OverflowError:
-        with np.errstate(over="ignore", invalid="ignore"):
-            program.run([np.float64(v) for v in xs], out, power)
-    return out
+def _check_count(value, name: str) -> None:
+    """Raise ValueError unless ``value`` is an integer >= 1; a bool is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1")
 
 
 def _state(x, n: int) -> list[float]:
@@ -347,7 +329,7 @@ def eval_field(field: PolyVectorField, x) -> np.ndarray:
     """Evaluate f(x): each component is the sum over its terms of
     coefficient times the product of variable powers."""
     n = field.dimension
-    return _evaluate(field._program, _state(x, n), np.empty(n), pow)
+    return field._program.run(_state(x, n), np.empty(n))
 
 
 def field_jacobian(field: PolyVectorField) -> list[list[Polynomial]]:
@@ -358,7 +340,7 @@ def field_jacobian(field: PolyVectorField) -> list[list[Polynomial]]:
 def jacobian_at(field: PolyVectorField, x) -> np.ndarray:
     """Jacobian matrix of f evaluated at a state vector."""
     n = field.dimension
-    out = _evaluate(field._program_with_jacobian, _state(x, n), np.empty(n + n * n), pow)
+    out = field._program_with_jacobian.run(_state(x, n), np.empty(n + n * n))
     return out[n:].reshape(n, n)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAFixedPointError
-from .model import PolyVectorField, _evaluate, eval_field, jacobian_at
+from .model import PolyVectorField, eval_field, jacobian_at
 
 logger = logging.getLogger("seriesdyn.phase")
 
@@ -121,10 +121,11 @@ def _injected_seeds(field: PolyVectorField) -> list[np.ndarray]:
 
 def _newton_all(field: PolyVectorField, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Newton's method on all rows of ``xs`` (shape (B, n)) at once, in
-    place, by the scalar rules: a row converges when ||f|| < 1e-10 at the
-    top of an iteration, and is dropped on a non-finite f or iterate,
-    ||x|| > 1e12, det J == 0, or after 60 steps.  Returns each row's
-    outcome and last ||f||; finished rows cost no further work."""
+    place, by the scalar rules, with f and J from the field's program run
+    on the columns: a row converges when ||f|| < 1e-10 at the top of an
+    iteration, and is dropped on a non-finite f or iterate, ||x|| > 1e12,
+    det J == 0, or after 60 steps.  Returns each row's outcome and last
+    ||f||; finished rows cost no further work."""
     n = field.dimension
     program = field._program_with_jacobian
     outcome = np.full(len(xs), _ACTIVE)
@@ -132,8 +133,8 @@ def _newton_all(field: PolyVectorField, xs: np.ndarray) -> tuple[np.ndarray, np.
     rows = np.arange(len(xs))
     with np.errstate(all="ignore"):  # diverging seeds overflow
         for _ in range(60):
-            fj = np.empty((n + n * n, len(rows)))
-            f, jac = np.split(_evaluate(program, list(xs[rows].T), fj, np.float_power), [n])
+            fj = program.run(list(xs[rows].T), np.empty((n + n * n, len(rows))))
+            f, jac = np.split(fj, [n])
             bad = ~np.isfinite(f).all(axis=0)
             residual[rows] = np.sqrt((f * f).sum(axis=0))
             done = ~bad & (residual[rows] < _RESIDUAL_TOL)
@@ -216,9 +217,11 @@ def classify(field: PolyVectorField, location) -> CriticalPoint:
     Real pairs give nodes or saddles by sign; complex pairs give spirals
     by the sign of the real part, or center-linear when the real part is
     below 1e-9 relative to the imaginary part.  A vanishing, near-repeated,
-    or relatively tiny eigenvalue makes the point degenerate.  Raises
-    NotAFixedPointError when ||f(location)|| >= 1e-8.
+    or relatively tiny eigenvalue makes the point degenerate.  Dimensions
+    1 and 2 only.  Raises NotAFixedPointError when ||f(location)|| >= 1e-8.
     """
+    if field.dimension not in (1, 2):
+        raise ValueError("classify supports dimensions 1 and 2 only")
     x = np.asarray(location, dtype=float)
     if x.ndim != 1 or x.size != field.dimension:
         raise ValueError("location must be a state vector of the field's dimension")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InsufficientOrderError
-from .model import InitialValueProblem, Polynomial
+from .model import InitialValueProblem, Polynomial, _check_count
 
 logger = logging.getLogger("seriesdyn.series")
 
@@ -174,7 +174,7 @@ def poly_apply_series(p: Polynomial, variables, order: int) -> TruncatedSeries:
     products, ((constant, terms),) = p._program
     # one truncated product per node of p's product graph
     nodes = [_mul(v.coeffs, [1.0], order) for v in variables]  # cut or padded
-    for a, b, _ in products:
+    for a, b in products:
         nodes.append(_mul(nodes[a], nodes[b], order))
     out = np.zeros(order + 1)
     out[0] = constant
@@ -187,8 +187,9 @@ def poly_apply_series(p: Polynomial, variables, order: int) -> TruncatedSeries:
 #
 # Both routes and poly_apply_series walk the program a field (or polynomial)
 # built on first use (model._compile), multiplying the operands of every
-# node, a power x_i^e as x_i^(e-1) * x_i.  A node depends only on earlier
-# nodes, so each yields one new coefficient per order (Taylor mode).
+# node, a power x_i^e as x_i^(e-1) * x_i, as eval_field does: coefficient 1
+# is f(x0) bit for bit.  A node depends only on earlier nodes, so each
+# yields one new coefficient per order (Taylor mode).
 
 def _first_overflow(finite: np.ndarray) -> int | None:
     """The first order whose coefficients are not all finite, from the
@@ -205,8 +206,7 @@ def taylor_solve(ivp: InitialValueProblem, order: int) -> TaylorSolution:
     product node of the field's graph yields its t^j coefficient as one
     length-(j+1) dot product, so the cost is O(K^2) per node.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _check_count(order, "order")
     n = ivp.dimension
     products, components = ivp.field._program
     # C[node, j]: the t^j coefficient of every variable and product node
@@ -215,7 +215,7 @@ def taylor_solve(ivp: InitialValueProblem, order: int) -> TaylorSolution:
     # overflow is reported through overflow_order, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(order):
-            for k, (a, b, _) in enumerate(products, start=n):
+            for k, (a, b) in enumerate(products, start=n):
                 C[k, j] = np.dot(C[a, : j + 1], C[b, j::-1])
             for i, (constant, terms) in enumerate(components):
                 f = constant if j == 0 else 0.0
@@ -245,8 +245,7 @@ def hpm_solve(ivp: InitialValueProblem, order: int) -> HpmExpansion:
     power, and step j computes only row j-1 of each product, the sum over q
     of A_q * B_(j-1-q).  That costs O(j^3) per node, O(K^4) in all.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
+    _check_count(order, "order")
     n = ivp.dimension
     K = order
     products, components = ivp.field._program
@@ -260,7 +259,7 @@ def hpm_solve(ivp: InitialValueProblem, order: int) -> HpmExpansion:
             r = j - 1
             # the t-power of entry (k, l) of A_q^T B_(r-q) is k + l
             diagonal = np.add.outer(np.arange(j), np.arange(j)).ravel()
-            for k, (a, b, _) in enumerate(products, start=n):
+            for k, (a, b) in enumerate(products, start=n):
                 m = X[a, :j, :j].T @ X[b, r::-1, :j]
                 X[k, r, :j] = np.bincount(diagonal, m.ravel())[:j]
             for i, (constant, terms) in enumerate(components):

@@ -1,26 +1,45 @@
-"""Byte-for-byte regression of the six subcommands' stdout.
+"""Byte-for-byte regression of the stdout of the six subcommands and of
+three of the five demos.
 
-The files under ``golden/`` were written by the command-line program
-before the polynomial fields were compiled, except the ``x_num`` and
-``y_num`` columns of ``phase2d.out`` and ``spiral.out``: those were
+The subcommand files under ``golden/`` were written by the command-line
+program before the polynomial fields were compiled, except the ``x_num``
+and ``y_num`` columns of ``phase2d.out`` and ``spiral.out``: those were
 rewritten when the integrator's stage sums became left-to-right float
 sums in place of BLAS products (81 lines moved, by at most 3.3e-9
 relative, and 7 lines, by at most 3.8e-12; the sampling error of those
 columns is about 9e-8 and 9e-9).  Since then the output no longer
-depends on the BLAS kernel the CPU selects.  A change that is meant to
-be a pure speed-up must reproduce them exactly.  To regenerate after an
-intended output change, run each command with
+depends on the BLAS kernel the CPU selects.  ``spiral.out`` was
+rewritten once more when every power x^e in f became the product
+x^(e-1) * x of the series routes in place of the C library's ``pow``:
+one of ``x_num``/``y_num`` moved in its last printed digit on the 10
+lines t = 5.5, 8.9, 10.2, 10.4, 12.1, 13.7, 16.6, 17.8, 19.3 and 19.9,
+by at most 3.8e-12 relative.  The ``demo-<name>.out`` files were
+written by that same code; demo 05's integrator error at t = 0.2 read
+9.122e-13 with ``pow`` and reads 9.120e-13.  Demos 01 and 03 are not
+pinned: they print rounding-level series digits, and the series layer's
+dot and matrix products are BLAS calls whose last bits depend on the
+kernel the CPU selects, so their stdout differs between OpenBLAS
+kernels.  A change that is meant to be a pure speed-up must reproduce
+all the files exactly.  To regenerate after an intended output change,
+run each command with
 ``PYTHONPATH=src python -m seriesdyn.cli <args> > tests/golden/<name>.out``
-from the repository root, with the model paths below.
+from the repository root, with the model paths below, and each pinned
+demo with
+``PYTHONPATH=src python demos/<name>.py > tests/golden/demo-<name>.out``.
 """
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import seriesdyn
 from seriesdyn.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
+DEMOS = Path(__file__).parents[1] / "demos"
 
 COMMANDS = {
     "table1": ["table1"],
@@ -37,3 +56,20 @@ def test_stdout_matches_golden(name, capsys):
     assert main(COMMANDS[name]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+# the demos whose stdout is the same under every OpenBLAS kernel
+PINNED_DEMOS = ["02_logistic_series_accuracy", "04_fixed_points_two_species",
+                "05_spiral_breakdown"]
+
+
+@pytest.mark.parametrize("name", PINNED_DEMOS)
+def test_demo_stdout_matches_golden(name):
+    # each demo as a fresh process, where a RuntimeWarning is an error
+    src = str(Path(seriesdyn.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                            str(DEMOS / f"{name}.py")],
+                           env=env, capture_output=True, check=True, timeout=120)
+    assert child.stdout == (GOLDEN / f"demo-{name}.out").read_bytes()

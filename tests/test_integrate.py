@@ -501,25 +501,37 @@ def test_large_field_attempt_is_flat_and_matches_the_reference():
 
 def test_power_overflow_mid_attempt_rejects_the_attempt(monkeypatch):
     # f(5.8) = 1e-300 * 5.8^400 is finite, but the first stage lands past
-    # 5.9, where 5.9^400 overflows a Python float: the attempt reruns on
-    # numpy scalars, its error is NaN and it is rejected
+    # 5.9, where x^400 overflows: the attempt's products give inf and nan
+    # without raising, its error is not finite and it is rejected
     module = importlib.import_module("seriesdyn.integrate")
-    numpy_attempt, reruns = module._numpy_attempt, []
-    monkeypatch.setattr(module, "_numpy_attempt",
-                        lambda *args: reruns.append(numpy_attempt(*args)) or reruns[-1])
     p = Polynomial.from_coeffs({(400,): 1e-300}, 1)
     ivp = InitialValueProblem(PolyVectorField((p,)), [5.8])
+    attempt = ivp.field._program.bind(module._attempt_source, module._TABLEAU)
+    f0 = eval_field(ivp.field, ivp.x0).tolist()
+    assert math.isfinite(f0[0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        new, f_new, err = attempt(ivp.x0.tolist(), f0, 1e-3)
+    assert not math.isfinite(err[0])
+    error_norm, overflowed = module._error_norm, []
+    def spy(err_vec, *args):
+        overflowed.append(not all(map(math.isfinite, err_vec)))
+        return error_norm(err_vec, *args)
+    monkeypatch.setattr(module, "_error_norm", spy)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = integrate(ivp, 1.0)
-    assert reruns and all(not math.isfinite(err[0]) for new, f, err in reruns)
-    assert traj.rejected_steps >= len(reruns)
+    assert any(overflowed)
+    assert traj.rejected_steps >= sum(overflowed)
     assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.derivs))
     with np.errstate(all="ignore"):  # the numpy loop overflows in its stage sums
         ts, ys, fs, hs, errs, status = reference_integrate(ivp, 1.0)
     assert traj.status == status
     np.testing.assert_array_equal(traj.ts, ts)
     np.testing.assert_array_equal(traj.states, ys)
+    np.testing.assert_array_equal(traj.derivs, fs)
+    np.testing.assert_array_equal(traj.step_sizes, hs)
+    np.testing.assert_array_equal(traj.error_estimates, errs)
 
 
 def test_trajectories_do_not_depend_on_the_blas_kernel(capsys):

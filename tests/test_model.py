@@ -14,7 +14,6 @@ from seriesdyn.model import (
     PolyVectorField,
     Spiral,
     TwoSpecies,
-    _evaluate,
     eval_field,
     field_jacobian,
     jacobian_at,
@@ -231,15 +230,45 @@ def test_preset_ivp_examples_build():
 
 def float64_walk(poly, x):
     """Term-by-term evaluation on numpy float64 scalars, in canonical term
-    order: the reference the compiled evaluation must match bit for bit."""
+    order, with the product graph's arithmetic: each power x_i^e is the
+    left-to-right chain x_i * x_i * ... * x_i, and a term's factor powers
+    are multiplied left to right.  The reference the compiled evaluation
+    must match bit for bit."""
     total = 0
+    for mono, c in poly.terms.items():
+        v = 1.0
+        for xi, e in zip(x, mono.exponents):
+            if e:
+                power = xi
+                for _ in range(e - 1):
+                    power = power * xi
+                v *= power
+        total = total + c * v
+    return float(total)
+
+
+def pow_walk(poly, x):
+    """The same walk with each power as ``xi ** e``, the C library's
+    ``pow``, and the sum of |coefficient * monomial| as a scale: an
+    independent value the product graph must match to rounding."""
+    total, scale = 0, 0.0
     for mono, c in poly.terms.items():
         v = 1.0
         for xi, e in zip(x, mono.exponents):
             if e:
                 v *= xi ** e
         total = total + c * v
-    return float(total)
+        scale += abs(c * v)
+    return float(total), scale
+
+
+def assert_near_pow_walk(got, polys, x):
+    """Each value in ``got`` equals the ``pow`` walk of its polynomial at
+    ``x`` within 1e-13 of the walk's scale (or exactly, where not finite)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        walks = [pow_walk(p, x) for p in polys]
+    for value, (want, scale) in zip(np.ravel(got), walks, strict=True):
+        assert value == want or abs(value - want) <= 1e-13 * scale, (value, want, scale)
 
 
 def test_compiled_evaluation_is_bit_identical_to_float64_walk():
@@ -258,6 +287,9 @@ def test_compiled_evaluation_is_bit_identical_to_float64_walk():
                       for p in field.components]
             np.testing.assert_array_equal(eval_field(field, x), want_f)
             np.testing.assert_array_equal(jacobian_at(field, x), want_j)
+            assert_near_pow_walk(want_f, field.components, x)
+            assert_near_pow_walk(want_j, [p.diff(j) for p in field.components
+                                          for j in range(n)], x)
 
 
 def test_batched_evaluation_is_bit_identical_to_scalar():
@@ -276,8 +308,7 @@ def test_batched_evaluation_is_bit_identical_to_scalar():
         xs[:3] = [[1e200] * n, [-1e120] * n, [0.0] * n]
         out = np.empty((n + n * n, len(xs)))
         with np.errstate(all="ignore"):
-            got = _evaluate(field._program_with_jacobian, list(xs.T), out,
-                            np.float_power)
+            got = field._program_with_jacobian.run(list(xs.T), out)
             want = np.array([np.concatenate([eval_field(field, x),
                                              jacobian_at(field, x).ravel()])
                              for x in xs]).T
@@ -371,6 +402,9 @@ def test_field_generates_code_lazily_and_once():
         np.testing.assert_array_equal(jacobian_at(other.field, x),
                                       [[float64_walk(p.diff(j), x) for j in range(2)]
                                        for p in comps])
+        assert_near_pow_walk(eval_field(other.field, x), comps, x)
+        assert_near_pow_walk(jacobian_at(other.field, x),
+                             [p.diff(j) for p in comps for j in range(2)], x)
 
 
 def test_code_cache_is_bounded():
@@ -407,18 +441,20 @@ def test_large_field_generates_flat_code():
     x = rng.uniform(-1.1, 1.1, 3)
     np.testing.assert_array_equal(eval_field(field, x),
                                   [float64_walk(p, x) for p in comps])
-    # x^400 overflows a Python float: the numpy-scalar rerun gives inf,
-    # and no RuntimeWarning leaks (the suite makes one an error)
+    # 400 chained products stay within rounding of pow(x, 400)
+    assert_near_pow_walk(eval_field(field, x), comps, x)
+    # x^400 overflows: the product chain gives inf without raising, and
+    # no RuntimeWarning leaks (the suite makes one an error)
     far = np.array([10.0, 0.5, -0.5])
     got = eval_field(field, far)
     with np.errstate(over="ignore", invalid="ignore"):
         want = [float64_walk(p, far) for p in comps]
     np.testing.assert_array_equal(got, want)
     assert np.all(np.isinf(got))
+    assert_near_pow_walk(got, comps, far)
     xs = np.vstack([rng.uniform(-1.1, 1.1, (20, 3)), [far]])
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _evaluate(field._program, list(xs.T), np.empty((3, len(xs))),
-                        np.float_power)
+        got = field._program.run(list(xs.T), np.empty((3, len(xs))))
         want = np.array([[float64_walk(p, x) for p in comps] for x in xs]).T
     np.testing.assert_array_equal(got, want)
 
@@ -434,13 +470,12 @@ def test_overflowing_field_returns_inf_instead_of_raising():
     p = Polynomial.from_coeffs({(400,): 1.0}, 1)
     q = Polynomial.from_coeffs({(401,): 1.0}, 1)
     field = PolyVectorField((p,))
-    with np.errstate(over="ignore"):
-        assert p([10.0]) == np.inf
-        assert q([-10.0]) == -np.inf
-        assert eval_field(field, [10.0])[0] == np.inf
-        assert jacobian_at(field, [10.0])[0, 0] == np.inf
-        np.testing.assert_array_equal(
-            eval_field(PolyVectorField((q,)), [-10.0]), [-np.inf])
+    assert p([10.0]) == np.inf
+    assert q([-10.0]) == -np.inf
+    assert eval_field(field, [10.0])[0] == np.inf
+    assert jacobian_at(field, [10.0])[0, 0] == np.inf
+    np.testing.assert_array_equal(
+        eval_field(PolyVectorField((q,)), [-10.0]), [-np.inf])
 
 
 def test_scalar_evaluation_overflow_leaks_no_warning():

@@ -143,6 +143,18 @@ def test_classify_validates_shape():
         classify(FIELD, [[1.0, 2.0]])
 
 
+def test_classify_rejects_three_dimensions_as_fixed_points_does():
+    # the origin is a fixed point of this 3-D field, so only the
+    # dimension stands in the way
+    field = PolyVectorField(tuple(
+        Polynomial.from_coeffs({tuple(int(i == j) for j in range(3)): -1.0}, 3)
+        for i in range(3)))
+    with pytest.raises(ValueError, match="^fixed_points supports dimensions 1 and 2 only$"):
+        fixed_points(field)
+    with pytest.raises(ValueError, match="^classify supports dimensions 1 and 2 only$"):
+        classify(field, [0.0, 0.0, 0.0])
+
+
 def test_degenerate_classifications():
     # repeated eigenvalue (star node)
     star = PolyVectorField((Polynomial.from_coeffs({(1, 0): -1.0}, 2),

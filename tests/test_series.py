@@ -23,6 +23,7 @@ from seriesdyn import (
     TaylorSolution,
     TruncatedSeries,
     TwoSpecies,
+    eval_field,
     hpm_collapse_check,
     hpm_solve,
     logistic_exact,
@@ -176,6 +177,33 @@ def test_taylor_eval_stacks_variables():
 def test_taylor_rejects_nonpositive_order():
     with pytest.raises(ValueError):
         taylor_solve(LOGISTIC, 0)
+
+
+@pytest.mark.parametrize("order", [0, -1, 2.5, 1.0, True, False, "3", None])
+@pytest.mark.parametrize("solve", [taylor_solve, hpm_solve])
+def test_series_order_must_be_an_integer(solve, order):
+    # the rule of IntegrationConfig.max_steps: an int or numpy integer
+    # >= 1, and a bool is not an integer here
+    with pytest.raises(ValueError, match=r"^order must be an integer >= 1$"):
+        solve(LOGISTIC, order)
+
+
+def test_series_order_accepts_numpy_integers():
+    for solve in (taylor_solve, hpm_solve):
+        assert solve(LOGISTIC, np.int64(3)).order == solve(LOGISTIC, 3).order == 3
+
+
+def test_first_coefficient_is_the_field_at_x0_bit_for_bit():
+    # eval_field and the Taylor recursion walk the same product graph
+    # with the same products, a power x^e as x^(e-1) * x, so coefficient
+    # 1 of taylor_solve is f(x0) to the last bit
+    rng = np.random.default_rng(15)
+    ivps = [LOGISTIC, preset_ivp(TwoSpecies.reference(), [4.0, 10.0]),
+            preset_ivp(Spiral(-0.5), [2.0, 2.0]), preset_ivp(Spiral(0.5), [2.0, 2.0])]
+    ivps += [random_ivp(rng, int(rng.integers(1, 4)), max_degree=4) for _ in range(200)]
+    for ivp in ivps:
+        first = [s.coeffs[1] for s in taylor_solve(ivp, 1).series]
+        np.testing.assert_array_equal(first, eval_field(ivp.field, ivp.x0))
 
 
 def test_taylor_satisfies_its_own_recursion():
