@@ -189,15 +189,18 @@ class _Program(tuple):
     """The pair (products, components) that ``_compile`` builds for
     polynomials in n variables.  Its code is generated from its ``shape``
     by a source emitter (``_run_source`` for f, the integrator's
-    ``_attempt_source`` for a DP5 attempt), both built on
-    ``_field_lines``, compiled once per shape by ``_factory`` and bound
-    to the program's coefficients by ``bind``; ``run`` is bound on the
-    first evaluation.  The series recursions read only the pair, so they
-    never pay for the code, and do the same products as the code."""
+    ``_attempt_source`` for a DP5 attempt, the series' ``_taylor_source``
+    for the Taylor recursion), all built on ``_field_lines`` or its term
+    sums, compiled once per shape by ``_factory`` and bound to the
+    program's coefficients by ``bind``; ``run`` is bound on the first
+    evaluation, the Taylor loop on the first expansion (``bound``).  The
+    perturbation recursion reads only the pair, so it never pays for the
+    code, and does the same products as the code."""
 
     def __new__(cls, n: int, products, components):
         program = super().__new__(cls, (products, components))
         program.n = n
+        program.functions = {}
         return program
 
     @cached_property
@@ -216,6 +219,13 @@ class _Program(tuple):
             [v for constant, terms in self[1] for v in (constant, *(c for c, k in terms))],
             constants)
 
+    def bound(self, source):
+        """``bind(source)``, bound on the first call and kept with the
+        program, as ``run`` is."""
+        if source not in self.functions:
+            self.functions[source] = self.bind(source)
+        return self.functions[source]
+
     @cached_property
     def run(self):
         """The program as one function ``run(xs, out)`` that writes
@@ -230,13 +240,21 @@ def _field_lines(shape, outs) -> list[str]:
     """Straight-line code that evaluates a program of the given shape on
     the names v0, v1, ... of its variables and assigns polynomial i to
     ``outs[i]``: a line ``v{k} = v{a} * v{b}`` per node in node order,
-    then per polynomial ``t = k{i}``, a line ``t += c{i}_{j} * v{k}`` per
-    term in canonical order and ``outs[i] = t``.  No line nests another,
-    so a field of any size compiles without deep recursion."""
+    then the term sums (see ``_sum_lines``).  No line nests another, so
+    a field of any size compiles without deep recursion."""
     n, products, components = shape
-    lines = [f"v{k} = v{a} * v{b}" for k, (a, b) in enumerate(products, start=n)]
+    return ([f"v{k} = v{a} * v{b}" for k, (a, b) in enumerate(products, start=n)]
+            + _sum_lines(components, outs))
+
+
+def _sum_lines(components, outs, constant="k{}") -> list[str]:
+    """The term sums of polynomials whose term nodes are ``components``
+    (the last entry of a program's shape): per polynomial i, ``t = k{i}``
+    (``constant`` formatted with i), a line ``t += c{i}_{j} * v{k}`` per
+    term in canonical order and ``outs[i] = t``."""
+    lines = []
     for i, (nodes, out) in enumerate(zip(components, outs)):
-        lines.append(f"t = k{i}")
+        lines.append(f"t = {constant.format(i)}")
         lines += [f"t += c{i}_{j} * v{k}" for j, k in enumerate(nodes)]
         lines.append(f"{out} = t")
     return lines

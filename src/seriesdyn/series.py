@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InsufficientOrderError
-from .model import InitialValueProblem, Polynomial, _check_count
+from .model import InitialValueProblem, Polynomial, _check_count, _sum_lines
 
 logger = logging.getLogger("seriesdyn.series")
 
@@ -197,6 +197,68 @@ def _first_overflow(finite: np.ndarray) -> int | None:
     return None if finite.all() else int(np.argmin(finite)) + 1
 
 
+def _taylor_source(shape) -> list[str]:
+    """The body of the Taylor recursion's factory for a field of this shape
+    (see ``model._factory``).
+
+    ``taylor(C)`` fills the coefficient rows of C[node, j], given C zero
+    but for the variables' x0 in column 0.  It is one loop over the orders
+    j on the row views r{k} of C, with one line per product node (in node
+    order, each yielding its order-j coefficient) and the field's term
+    sums (see ``model._sum_lines``, the constant only at j = 0) into w{i},
+    from which every variable's order-(j + 1) coefficient is assigned
+    after all components have read order j.
+
+    A product (a, b) is ``r{a}[:j + 1].dot(s{b}[K - j:])``, one BLAS
+    ``ddot`` as ``np.dot(C[a, :j + 1], C[b, j::-1])`` is, on the same
+    values, so the bits are those of that loop.  np.dot copies the
+    reversed slice into a new, 16-byte aligned buffer, and an SSE2
+    ``ddot`` sums in another order when its second operand is not
+    aligned.  So each b keeps two reversed copies, e{b} and o{b}
+    (e{b}[K - i] is r{b}[i]), in rows of Q of even length, which start
+    aligned as Q does; their offsets make the slice start on a 16-byte
+    boundary for even j in e{b} and odd j in o{b}, and s{b} is the one
+    for this j.  Each coefficient is stored only in the views that are
+    read: r for the variables (the result) and the a operands, e and o
+    for the b operands.
+    """
+    n, products, components = shape
+    left = set(range(n)) | {a for a, b in products}
+    right = sorted({b for a, b in products})
+
+    def names(prefix, nodes):
+        return "".join(f"{prefix}{k}, " for k in nodes)
+
+    def store(k, j, m):  # the chained targets of node k's coefficient j
+        return ((f"r{k}[{j}] = " if k in left else "")
+                + (f"e{k}[{m}] = o{k}[{m}] = " if k in right else ""))
+
+    copies = ["    p = K % 2",
+              f"    Q = np.zeros((2, {len(right)}, K + 2 + p))",
+              f"    {names('e', right)}= Q[0, :, p:p + K + 1]",
+              f"    {names('o', right)}= Q[1, :, p + 1:p + K + 2]",
+              *(f"    e{i}[K] = o{i}[K] = v{i}" for i in right if i < n)]
+    select = (f"        {names('s', right)}= ({names('e', right)}) if j % 2 == 0"
+              f" else ({names('o', right)})")
+    return ["import numpy as np",
+            "def taylor(C):",
+            f"    {names('r', range(n + len(products)))}= C",
+            f"    {names('v', range(n))}= C[:{n}, 0].tolist()",
+            "    K = C.shape[1] - 1",
+            *(copies if right else []),
+            "    for j in range(K):",
+            "        m = K - j",
+            *([select] if right else []),
+            *(f"        v{k} = {store(k, 'j', 'm')}r{a}[:j + 1].dot(s{b}[m:])"
+              for k, (a, b) in enumerate(products, start=n)),
+            *("        " + line for line in _sum_lines(
+                components, [f"w{i}" for i in range(n)], "k{} if j == 0 else 0.0")),
+            *(f"        v{i} = {store(i, 'j + 1', 'm - 1')}w{i} / (j + 1)"
+              for i in range(n)),
+            "    return C",
+            "return taylor"]
+
+
 def taylor_solve(ivp: InitialValueProblem, order: int) -> TaylorSolution:
     """Expansion of the solution about t = 0 via the direct recursion.
 
@@ -204,24 +266,18 @@ def taylor_solve(ivp: InitialValueProblem, order: int) -> TaylorSolution:
     to the partial series known so far, divided by j+1.  For polynomial f
     these are the exact Taylor coefficients of the true solution.  Each
     product node of the field's graph yields its t^j coefficient as one
-    length-(j+1) dot product, so the cost is O(K^2) per node.
+    length-(j+1) dot product, so the cost is O(K^2) per node.  The loop is
+    generated once per field shape (see ``_taylor_source``).
     """
     _check_count(order, "order")
     n = ivp.dimension
-    products, components = ivp.field._program
+    program = ivp.field._program
     # C[node, j]: the t^j coefficient of every variable and product node
-    C = np.zeros((n + len(products), order + 1))
+    C = np.zeros((n + len(program[0]), order + 1))
     C[:n, 0] = ivp.x0
     # overflow is reported through overflow_order, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(order):
-            for k, (a, b) in enumerate(products, start=n):
-                C[k, j] = np.dot(C[a, : j + 1], C[b, j::-1])
-            for i, (constant, terms) in enumerate(components):
-                f = constant if j == 0 else 0.0
-                for c, k in terms:
-                    f += c * C[k, j]
-                C[i, j + 1] = f / (j + 1)
+        program.bound(_taylor_source)(C)
     overflow_order = _first_overflow(np.isfinite(C[:n, 1:]).all(axis=0))
     logger.debug("taylor_solve: order %d, %d graph nodes, overflow_order %s",
                  order, len(C), overflow_order)
@@ -313,6 +369,17 @@ def series_eval(s: TruncatedSeries, t):
     return float(acc) if acc.ndim == 0 else acc
 
 
+def _line(xs: list, ys: list) -> tuple[float, float]:
+    """Slope and intercept of the least-squares line through the points
+    (xs[i], ys[i]), in closed form on Python floats, so no BLAS or LAPACK
+    kernel chooses the digits.  The xs must not all be equal."""
+    xm = sum(xs) / len(xs)
+    ym = sum(ys) / len(ys)
+    slope = (sum((x - xm) * (y - ym) for x, y in zip(xs, ys))
+             / sum((x - xm) * (x - xm) for x in xs))
+    return slope, ym - slope * xm
+
+
 def radius_estimate(s: TruncatedSeries, method: str = "ratio") -> RadiusEstimate:
     """Estimate the distance from t = 0 to the nearest singularity.
 
@@ -353,7 +420,7 @@ def radius_estimate(s: TruncatedSeries, method: str = "ratio") -> RadiusEstimate
         if not np.all(np.isfinite(ratios)):
             # overflowed coefficients: report collapse of the estimate
             return RadiusEstimate(0.0, "ratio", ratios)
-        _, limit = np.polyfit(1.0 / hi, ratios, 1)
+        _, limit = _line((1.0 / hi).tolist(), ratios.tolist())
         value = np.inf if limit <= 0.0 else 1.0 / limit
         return RadiusEstimate(float(value), "ratio", ratios)
 
@@ -371,7 +438,7 @@ def radius_estimate(s: TruncatedSeries, method: str = "ratio") -> RadiusEstimate
         logs = np.log(c[keep])
         if not np.all(np.isfinite(logs)):
             return RadiusEstimate(0.0, "root", logs)
-        slope, _ = np.polyfit(keep.astype(float), logs, 1)
+        slope, _ = _line(keep.tolist(), logs.tolist())
         return RadiusEstimate(float(np.exp(-slope)), "root", logs)
 
     raise ValueError(f"unknown method {method!r}; expected 'ratio' or 'root'")

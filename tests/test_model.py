@@ -343,16 +343,17 @@ def test_field_builds_each_program_once():
 
 
 def test_field_generates_code_lazily_and_once():
-    # The series layer reads only the product graph, so it generates no
-    # code; the code of f and of f + J is bound on first evaluation, once
-    # each, and reused by every later caller.  Code is compiled once per
-    # program shape: a field of the same shape with other coefficients
-    # compiles nothing and only binds its own coefficients.
+    # Code is compiled once per program shape and bound once per program.
+    # In the series layer only taylor_solve generates code, its recursion:
+    # hpm_solve and poly_apply_series read the product graph alone.  The
+    # code of f and of f + J is bound on first evaluation, once each, and
+    # reused by every later caller.  A field of the same shape with other
+    # coefficients compiles nothing and only binds its own coefficients.
     import seriesdyn.model as model
-    from seriesdyn import (fixed_points, hpm_solve, integrate, poly_apply_series,
-                           radius_estimate, taylor_solve)
+    from seriesdyn import (TruncatedSeries, fixed_points, hpm_solve, integrate,
+                           poly_apply_series, radius_estimate, taylor_solve)
 
-    generated, compiled = [], []
+    generated, compiled, taylor = [], [], []
 
     def spy(frame, event, arg):
         if event != "call":
@@ -362,6 +363,16 @@ def test_field_generates_code_lazily_and_once():
         if frame.f_code is model._factory.__wrapped__.__code__:
             compiled.append((frame.f_locals["source"].__name__,
                              len(frame.f_locals["shape"][2])))
+        if (frame.f_code is model._Program.bind.__code__
+                and frame.f_locals["source"].__name__ == "_taylor_source"):
+            taylor.append(id(frame.f_locals["self"]))
+
+    def series_all(ivp):
+        for _ in range(2):
+            hpm_solve(ivp, 4)
+            sol = taylor_solve(ivp, 8)
+            poly_apply_series(ivp.field.components[0], sol.series, 8)
+            radius_estimate(sol.series[0])
 
     def evaluate_all(ivp):
         integrate(ivp, 1.0)
@@ -377,12 +388,16 @@ def test_field_generates_code_lazily_and_once():
     assert other.field._program.shape == field._program.shape
     sys.setprofile(spy)
     try:
-        for _ in range(2):
-            sol = taylor_solve(ivp, 8)
-            hpm_solve(ivp, 4)
-            poly_apply_series(field.components[0], sol.series, 8)
-            radius_estimate(sol.series[0])
-        series_only = list(generated + compiled)
+        hpm_solve(ivp, 4)
+        poly_apply_series(field.components[0], [TruncatedSeries([4.0, 1.0]),
+                                                TruncatedSeries([10.0, 2.0])], 8)
+        before_taylor = list(generated + compiled + taylor)
+        series_all(ivp)
+        series = list(generated + compiled), list(taylor)
+        del taylor[:], compiled[:]
+        series_all(other)
+        series_other = list(generated + compiled), list(taylor)
+        del taylor[:], compiled[:]
         for _ in range(2):
             evaluate_all(ivp)
         first = list(compiled)
@@ -390,10 +405,13 @@ def test_field_generates_code_lazily_and_once():
         evaluate_all(other)
     finally:
         sys.setprofile(None)
-    assert series_only == []
+    assert before_taylor == []
+    assert series == ([("_taylor_source", 2)], [id(field._program)])
+    assert series_other == ([], [id(other.field._program)])
     assert first == [("_attempt_source", 2), ("_run_source", 2), ("_run_source", 6)]
     assert generated == [2, 2 + 4]  # f, then f and its four Jacobian entries
     assert compiled == []
+    assert taylor == []
     rng = np.random.default_rng(8)
     comps = other.field.components
     for x in rng.uniform(-50.0, 50.0, (20, 2)):

@@ -4,9 +4,13 @@ estimation from coefficient tails."""
 
 import logging
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,17 +197,63 @@ def test_series_order_accepts_numpy_integers():
         assert solve(LOGISTIC, np.int64(3)).order == solve(LOGISTIC, 3).order == 3
 
 
+def bit_identity_ivps():
+    """The presets and 200 seeded random fields of degree <= 4."""
+    rng = np.random.default_rng(15)
+    ivps = [LOGISTIC, preset_ivp(TwoSpecies.reference(), [4.0, 10.0]),
+            preset_ivp(Spiral(-0.5), [2.0, 2.0]), preset_ivp(Spiral(0.5), [2.0, 2.0])]
+    return ivps + [random_ivp(rng, int(rng.integers(1, 4)), max_degree=4)
+                   for _ in range(200)]
+
+
 def test_first_coefficient_is_the_field_at_x0_bit_for_bit():
     # eval_field and the Taylor recursion walk the same product graph
     # with the same products, a power x^e as x^(e-1) * x, so coefficient
     # 1 of taylor_solve is f(x0) to the last bit
-    rng = np.random.default_rng(15)
-    ivps = [LOGISTIC, preset_ivp(TwoSpecies.reference(), [4.0, 10.0]),
-            preset_ivp(Spiral(-0.5), [2.0, 2.0]), preset_ivp(Spiral(0.5), [2.0, 2.0])]
-    ivps += [random_ivp(rng, int(rng.integers(1, 4)), max_degree=4) for _ in range(200)]
-    for ivp in ivps:
+    for ivp in bit_identity_ivps():
         first = [s.coeffs[1] for s in taylor_solve(ivp, 1).series]
         np.testing.assert_array_equal(first, eval_field(ivp.field, ivp.x0))
+
+
+def dot_recursion(ivp, order):
+    """The Taylor recursion node by node: per order j, each product node's
+    coefficient is one np.dot of its operands' rows, then each variable's
+    coefficient j + 1 is its component's term sum over j + 1."""
+    n = ivp.dimension
+    products, components = ivp.field._program
+    C = np.zeros((n + len(products), order + 1))
+    C[:n, 0] = ivp.x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(order):
+            for k, (a, b) in enumerate(products, start=n):
+                C[k, j] = np.dot(C[a, : j + 1], C[b, j::-1])
+            for i, (constant, terms) in enumerate(components):
+                f = constant if j == 0 else 0.0
+                for c, k in terms:
+                    f += c * C[k, j]
+                C[i, j + 1] = f / (j + 1)
+    return C[:n]
+
+
+def test_taylor_equals_the_dot_recursion_bit_for_bit():
+    # the generated loop makes the same BLAS ddot calls on the same values
+    # and the same float term sums as the recursion written out with
+    # np.dot, so every coefficient has the same bits under every kernel,
+    # the spiral's overflow at order 340 of 360 included
+    ivps = bit_identity_ivps()
+    cases = [(preset_ivp(Logistic(1.0, -3.0), [0.1]), 300)]
+    cases += [(ivp, 300) for ivp in ivps[:4]]
+    cases += [(ivps[1], 150), (ivps[2], 360)]
+    cases += [(ivp, 1 + i % 40) for i, ivp in enumerate(ivps[4:])]
+    for ivp, order in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = taylor_solve(ivp, order)
+        want = dot_recursion(ivp, order)
+        got = np.array([s.coeffs for s in sol.series])
+        assert got.tobytes() == want.tobytes(), (ivp, order)
+        finite = np.isfinite(want[:, 1:]).all(axis=0)
+        assert sol.overflow_order == (None if finite.all() else int(np.argmin(finite)) + 1)
 
 
 def test_taylor_satisfies_its_own_recursion():
@@ -647,6 +697,53 @@ def test_radius_spiral_branch_point():
     for s in sol.series:
         assert abs(radius_estimate(s, "ratio").value - 0.125) / 0.125 < 5e-3
         assert abs(radius_estimate(s, "root").value - 0.125) / 0.125 < 5e-2
+
+
+def expand_series():
+    """The series whose radii the benchmark's expand workload estimates."""
+    sols = [taylor_solve(preset_ivp(Logistic(1.0, -3.0), [x0]), 300) for x0 in (1.0, 0.1)]
+    sols.append(taylor_solve(preset_ivp(Spiral(-0.5), [2.0, 2.0]), 300))
+    return [s for sol in sols for s in sol.series]
+
+
+def test_radius_fits_agree_with_polyfit():
+    # the closed-form least-squares lines give np.polyfit's fits to
+    # rounding, on the same points (the orders behind each diagnostic)
+    for s in expand_series():
+        c = np.abs(s.coeffs)
+        K = len(c) - 1
+        ratio = radius_estimate(s, "ratio")
+        hi = np.flatnonzero(c > 1e-300)[-5:]
+        _, limit = np.polyfit(1.0 / hi, ratio.diagnostics, 1)
+        assert ratio.value == pytest.approx(1.0 / limit, rel=1e-12, abs=0.0)
+        root = radius_estimate(s, "root")
+        top = np.arange((K + 1) // 2, K + 1)
+        slope, _ = np.polyfit(top[c[top] > 1e-300].astype(float), root.diagnostics, 1)
+        assert root.value == pytest.approx(math.exp(-slope), rel=1e-12, abs=0.0)
+
+
+def test_radius_estimates_do_not_depend_on_the_blas_kernel(capsys):
+    # OpenBLAS picks its kernels by CPU; Prescott has neither AVX nor FMA.
+    # The fits call no BLAS or LAPACK, so a child process forced onto that
+    # kernel prints the same bits for the same coefficients
+    import seriesdyn
+    rows = [s.coeffs.tobytes().hex() for s in expand_series()]
+    code = "\n".join([
+        "import numpy as np",
+        "from seriesdyn import TruncatedSeries, radius_estimate",
+        f"for row in {rows!r}:",
+        "    s = TruncatedSeries(np.frombuffer(bytes.fromhex(row)))",
+        "    print(*(radius_estimate(s, m).value.hex() for m in ('ratio', 'root')))",
+    ])
+    src = str(Path(seriesdyn.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True, timeout=60)
+    exec(code, {})
+    here = capsys.readouterr().out
+    assert len(here.splitlines()) == 4
+    assert child.stdout == here
 
 
 def test_radius_polynomial_tail_is_entire():
