@@ -37,7 +37,6 @@ _A = (
 _B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 # b5 - b4: weights of the embedded error estimate
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-_TABLEAU = sum(_A, ()) + _B5 + _E
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -60,6 +59,9 @@ class IntegrationConfig:
     def __post_init__(self):
         if not all(math.isfinite(t) and t > 0 for t in (self.rel_tol, self.abs_tol)):
             raise ValueError("tolerances must be positive and finite")
+        # stored as Python floats, so the step loop never runs on numpy scalars
+        object.__setattr__(self, "rel_tol", float(self.rel_tol))
+        object.__setattr__(self, "abs_tol", float(self.abs_tol))
         if self.rel_tol < _REL_TOL_FLOOR:
             raise ValueError(f"rel_tol must be at least {_REL_TOL_FLOOR!r} "
                              "(100 machine epsilons)")
@@ -110,83 +112,78 @@ def _error_norm(err, y_old, y_new, atol, rtol):
 
     The sum runs left to right, which is how ``np.mean`` sums fewer than
     eight values, so for n <= 7 this is ``np.mean``'s value bit for bit.
-    ``y_old`` is an accepted state and never NaN; a NaN in ``y_new``
-    makes the norm NaN, as ``np.maximum`` would.
+    Where the squares overflow, the norm is ``math.hypot`` of the scaled
+    terms over sqrt(n), which scales by the largest term.  ``y_old`` is
+    an accepted state and never NaN; a NaN in ``y_new`` makes the norm
+    NaN, as ``np.maximum`` would.
     """
     acc = 0.0
     for e, a, b in zip(err, y_old, y_new):
         a, b = abs(a), abs(b)
         q = e / (atol + rtol * (a if a >= b else b))
         acc += q * q
-    return math.sqrt(acc / len(err))
-
-
-def _rms(v):
-    """Root mean square of ``v``; where the squares overflow, from
-    ``math.hypot``, which scales by the largest |component|."""
-    rms = np.sqrt(np.mean(v ** 2))
-    return rms if math.isfinite(rms) else math.hypot(*v) / math.sqrt(len(v))
+    if math.isfinite(acc):
+        return math.sqrt(acc / len(err))
+    return math.hypot(*(e / (atol + rtol * (a if a >= b else b))
+                        for e, a, b in zip(err, map(abs, y_old), map(abs, y_new)))
+                      ) / math.sqrt(len(err))
 
 
 def _initial_step(rhs, y0, f0, t_end, cfg):
-    # standard starting-step heuristic: compare solution and derivative
-    # scales, then refine with a crude second-derivative probe.  _rms
-    # keeps a tiny abs_tol (the scale of a zero component of y0) from
-    # overflowing them; a zero or non-finite first step stops the run.
-    if not np.all(np.isfinite(f0)):
+    """The first step from the state ``y0`` and ``f0`` = f(y0), lists of
+    floats, by the heuristic of Hairer, Nørsett & Wanner (Solving ODEs I,
+    II.4), each scale measured in the step loop's error norm at y0.  A
+    zero first step stops the run."""
+    if not all(map(math.isfinite, f0)):
         return 0.0  # no step from a non-finite slope: the run stops at once
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        scale = cfg.abs_tol + cfg.rel_tol * np.abs(y0)
-        d0 = _rms(y0 / scale)
-        d1 = _rms(f0 / scale)
-        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-        if not math.isfinite(h0):
-            return 0.0  # no step from a non-finite first guess either
-        h0 = min(h0, t_end)
-        f1 = rhs((y0 + h0 * f0).tolist(), np.empty_like(f0))
-        d2 = _rms((f1 - f0) / scale) / h0
-        if max(d1, d2) <= 1e-15:
-            h1 = max(1e-6, h0 * 1e-3)
-        else:
-            h1 = (0.01 / max(d1, d2)) ** 0.2
-    return float(min(100 * h0, h1, t_end))
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
+    d0 = _error_norm(y0, y0, y0, atol, rtol)
+    d1 = _error_norm(f0, y0, y0, atol, rtol)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    if h0 == 0.0:
+        return 0.0  # f0 overflows the norm: no step can be sized either
+    h0 = min(h0, t_end)
+    f1 = rhs([y + h0 * f for y, f in zip(y0, f0)], [0.0] * len(y0))
+    d2 = _error_norm([b - a for a, b in zip(f0, f1)], y0, y0, atol, rtol) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, t_end)
 
 
 def _attempt_source(shape) -> list[str]:
     """The body of the DP5 attempt's factory for a field of this shape
-    (see ``model._factory``), which binds the tableau ``_TABLEAU`` as the
-    names a{s}_{j}, b{j} and e{j}.
+    (see ``model._factory``).
 
     ``attempt(y, f0, h)`` takes the state and f there as lists of n
     floats and returns the new state, f at the 7th stage (FSAL) and the
     error estimate, as three lists.  It is straight-line code: per stage
-    s = 1..6 one line per component, ``v{i} = y{i} + h * (a{s}_0 * s0_{i}
+    s = 1..6 one line per component, ``v{i} = y{i} + h * (a_s0 * s0_{i}
     + ... )``, then the field's lines with f written to s{s}_0, s{s}_1,
     ...; the new state is ``y{i} + h * (b0 * s0_{i} + ... + b6 * s6_{i})``
-    and the error ``h * (e0 * s0_{i} + ... )``.  Each weighted sum runs
-    left to right over the whole tableau row, zero entries included, so a
-    non-finite stage (float products and sums overflow to ±inf or nan and
-    never raise) makes the error estimate NaN.
+    and the error ``h * (e0 * s0_{i} + ... )``, the tableau entries as
+    float literals.  Each weighted sum runs left to right over the whole
+    tableau row, zero entries included, so a non-finite stage (float
+    products and sums overflow to ±inf or nan and never raise) makes the
+    error estimate NaN.
     """
     n = shape[0]
 
-    def weighted(w, stages, i):
-        return " + ".join(f"{w}{j} * s{j}_{i}" for j in range(stages))
+    def weighted(row, i):
+        return " + ".join(f"{w!r} * s{j}_{i}" for j, w in enumerate(row))
 
-    names = [f"a{s}_{j}" for s, row in enumerate(_A) for j in range(len(row))]
-    names += [f"b{j}" for j in range(7)] + [f"e{j}" for j in range(7)]
-    lines = [", ".join(names) + ", = constants",
-             "def attempt(y, f0, h):",
+    lines = ["def attempt(y, f0, h):",
              "    " + "".join(f"y{i}, " for i in range(n)) + "= y",
              "    " + "".join(f"s0_{i}, " for i in range(n)) + "= f0"]
     for s in range(1, 7):
-        lines += [f"    v{i} = y{i} + h * ({weighted(f'a{s}_', s, i)})" for i in range(n)]
+        lines += [f"    v{i} = y{i} + h * ({weighted(_A[s], i)})" for i in range(n)]
         lines += ["    " + line for line in
                   _field_lines(shape, [f"s{s}_{i}" for i in range(n)])]
-    lines += ["    return ([" + ", ".join(f"y{i} + h * ({weighted('b', 7, i)})"
+    lines += ["    return ([" + ", ".join(f"y{i} + h * ({weighted(_B5, i)})"
                                          for i in range(n)) + "],",
               "            [" + ", ".join(f"s6_{i}" for i in range(n)) + "],",
-              "            [" + ", ".join(f"h * ({weighted('e', 7, i)})"
+              "            [" + ", ".join(f"h * ({weighted(_E, i)})"
                                          for i in range(n)) + "])",
               "return attempt"]
     return lines
@@ -202,20 +199,20 @@ def integrate(ivp: InitialValueProblem, t_end: float,
     inputs give bit-identical trajectories, on any BLAS build or CPU.
 
     Each attempt is one call of the field's DP5 attempt (see
-    ``_attempt_source``), generated once per field shape and bound to
-    this field's coefficients and the tableau: the six stages, the new
-    state and the error estimate as straight-line Python float code, so
-    the step loop calls no numpy; an attempt that overflows is rejected.
-    The error norm, the blow-up test and the step-size control have the
-    same bits as the numpy forms for n <= 7 (the norm's sum order differs
-    from ``np.mean``'s pairwise one from n = 8 on).
+    ``_attempt_source``), generated once per field shape and bound once
+    to this field's coefficients: the six stages, the new state and the
+    error estimate as straight-line Python float code, so neither the
+    first step nor the step loop calls numpy; an attempt that overflows
+    is rejected.  The error norm, the blow-up test and the step-size
+    control have the same bits as the numpy forms for n <= 7 (the norm's
+    sum order differs from ``np.mean``'s pairwise one from n = 8 on).
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError("t_end must be positive and finite")
     cfg = cfg or IntegrationConfig()
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     program = ivp.field._program
-    attempt = program.bind(_attempt_source, _TABLEAU)
+    attempt = program.bound(_attempt_source)
     evals = 0
 
     def rhs(y: list, out):
@@ -234,7 +231,7 @@ def integrate(ivp: InitialValueProblem, t_end: float,
     errs: list[float] = []
     status = "completed"
 
-    h = _initial_step(rhs, ivp.x0, np.array(f), t_end, cfg)
+    h = _initial_step(rhs, y_list, f, t_end, cfg)
     err_prev = 1.0
     attempts = rejected = 0
     # Algebraic escape such as (t_c - t)**-0.5 grows too slowly to cross

@@ -192,10 +192,11 @@ class _Program(tuple):
     ``_attempt_source`` for a DP5 attempt, the series' ``_taylor_source``
     for the Taylor recursion), all built on ``_field_lines`` or its term
     sums, compiled once per shape by ``_factory`` and bound to the
-    program's coefficients by ``bind``; ``run`` is bound on the first
-    evaluation, the Taylor loop on the first expansion (``bound``).  The
-    perturbation recursion reads only the pair, so it never pays for the
-    code, and does the same products as the code."""
+    program's coefficients by ``bound`` on first use: ``run`` on the
+    first evaluation, the attempt on the first integration, the Taylor
+    loop on the first expansion.  The perturbation recursion reads only
+    the pair, so it never pays for the code, and does the same products
+    as the code."""
 
     def __new__(cls, n: int, products, components):
         program = super().__new__(cls, (products, components))
@@ -211,19 +212,13 @@ class _Program(tuple):
         return (self.n, tuple(products),
                 tuple(tuple(k for c, k in terms) for constant, terms in components))
 
-    def bind(self, source, constants=()):
-        """The function that ``source`` generates for this program's shape
-        (see ``_factory``), with this program's coefficients and the
-        given constants bound as closure cells."""
-        return _factory(source, self.shape)(
-            [v for constant, terms in self[1] for v in (constant, *(c for c, k in terms))],
-            constants)
-
     def bound(self, source):
-        """``bind(source)``, bound on the first call and kept with the
-        program, as ``run`` is."""
+        """The function that ``source`` generates for this program's shape
+        (see ``_factory``), with this program's coefficients bound as
+        closure cells; bound on the first call and kept in ``functions``."""
         if source not in self.functions:
-            self.functions[source] = self.bind(source)
+            self.functions[source] = _factory(source, self.shape)(
+                [v for constant, terms in self[1] for v in (constant, *(c for c, k in terms))])
         return self.functions[source]
 
     @cached_property
@@ -233,7 +228,7 @@ class _Program(tuple):
         with the same products bit for bit) into ``out[i]`` and returns
         ``out`` (see ``_run_source``).  An overflow gives ±inf or nan and
         never raises; columns need the caller's ``np.errstate``."""
-        return self.bind(_run_source)
+        return self.bound(_run_source)
 
 
 def _field_lines(shape, outs) -> list[str]:
@@ -273,17 +268,18 @@ def _run_source(shape) -> list[str]:
 
 @lru_cache(maxsize=256)
 def _factory(source, shape):
-    """Compile the factory ``factory(coefficients, constants)`` whose body
+    """Compile the factory ``factory(coefficients)`` whose body
     ``source(shape)`` generates: it unpacks the coefficients of a program
     of this shape into the names k{i} (constant of polynomial i) and
     c{i}_{j} (coefficient of its term j), which the body's functions read
-    as closure cells, never as literals in the source.  For a field of
+    as closure cells, so fields of one shape share the code; only what is
+    the same for every field, such as the DP5 tableau, is a literal.  For
     two variables, compiling takes about 0.3 ms (f) to 2 ms (a DP5
     attempt) and calling the factory about 6 µs, so each (source, shape)
     is compiled once and the 256 most recently used are kept."""
     names = "".join(f"k{i}, " + "".join(f"c{i}_{j}, " for j in range(len(nodes)))
                     for i, nodes in enumerate(shape[2]))
-    lines = ["def factory(coefficients, constants):", f"    {names}= coefficients"]
+    lines = ["def factory(coefficients):", f"    {names}= coefficients"]
     lines += ["    " + line for line in source(shape)]
     namespace = {}
     exec("\n".join(lines), namespace)

@@ -194,6 +194,7 @@ def test_rejected_steps_are_retried(monkeypatch):
     monkeypatch.setattr(module, "_error_norm",
                         lambda *args: norms.append(error_norm(*args)) or norms[-1])
     traj = integrate(preset_ivp(Logistic(50.0, -50.0), [1e-6]), 1.0)
+    del norms[:3]  # the starting step's scales of x0, f(x0) and the probe
     rejected = sum(not err <= 1.0 for err in norms)
     assert rejected >= 1
     assert len(traj.ts) - 1 == len(norms) - rejected
@@ -272,6 +273,49 @@ def test_relative_tolerance_floor():
         assert traj.status == "completed" and traj.t_end == 1.0
         exact = [spiral_exact(-0.5, 0.0, 1e-5, t) for t in traj.ts]
         assert np.max(np.abs(traj.states - exact)) < 1e-8 * 1e-5
+
+
+def test_tolerances_are_stored_as_floats():
+    # numpy tolerances would run the step loop on numpy scalars, which
+    # warn where the float norm overflows quietly, at the same bits
+    floor = 100 * np.finfo(float).eps
+    cfg = IntegrationConfig(rel_tol=floor, abs_tol=np.float64(1e-300))
+    assert type(cfg.rel_tol) is float and type(cfg.abs_tol) is float
+    assert type(IntegrationConfig(rel_tol=1, abs_tol=1).abs_tol) is float
+    float_cfg = IntegrationConfig(rel_tol=float(floor), abs_tol=1e-300)
+    for ivp, t_end in ((TWOSPECIES, 300.0), (preset_ivp(Spiral(-0.5), [0.0, 1e-5]), 1.0)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = integrate(ivp, t_end, cfg)
+        ref = integrate(ivp, t_end, float_cfg)
+        assert traj.status == ref.status == "completed"
+        for name in ("ts", "states", "derivs", "step_sizes", "error_estimates"):
+            np.testing.assert_array_equal(getattr(traj, name), getattr(ref, name))
+
+
+def test_equilibrium_start_stays_put():
+    # f(x0) = 0: the starting step takes its smallest scale, 1e-6, and
+    # every step with a zero error estimate grows by the largest factor
+    for ivp in (preset_ivp(Logistic(1.0, -3.0), [0.0]),
+                preset_ivp(TwoSpecies.reference(), [0.0, 0.0])):
+        traj = integrate(ivp, 1.0)
+        assert traj.status == "completed" and traj.t_end == 1.0
+        assert np.all(traj.states == ivp.x0)
+        assert traj.step_sizes[0] == 1e-6
+        assert len(traj.step_sizes) < 20
+
+
+def test_slope_that_overflows_the_norm_gives_no_first_step():
+    # f = 1e300 from x0 = 1: f(x0) / (rel_tol * |x0|) overflows the norm,
+    # so the first step is 0 and the run ends at t = 0, without a warning
+    p = Polynomial.from_coeffs({(0,): 1e300}, 1)
+    ivp = InitialValueProblem(PolyVectorField((p,)), [1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(ivp, 1.0)
+    assert traj.status == "stiff-abort"
+    assert traj.ts.tolist() == [0.0]
+    assert traj.rhs_evals <= 2
 
 
 def test_integrate_rejects_non_finite_t_end():
@@ -370,7 +414,7 @@ def reference_integrate(ivp, t_end, cfg=None, weighted=left_to_right):
     f = rhs(y)
     ts, ys, fs, hs, errs = [t], [y], [f], [], []
     status = "completed"
-    h = m._initial_step(lambda x, out: rhs(x), y, f, t_end, cfg)
+    h = m._initial_step(lambda x, out: rhs(x).tolist(), y.tolist(), f.tolist(), t_end, cfg)
     err_prev = 1.0
     attempts = 0
     k = np.empty((7, len(y)))
@@ -506,7 +550,7 @@ def test_power_overflow_mid_attempt_rejects_the_attempt(monkeypatch):
     module = importlib.import_module("seriesdyn.integrate")
     p = Polynomial.from_coeffs({(400,): 1e-300}, 1)
     ivp = InitialValueProblem(PolyVectorField((p,)), [5.8])
-    attempt = ivp.field._program.bind(module._attempt_source, module._TABLEAU)
+    attempt = ivp.field._program.bound(module._attempt_source)
     f0 = eval_field(ivp.field, ivp.x0).tolist()
     assert math.isfinite(f0[0])
     with warnings.catch_warnings():
@@ -521,6 +565,7 @@ def test_power_overflow_mid_attempt_rejects_the_attempt(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = integrate(ivp, 1.0)
+    del overflowed[:3]  # the starting step's scales of x0, f(x0) and the probe
     assert any(overflowed)
     assert traj.rejected_steps >= sum(overflowed)
     assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.derivs))

@@ -343,29 +343,33 @@ def test_field_builds_each_program_once():
 
 
 def test_field_generates_code_lazily_and_once():
-    # Code is compiled once per program shape and bound once per program.
-    # In the series layer only taylor_solve generates code, its recursion:
-    # hpm_solve and poly_apply_series read the product graph alone.  The
-    # code of f and of f + J is bound on first evaluation, once each, and
-    # reused by every later caller.  A field of the same shape with other
-    # coefficients compiles nothing and only binds its own coefficients.
+    # Code is compiled once per program shape and bound once per program,
+    # into the program's functions.  In the series layer only taylor_solve
+    # generates code, its recursion: hpm_solve and poly_apply_series read
+    # the product graph alone.  The code of f and of f + J is bound on
+    # first evaluation, once each, and reused by every later caller.  A
+    # field of the same shape with other coefficients compiles nothing and
+    # only binds its own coefficients.
     import seriesdyn.model as model
     from seriesdyn import (TruncatedSeries, fixed_points, hpm_solve, integrate,
                            poly_apply_series, radius_estimate, taylor_solve)
 
-    generated, compiled, taylor = [], [], []
+    generated, compiled, bound = [], [], []
 
     def spy(frame, event, arg):
+        code = frame.f_code
+        if event == "return" and (code.co_name, code.co_filename) == ("factory", "<string>"):
+            bound.append(arg.__name__)  # the function a compiled factory binds
         if event != "call":
             return
-        if frame.f_code is model._Program.run.func.__code__:
+        if code is model._Program.run.func.__code__:
             generated.append(len(frame.f_locals["self"][1]))
-        if frame.f_code is model._factory.__wrapped__.__code__:
+        if code is model._factory.__wrapped__.__code__:
             compiled.append((frame.f_locals["source"].__name__,
                              len(frame.f_locals["shape"][2])))
-        if (frame.f_code is model._Program.bind.__code__
-                and frame.f_locals["source"].__name__ == "_taylor_source"):
-            taylor.append(id(frame.f_locals["self"]))
+
+    def functions(program):
+        return {source.__name__ for source in program.functions}
 
     def series_all(ivp):
         for _ in range(2):
@@ -391,27 +395,33 @@ def test_field_generates_code_lazily_and_once():
         hpm_solve(ivp, 4)
         poly_apply_series(field.components[0], [TruncatedSeries([4.0, 1.0]),
                                                 TruncatedSeries([10.0, 2.0])], 8)
-        before_taylor = list(generated + compiled + taylor)
+        before_taylor = list(generated + compiled + bound), functions(field._program)
         series_all(ivp)
-        series = list(generated + compiled), list(taylor)
-        del taylor[:], compiled[:]
+        series = list(generated + compiled), list(bound), functions(field._program)
+        del bound[:], compiled[:]
         series_all(other)
-        series_other = list(generated + compiled), list(taylor)
-        del taylor[:], compiled[:]
+        series_other = list(generated + compiled), list(bound), functions(other.field._program)
+        del bound[:], compiled[:]
         for _ in range(2):
             evaluate_all(ivp)
-        first = list(compiled)
-        del generated[:], compiled[:]
+        first = list(compiled), list(bound)
+        del generated[:], compiled[:], bound[:]
         evaluate_all(other)
     finally:
         sys.setprofile(None)
-    assert before_taylor == []
-    assert series == ([("_taylor_source", 2)], [id(field._program)])
-    assert series_other == ([], [id(other.field._program)])
-    assert first == [("_attempt_source", 2), ("_run_source", 2), ("_run_source", 6)]
+    assert before_taylor == ([], set())
+    assert series == ([("_taylor_source", 2)], ["taylor"], {"_taylor_source"})
+    assert series_other == ([], ["taylor"], {"_taylor_source"})
+    assert first == ([("_attempt_source", 2), ("_run_source", 2), ("_run_source", 6)],
+                     ["attempt", "run", "run"])
     assert generated == [2, 2 + 4]  # f, then f and its four Jacobian entries
     assert compiled == []
-    assert taylor == []
+    assert bound == ["attempt", "run", "run"]
+    for program in (field._program, other.field._program):
+        assert functions(program) == {"_run_source", "_attempt_source", "_taylor_source"}
+        assert program.functions[model._run_source] is program.run
+    for f in (field, other.field):
+        assert functions(f._program_with_jacobian) == {"_run_source"}
     rng = np.random.default_rng(8)
     comps = other.field.components
     for x in rng.uniform(-50.0, 50.0, (20, 2)):

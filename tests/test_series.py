@@ -722,28 +722,47 @@ def test_radius_fits_agree_with_polyfit():
         assert root.value == pytest.approx(math.exp(-slope), rel=1e-12, abs=0.0)
 
 
-def test_radius_estimates_do_not_depend_on_the_blas_kernel(capsys):
-    # OpenBLAS picks its kernels by CPU; Prescott has neither AVX nor FMA.
-    # The fits call no BLAS or LAPACK, so a child process forced onto that
-    # kernel prints the same bits for the same coefficients
+def here_and_under_prescott(code, capsys):
+    """The stdout of ``code`` run in this process and in a child process
+    forced onto OpenBLAS's Prescott kernel, which has neither AVX nor FMA
+    (OpenBLAS picks its kernels by CPU)."""
     import seriesdyn
-    rows = [s.coeffs.tobytes().hex() for s in expand_series()]
-    code = "\n".join([
-        "import numpy as np",
-        "from seriesdyn import TruncatedSeries, radius_estimate",
-        f"for row in {rows!r}:",
-        "    s = TruncatedSeries(np.frombuffer(bytes.fromhex(row)))",
-        "    print(*(radius_estimate(s, m).value.hex() for m in ('ratio', 'root')))",
-    ])
     src = str(Path(seriesdyn.__file__).resolve().parents[1])
     env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            text=True, check=True, timeout=60)
     exec(code, {})
-    here = capsys.readouterr().out
+    return capsys.readouterr().out, child.stdout
+
+
+def test_radius_estimates_do_not_depend_on_the_blas_kernel(capsys):
+    # the fits call no BLAS or LAPACK, so the same coefficients give the
+    # same bits under any kernel
+    rows = [s.coeffs.tobytes().hex() for s in expand_series()]
+    here, child = here_and_under_prescott("\n".join([
+        "import numpy as np",
+        "from seriesdyn import TruncatedSeries, radius_estimate",
+        f"for row in {rows!r}:",
+        "    s = TruncatedSeries(np.frombuffer(bytes.fromhex(row)))",
+        "    print(*(radius_estimate(s, m).value.hex() for m in ('ratio', 'root')))",
+    ]), capsys)
     assert len(here.splitlines()) == 4
-    assert child.stdout == here
+    assert child == here
+
+
+def test_hpm_does_not_depend_on_the_blas_kernel(capsys):
+    # the recursion's product A_q^T B_(r-q) has a reversed (negative
+    # stride) operand, so numpy runs its own loop, not a BLAS dgemm
+    here, child = here_and_under_prescott("\n".join([
+        "from seriesdyn import Logistic, Spiral, TwoSpecies, hpm_solve, preset_ivp",
+        "for preset, x0, K in [(Spiral(-0.5), [2.0, 2.0], 30), (Logistic(1.0, -3.0), [0.1], 30),",
+        "                      (TwoSpecies.reference(), [4.0, 10.0], 24)]:",
+        "    h = hpm_solve(preset_ivp(preset, x0), K)",
+        "    print(b''.join(s.coeffs.tobytes() for c in h.corrections for s in c).hex())",
+    ]), capsys)
+    assert len(here.splitlines()) == 3
+    assert child == here
 
 
 def test_radius_polynomial_tail_is_entire():
