@@ -100,22 +100,24 @@ def _default_box(field: PolyVectorField) -> list[tuple[float, float]]:
 
 def _injected_seeds(field: PolyVectorField) -> list[np.ndarray]:
     """Closed-form fixed-point candidates for 2-D product-form fields:
-    the origin, the two axis intercepts, and the interior solution of the
-    2x2 linear system."""
+    the origin, the two axis intercepts, and the interior solution of
+    [[a_11, a_12], [a_21, a_22]] x = (-b_1, -b_2) when its determinant is
+    nonzero (a NaN one is not), by Cramer's rule on Python floats as
+    ``_newton_all`` takes its 2-D step."""
     if field.dimension != 2:
         return []
     parts = _product_form(field)
     if parts is None:
         return []
-    (b1, a1), (b2, a2) = parts
+    (b1, (a, b)), (b2, (c, d)) = parts
     seeds = [np.zeros(2)]
-    if a2[1] != 0.0:
-        seeds.append(np.array([0.0, -b2 / a2[1]]))
-    if a1[0] != 0.0:
-        seeds.append(np.array([-b1 / a1[0], 0.0]))
-    mat = np.array([a1, a2])
-    if abs(np.linalg.det(mat)) > 0.0:
-        seeds.append(np.linalg.solve(mat, [-b1, -b2]))
+    if d != 0.0:
+        seeds.append(np.array([0.0, -b2 / d]))
+    if a != 0.0:
+        seeds.append(np.array([-b1 / a, 0.0]))
+    det, f0, f1 = a * d - b * c, -b1, -b2
+    if abs(det) > 0.0:
+        seeds.append(np.array([(d * f0 - b * f1) / det, (a * f1 - c * f0) / det]))
     return seeds
 
 
@@ -218,14 +220,15 @@ def classify(field: PolyVectorField, location) -> CriticalPoint:
     by the sign of the real part, or center-linear when the real part is
     below 1e-9 relative to the imaginary part.  A vanishing, near-repeated,
     or relatively tiny eigenvalue makes the point degenerate.  Dimensions
-    1 and 2 only.  Raises NotAFixedPointError when ||f(location)|| >= 1e-8.
+    1 and 2 only.  Raises NotAFixedPointError when ||f(location)|| >= 1e-8,
+    the residual sqrt(sum f_i^2) on floats that ``_newton_all`` computes.
     """
     if field.dimension not in (1, 2):
         raise ValueError("classify supports dimensions 1 and 2 only")
     x = np.asarray(location, dtype=float)
     if x.ndim != 1 or x.size != field.dimension:
         raise ValueError("location must be a state vector of the field's dimension")
-    residual = float(np.linalg.norm(eval_field(field, x)))
+    residual = math.sqrt(sum(v * v for v in eval_field(field, x).tolist()))
     if not residual < _CLASSIFY_RESIDUAL_TOL:  # NaN fails too
         raise NotAFixedPointError(
             f"residual {residual:.3e} at {x.tolist()} exceeds "

@@ -206,55 +206,27 @@ def _taylor_source(shape) -> list[str]:
     j on the row views r{k} of C, with one line per product node (in node
     order, each yielding its order-j coefficient) and the field's term
     sums (see ``model._sum_lines``, the constant only at j = 0) into w{i},
-    from which every variable's order-(j + 1) coefficient is assigned
-    after all components have read order j.
+    from which every variable's order-(j + 1) coefficient is stored after
+    all components have read order j.
 
-    A product (a, b) is ``r{a}[:j + 1].dot(s{b}[K - j:])``, one BLAS
-    ``ddot`` as ``np.dot(C[a, :j + 1], C[b, j::-1])`` is, on the same
-    values, so the bits are those of that loop.  np.dot copies the
-    reversed slice into a new, 16-byte aligned buffer, and an SSE2
-    ``ddot`` sums in another order when its second operand is not
-    aligned.  So each b keeps two reversed copies, e{b} and o{b}
-    (e{b}[K - i] is r{b}[i]), in rows of Q of even length, which start
-    aligned as Q does; their offsets make the slice start on a 16-byte
-    boundary for even j in e{b} and odd j in o{b}, and s{b} is the one
-    for this j.  Each coefficient is stored only in the views that are
-    read: r for the variables (the result) and the a operands, e and o
-    for the b operands.
+    A product (a, b) is ``r{a}[:j + 1] @ r{b}[j::-1]``.  Its second
+    operand has a negative stride, so numpy runs its own dot loop, not
+    BLAS: ``s = 0; s += a[i] * b[i]`` for i = 0..j, left to right.  A
+    product's coefficient is stored in C only where the node is an
+    operand; every variable's is stored, as the result.
     """
     n, products, components = shape
-    left = set(range(n)) | {a for a, b in products}
-    right = sorted({b for a, b in products})
-
-    def names(prefix, nodes):
-        return "".join(f"{prefix}{k}, " for k in nodes)
-
-    def store(k, j, m):  # the chained targets of node k's coefficient j
-        return ((f"r{k}[{j}] = " if k in left else "")
-                + (f"e{k}[{m}] = o{k}[{m}] = " if k in right else ""))
-
-    copies = ["    p = K % 2",
-              f"    Q = np.zeros((2, {len(right)}, K + 2 + p))",
-              f"    {names('e', right)}= Q[0, :, p:p + K + 1]",
-              f"    {names('o', right)}= Q[1, :, p + 1:p + K + 2]",
-              *(f"    e{i}[K] = o{i}[K] = v{i}" for i in right if i < n)]
-    select = (f"        {names('s', right)}= ({names('e', right)}) if j % 2 == 0"
-              f" else ({names('o', right)})")
-    return ["import numpy as np",
-            "def taylor(C):",
-            f"    {names('r', range(n + len(products)))}= C",
-            f"    {names('v', range(n))}= C[:{n}, 0].tolist()",
-            "    K = C.shape[1] - 1",
-            *(copies if right else []),
-            "    for j in range(K):",
-            "        m = K - j",
-            *([select] if right else []),
-            *(f"        v{k} = {store(k, 'j', 'm')}r{a}[:j + 1].dot(s{b}[m:])"
+    operands = {k for product in products for k in product}
+    return ["def taylor(C):",
+            "    " + "".join(f"r{k}, " for k in range(n + len(products))) + "= C",
+            "    " + "".join(f"v{i}, " for i in range(n)) + f"= C[:{n}, 0].tolist()",
+            "    for j in range(C.shape[1] - 1):",
+            *(f"        v{k} = {f'r{k}[j] = ' if k in operands else ''}"
+              f"r{a}[:j + 1] @ r{b}[j::-1]"
               for k, (a, b) in enumerate(products, start=n)),
             *("        " + line for line in _sum_lines(
                 components, [f"w{i}" for i in range(n)], "k{} if j == 0 else 0.0")),
-            *(f"        v{i} = {store(i, 'j + 1', 'm - 1')}w{i} / (j + 1)"
-              for i in range(n)),
+            *(f"        v{i} = r{i}[j + 1] = w{i} / (j + 1)" for i in range(n)),
             "    return C",
             "return taylor"]
 
@@ -365,7 +337,8 @@ def series_eval(s: TruncatedSeries, t):
     t = np.asarray(t, dtype=float)
     acc = np.zeros_like(t) + s.coeffs[-1]
     for c in s.coeffs[-2::-1]:
-        acc = acc * t + c
+        acc *= t
+        acc += c
     return float(acc) if acc.ndim == 0 else acc
 
 

@@ -1,7 +1,15 @@
 """Shared pytest plumbing: collects acceptance-criterion verdicts and
-prints one line per criterion at the end of the run."""
+prints one line per criterion at the end of the run, and runs code in a
+child process under another OpenBLAS kernel."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import seriesdyn
 
 _ACCEPTANCE: list[tuple[str, bool, str]] = []
 
@@ -13,6 +21,24 @@ def acceptance_record():
     def record(criterion, passed, detail):
         _ACCEPTANCE.append((str(criterion), bool(passed), detail))
     return record
+
+
+@pytest.fixture
+def here_and_under_prescott(capsys):
+    """Callable code -> (stdout here, stdout of a child process): runs
+    ``code`` in this process and in a child process forced onto
+    OpenBLAS's Prescott kernel, which has neither AVX nor FMA (OpenBLAS
+    picks its kernels by CPU)."""
+    src = str(Path(seriesdyn.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(code):
+        child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                               text=True, check=True, timeout=60)
+        exec(code, {})
+        return capsys.readouterr().out, child.stdout
+    return run
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,5 +1,5 @@
 """Byte-for-byte regression of the stdout of the six subcommands and of
-three of the five demos.
+the five demos.
 
 The subcommand files under ``golden/`` were written by the command-line
 program before the polynomial fields were compiled, except the ``x_num``
@@ -15,13 +15,13 @@ one of ``x_num``/``y_num`` moved in its last printed digit on the 10
 lines t = 5.5, 8.9, 10.2, 10.4, 12.1, 13.7, 16.6, 17.8, 19.3 and 19.9,
 by at most 3.8e-12 relative.  The ``demo-<name>.out`` files were
 written by that same code; demo 05's integrator error at t = 0.2 read
-9.122e-13 with ``pow`` and reads 9.120e-13.  Demos 01 and 03 are not
-pinned: they print rounding-level series digits, and the series layer's
-dot and matrix products are BLAS calls whose last bits depend on the
-kernel the CPU selects, so their stdout differs between OpenBLAS
-kernels.  A change that is meant to be a pure speed-up must reproduce
-all the files exactly.  To regenerate after an intended output change,
-run each command with
+9.122e-13 with ``pow`` and reads 9.120e-13.  Demos 01 and 03 print
+rounding-level series digits; they were pinned once the Taylor loop's
+Cauchy products became numpy's own left-to-right dot loop in place of
+BLAS ``ddot`` calls whose last bits depend on the kernel the CPU
+selects, and their files were written by that code.  A change that is
+meant to be a pure speed-up must reproduce all the files exactly.  To
+regenerate after an intended output change, run each command with
 ``PYTHONPATH=src python -m seriesdyn.cli <args> > tests/golden/<name>.out``
 from the repository root, with the model paths below, and each pinned
 demo with
@@ -58,8 +58,8 @@ def test_stdout_matches_golden(name, capsys):
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
 
 
-# the demos whose stdout is the same under every OpenBLAS kernel
-PINNED_DEMOS = ["02_logistic_series_accuracy", "04_fixed_points_two_species",
+PINNED_DEMOS = ["01_collapse_check", "02_logistic_series_accuracy",
+                "03_radius_of_convergence", "04_fixed_points_two_species",
                 "05_spiral_breakdown"]
 
 

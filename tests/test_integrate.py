@@ -3,11 +3,7 @@ dense output, statuses, and determinism."""
 
 import importlib
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -579,24 +575,16 @@ def test_power_overflow_mid_attempt_rejects_the_attempt(monkeypatch):
     np.testing.assert_array_equal(traj.error_estimates, errs)
 
 
-def test_trajectories_do_not_depend_on_the_blas_kernel(capsys):
+def test_trajectories_do_not_depend_on_the_blas_kernel(here_and_under_prescott):
     # OpenBLAS picks its dgemv kernel by CPU; Prescott has neither AVX nor
     # FMA.  The step loop calls no BLAS, so a child process forced onto
     # that kernel prints the same bytes
-    import seriesdyn
-    code = "\n".join([
+    here, child = here_and_under_prescott("\n".join([
         "from seriesdyn import Spiral, TwoSpecies, integrate, preset_ivp",
         "for ivp, t_end in [(preset_ivp(Spiral(-0.5), [2.0, 2.0]), 20.0),",
         "                   (preset_ivp(TwoSpecies.reference(), [4.0, 10.0]), 300.0)]:",
         "    traj = integrate(ivp, t_end)",
         "    print(traj.ts.tobytes().hex(), traj.states.tobytes().hex())",
-    ])
-    src = str(Path(seriesdyn.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                           text=True, check=True, timeout=60)
-    exec(code, {})
-    here = capsys.readouterr().out
+    ]))
     assert len(here.splitlines()) == 2
-    assert child.stdout == here
+    assert child == here

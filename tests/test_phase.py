@@ -375,7 +375,7 @@ def _ref_fixed_points(field, search_box=None, grid=25):
         if x is None:
             continue
         x = np.array(x)
-        res = float(np.linalg.norm(eval_field(field, x)))
+        res = math.sqrt(sum(v * v for v in eval_field(field, x).tolist()))
         for idx, (known, known_res) in enumerate(roots):
             if np.linalg.norm(x - known) < 1e-6:
                 if res < known_res:
@@ -442,6 +442,27 @@ def test_isolated_roots_match_scalar_reference(field, known):
     for g, w, k in zip(got, want, known):
         assert np.max(np.abs(g - w)) <= 1e-12
         assert np.max(np.abs(g - k)) <= 1e-12
+
+
+def test_catalog_does_not_depend_on_the_blas_kernel(here_and_under_prescott):
+    # the seeds, Newton and the residuals are float code with no BLAS or
+    # LAPACK call, and LAPACK's 2x2 eigenvalues do not depend on the
+    # kernel, so every digit of a catalog is the same under any kernel
+    here, child = here_and_under_prescott("\n".join([
+        "import numpy as np",
+        "from seriesdyn import Logistic, Spiral, TwoSpecies, classify, fixed_points",
+        "rng = np.random.default_rng(18)",
+        "presets = [TwoSpecies.reference(), Spiral(-0.5), Spiral(0.5), Logistic(1.0, -3.0)]",
+        "presets += [TwoSpecies(*rng.uniform(-1.0, 1.0, 6).tolist()) for _ in range(10)]",
+        "for preset in presets:",
+        "    field = preset.build_field()",
+        "    for loc in fixed_points(field):",
+        "        cp = classify(field, loc)",
+        "        print(loc.tobytes().hex(), cp.classification, cp.residual.hex(),",
+        "              *(f'{z.real.hex()} {z.imag.hex()}' for z in cp.eigenvalues))",
+    ]))
+    assert len(here.splitlines()) == 48
+    assert child == here
 
 
 def test_singular_jacobian_drops_the_seed(caplog):

@@ -4,13 +4,9 @@ estimation from coefficient tails."""
 
 import logging
 import math
-import os
 import re
-import subprocess
-import sys
 import warnings
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,31 +211,35 @@ def test_first_coefficient_is_the_field_at_x0_bit_for_bit():
         np.testing.assert_array_equal(first, eval_field(ivp.field, ivp.x0))
 
 
-def dot_recursion(ivp, order):
-    """The Taylor recursion node by node: per order j, each product node's
-    coefficient is one np.dot of its operands' rows, then each variable's
-    coefficient j + 1 is its component's term sum over j + 1."""
+def float_recursion(ivp, order):
+    """The Taylor recursion node by node on Python floats: per order j,
+    each product node's coefficient is the sum s = 0.0; s += a_i * b_(j-i)
+    for i = 0..j, then each variable's coefficient j + 1 is its
+    component's term sum over j + 1."""
     n = ivp.dimension
     products, components = ivp.field._program
-    C = np.zeros((n + len(products), order + 1))
-    C[:n, 0] = ivp.x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(order):
-            for k, (a, b) in enumerate(products, start=n):
-                C[k, j] = np.dot(C[a, : j + 1], C[b, j::-1])
-            for i, (constant, terms) in enumerate(components):
-                f = constant if j == 0 else 0.0
-                for c, k in terms:
-                    f += c * C[k, j]
-                C[i, j + 1] = f / (j + 1)
-    return C[:n]
+    C = [[0.0] * (order + 1) for _ in range(n + len(products))]
+    for i, x in enumerate(ivp.x0.tolist()):
+        C[i][0] = x
+    for j in range(order):
+        for k, (a, b) in enumerate(products, start=n):
+            s = 0.0
+            for i in range(j + 1):
+                s += C[a][i] * C[b][j - i]
+            C[k][j] = s
+        for i, (constant, terms) in enumerate(components):
+            f = constant if j == 0 else 0.0
+            for c, k in terms:
+                f += c * C[k][j]
+            C[i][j + 1] = f / (j + 1)
+    return np.array(C[:n])
 
 
-def test_taylor_equals_the_dot_recursion_bit_for_bit():
-    # the generated loop makes the same BLAS ddot calls on the same values
-    # and the same float term sums as the recursion written out with
-    # np.dot, so every coefficient has the same bits under every kernel,
-    # the spiral's overflow at order 340 of 360 included
+def test_taylor_equals_the_float_recursion_bit_for_bit():
+    # each product of the generated loop is numpy's own left-to-right dot
+    # loop, and the term sums are the same float sums, so every
+    # coefficient has the bits of the recursion written out on Python
+    # floats, the spiral's overflow at order 340 of 360 included
     ivps = bit_identity_ivps()
     cases = [(preset_ivp(Logistic(1.0, -3.0), [0.1]), 300)]
     cases += [(ivp, 300) for ivp in ivps[:4]]
@@ -249,7 +249,7 @@ def test_taylor_equals_the_dot_recursion_bit_for_bit():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = taylor_solve(ivp, order)
-        want = dot_recursion(ivp, order)
+        want = float_recursion(ivp, order)
         got = np.array([s.coeffs for s in sol.series])
         assert got.tobytes() == want.tobytes(), (ivp, order)
         finite = np.isfinite(want[:, 1:]).all(axis=0)
@@ -502,7 +502,8 @@ def test_collapse_on_presets():
         t = taylor_solve(ivp, 10)
         ok, dev = hpm_collapse_check(h, t, 1e-12)
         assert ok, dev
-        assert dev < 1e-12
+        # both routes sum the same products in the same order
+        assert dev == 0.0
 
 
 @pytest.mark.parametrize("ivp", [
@@ -602,14 +603,18 @@ def test_hand_built_expansion_with_a_short_correction():
 
 
 def test_collapse_random_systems():
+    # every correction equals its Taylor monomial bit for bit; none of
+    # these expansions overflows
     rng = np.random.default_rng(909)
+    cases = []
     for _ in range(20):
         n = int(rng.integers(1, 4))
-        ivp = random_ivp(rng, n)
-        K = int(rng.integers(2, 11))
+        cases.append((random_ivp(rng, n), int(rng.integers(2, 11))))
+    cases += [(ivp, 1 + i % 25) for i, ivp in enumerate(bit_identity_ivps())]
+    for ivp, K in cases:
         ok, dev = hpm_collapse_check(hpm_solve(ivp, K), taylor_solve(ivp, K),
                                      1e-10)
-        assert ok, (n, K, dev)
+        assert ok and dev == 0.0, (ivp, K, dev)
 
 
 def test_array_diagnostics_equal_their_scalar_loops():
@@ -722,21 +727,7 @@ def test_radius_fits_agree_with_polyfit():
         assert root.value == pytest.approx(math.exp(-slope), rel=1e-12, abs=0.0)
 
 
-def here_and_under_prescott(code, capsys):
-    """The stdout of ``code`` run in this process and in a child process
-    forced onto OpenBLAS's Prescott kernel, which has neither AVX nor FMA
-    (OpenBLAS picks its kernels by CPU)."""
-    import seriesdyn
-    src = str(Path(seriesdyn.__file__).resolve().parents[1])
-    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                           text=True, check=True, timeout=60)
-    exec(code, {})
-    return capsys.readouterr().out, child.stdout
-
-
-def test_radius_estimates_do_not_depend_on_the_blas_kernel(capsys):
+def test_radius_estimates_do_not_depend_on_the_blas_kernel(here_and_under_prescott):
     # the fits call no BLAS or LAPACK, so the same coefficients give the
     # same bits under any kernel
     rows = [s.coeffs.tobytes().hex() for s in expand_series()]
@@ -746,12 +737,28 @@ def test_radius_estimates_do_not_depend_on_the_blas_kernel(capsys):
         f"for row in {rows!r}:",
         "    s = TruncatedSeries(np.frombuffer(bytes.fromhex(row)))",
         "    print(*(radius_estimate(s, m).value.hex() for m in ('ratio', 'root')))",
-    ]), capsys)
+    ]))
     assert len(here.splitlines()) == 4
     assert child == here
 
 
-def test_hpm_does_not_depend_on_the_blas_kernel(capsys):
+def test_taylor_does_not_depend_on_the_blas_kernel(here_and_under_prescott):
+    # each product is numpy's own loop over a reversed (negative stride)
+    # operand, not a BLAS ddot, so the coefficients keep their bits under
+    # any kernel, the spiral's overflow at order 340 of 360 included
+    here, child = here_and_under_prescott("\n".join([
+        "from seriesdyn import Logistic, Spiral, TwoSpecies, preset_ivp, taylor_solve",
+        "for preset, x0, K in [(Spiral(-0.5), [2.0, 2.0], 300), (Spiral(-0.5), [2.0, 2.0], 360),",
+        "                      (Logistic(1.0, -3.0), [0.1], 300),",
+        "                      (TwoSpecies.reference(), [4.0, 10.0], 150)]:",
+        "    sol = taylor_solve(preset_ivp(preset, x0), K)",
+        "    print(b''.join(s.coeffs.tobytes() for s in sol.series).hex(), sol.overflow_order)",
+    ]))
+    assert len(here.splitlines()) == 4
+    assert child == here
+
+
+def test_hpm_does_not_depend_on_the_blas_kernel(here_and_under_prescott):
     # the recursion's product A_q^T B_(r-q) has a reversed (negative
     # stride) operand, so numpy runs its own loop, not a BLAS dgemm
     here, child = here_and_under_prescott("\n".join([
@@ -760,7 +767,7 @@ def test_hpm_does_not_depend_on_the_blas_kernel(capsys):
         "                      (TwoSpecies.reference(), [4.0, 10.0], 24)]:",
         "    h = hpm_solve(preset_ivp(preset, x0), K)",
         "    print(b''.join(s.coeffs.tobytes() for c in h.corrections for s in c).hex())",
-    ]), capsys)
+    ]))
     assert len(here.splitlines()) == 3
     assert child == here
 
