@@ -293,11 +293,11 @@ def _compile(polynomials: tuple[Polynomial, ...]):
 
     Nodes 0..n-1 are the variables; node n + k is ``products[k]`` =
     (a, b), the product of the earlier nodes a and b.  A power x_i^e is
-    x_i^(e-1) times x_i, and a term is the left-to-right product of its
-    factor powers, so f, its Jacobian and both series routes share one
-    arithmetic.  Nodes are keyed by their factors, so the polynomials
-    share powers and prefixes.  The result is a ``_Program``, whose code
-    is generated only when it is first evaluated.
+    x_i^ceil(e/2) times x_i^floor(e/2), about 2 log2(e) nodes, and a term is
+    the left-to-right product of its factor powers, so f, its Jacobian and
+    both series routes share one arithmetic.  Nodes are keyed by their
+    factors, so the polynomials share powers and prefixes.  The result is a
+    ``_Program``, whose code is generated only when it is first evaluated.
     """
     n = polynomials[0].dimension
     nodes = {((i, 1),): i for i in range(n)}
@@ -309,9 +309,7 @@ def _compile(polynomials: tuple[Polynomial, ...]):
                 operands = node(factors[:-1]), node(factors[-1:])
             else:
                 (i, e), = factors
-                for lower in range(2, e):  # lower powers first, without deep recursion
-                    node(((i, lower),))
-                operands = nodes[((i, e - 1),)], i
+                operands = node(((i, e - e // 2),)), node(((i, e // 2),))
             nodes[factors] = n + len(products)
             products.append(operands)
         return nodes[factors]

@@ -187,9 +187,9 @@ def poly_apply_series(p: Polynomial, variables, order: int) -> TruncatedSeries:
 #
 # Both routes and poly_apply_series walk the program a field (or polynomial)
 # built on first use (model._compile), multiplying the operands of every
-# node, a power x_i^e as x_i^(e-1) * x_i, as eval_field does: coefficient 1
-# is f(x0) bit for bit.  A node depends only on earlier nodes, so each
-# yields one new coefficient per order (Taylor mode).
+# node, a power x_i^e as x_i^ceil(e/2) * x_i^floor(e/2), as eval_field
+# does: coefficient 1 is f(x0) bit for bit.  A node depends only on
+# earlier nodes, so each yields one new coefficient per order (Taylor mode).
 
 def _first_overflow(finite: np.ndarray) -> int | None:
     """The first order whose coefficients are not all finite, from the

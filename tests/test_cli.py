@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -168,6 +169,18 @@ def test_radius_cli_order_override(tmp_path, capsys):
     path = write_model(tmp_path, LOGISTIC_DOC)
     assert main(["radius", path, "-k", "12"]) == EXIT_OK
     assert "order K=12" in capsys.readouterr().out
+
+
+def test_huge_exponent_is_bounded_work(tmp_path, capsys):
+    # a power costs about 2 log2(e) products, so x^(10^9) compiles at once
+    doc = {"model": "terms", "terms": [[{"exponents": [10 ** 9], "coeff": -1.0}]],
+           "x0": [0.5]}
+    path = write_model(tmp_path, doc)
+    assert main(["solve", path]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    column = lines[0].split(",").index("x_num")
+    assert all(math.isfinite(float(line.split(",")[column])) for line in lines[1:])
+    assert main(["radius", path]) == EXIT_OK
 
 
 @pytest.mark.parametrize("field", ['"x0": [NaN]',

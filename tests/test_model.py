@@ -1,5 +1,6 @@
 """Polynomial field representation, evaluation, and exact Jacobians."""
 
+import math
 import sys
 
 import numpy as np
@@ -228,21 +229,23 @@ def test_preset_ivp_examples_build():
         preset_ivp(Spiral(-0.5), [2.0])
 
 
+def halved_power(xi, e):
+    """x_i^e by halving: x_i^ceil(e/2) * x_i^floor(e/2), down to x_i."""
+    return xi if e == 1 else halved_power(xi, e - e // 2) * halved_power(xi, e // 2)
+
+
 def float64_walk(poly, x):
     """Term-by-term evaluation on numpy float64 scalars, in canonical term
-    order, with the product graph's arithmetic: each power x_i^e is the
-    left-to-right chain x_i * x_i * ... * x_i, and a term's factor powers
-    are multiplied left to right.  The reference the compiled evaluation
-    must match bit for bit."""
+    order, with the product graph's arithmetic: each power is
+    ``halved_power``, and a term's factor powers are multiplied left to
+    right.  The reference the compiled evaluation must match bit for
+    bit."""
     total = 0
     for mono, c in poly.terms.items():
         v = 1.0
         for xi, e in zip(x, mono.exponents):
             if e:
-                power = xi
-                for _ in range(e - 1):
-                    power = power * xi
-                v *= power
+                v *= halved_power(xi, e)
         total = total + c * v
     return float(total)
 
@@ -469,9 +472,9 @@ def test_large_field_generates_flat_code():
     x = rng.uniform(-1.1, 1.1, 3)
     np.testing.assert_array_equal(eval_field(field, x),
                                   [float64_walk(p, x) for p in comps])
-    # 400 chained products stay within rounding of pow(x, 400)
+    # x^400 by halving stays within rounding of pow(x, 400)
     assert_near_pow_walk(eval_field(field, x), comps, x)
-    # x^400 overflows: the product chain gives inf without raising, and
+    # x^400 overflows: the halved products give inf without raising, and
     # no RuntimeWarning leaks (the suite makes one an error)
     far = np.array([10.0, 0.5, -0.5])
     got = eval_field(field, far)
@@ -485,6 +488,18 @@ def test_large_field_generates_flat_code():
         got = field._program.run(list(xs.T), np.empty((3, len(xs))))
         want = np.array([[float64_walk(p, x) for p in comps] for x in xs]).T
     np.testing.assert_array_equal(got, want)
+
+
+def test_a_power_costs_logarithmically_many_products():
+    # x^e is x^ceil(e/2) * x^floor(e/2): the graph grows with log2(e), so
+    # a model file's exponent cannot demand e - 1 products
+    for coeffs in [{(4,): 1.0}, {(5,): 1.0}, {(400,): 1.0}, {(5000,): 1.0},
+                   {(400,): 1.0, (401,): -1.0}]:
+        p = Polynomial.from_coeffs(coeffs, 1)
+        assert len(p._program[0]) <= 2 * math.ceil(math.log2(p.degree)), coeffs
+    # up to x^3 the products are the chain x * x, x^2 * x
+    for e, products in [(1, []), (2, [(0, 0)]), (3, [(0, 0), (1, 0)])]:
+        assert Polynomial.from_coeffs({(e,): 1.0}, 1)._program[0] == products
 
 
 def test_field_jacobian_entries_are_the_partial_derivatives():

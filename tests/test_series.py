@@ -204,8 +204,8 @@ def bit_identity_ivps():
 
 def test_first_coefficient_is_the_field_at_x0_bit_for_bit():
     # eval_field and the Taylor recursion walk the same product graph
-    # with the same products, a power x^e as x^(e-1) * x, so coefficient
-    # 1 of taylor_solve is f(x0) to the last bit
+    # with the same products, a power x^e as x^ceil(e/2) * x^floor(e/2),
+    # so coefficient 1 of taylor_solve is f(x0) to the last bit
     for ivp in bit_identity_ivps():
         first = [s.coeffs[1] for s in taylor_solve(ivp, 1).series]
         np.testing.assert_array_equal(first, eval_field(ivp.field, ivp.x0))
