@@ -59,13 +59,15 @@ class IntegrationConfig:
     def __post_init__(self):
         if not all(math.isfinite(t) and t > 0 for t in (self.rel_tol, self.abs_tol)):
             raise ValueError("tolerances must be positive and finite")
-        # stored as Python floats, so the step loop never runs on numpy scalars
+        # stored as Python floats (and max_steps as an int below), so the
+        # step loop never runs on numpy scalars
         object.__setattr__(self, "rel_tol", float(self.rel_tol))
         object.__setattr__(self, "abs_tol", float(self.abs_tol))
         if self.rel_tol < _REL_TOL_FLOOR:
             raise ValueError(f"rel_tol must be at least {_REL_TOL_FLOOR!r} "
                              "(100 machine epsilons)")
         _check_count(self.max_steps, "max_steps")
+        object.__setattr__(self, "max_steps", int(self.max_steps))
 
 
 @dataclass(frozen=True)
@@ -80,6 +82,12 @@ class Trajectory:
     'stiff-abort' (step budget exhausted or the step size underflowed
     without escape).  ``rhs_evals`` counts evaluations of f and
     ``rejected_steps`` the attempts the error control turned down.
+    ``stop_reason`` names the exit ``integrate`` took: 't_end' (reached,
+    'completed'), 'max_steps' (budget spent), 'step_underflow' (t + h ==
+    t after at least one attempt), 'blowup_norm' (state norm crossed
+    1e8) or 'no_first_step' (the first step was zero: f(x0) or its
+    probe not finite or overflowing the norm); None for a trajectory
+    built by hand.
     """
 
     ts: np.ndarray
@@ -90,6 +98,7 @@ class Trajectory:
     status: str
     rhs_evals: int = 0
     rejected_steps: int = 0
+    stop_reason: str | None = None
 
     def __post_init__(self):
         for name in ("ts", "states", "derivs", "step_sizes", "error_estimates"):
@@ -106,86 +115,154 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def _error_norm(err, y_old, y_new, atol, rtol):
-    """RMS of err / (atol + rtol * max(|y_old|, |y_new|)), on lists of
-    Python floats.
+def _error_norm(err, y, atol, rtol):
+    """RMS of err / (atol + rtol * |y|), on lists of Python floats: the
+    step loop's error norm (see ``_loop_source``) where the old and the
+    new state are both ``y``, as in the first step's scales.
 
     The sum runs left to right, which is how ``np.mean`` sums fewer than
     eight values, so for n <= 7 this is ``np.mean``'s value bit for bit.
     Where the squares overflow, the norm is ``math.hypot`` of the scaled
-    terms over sqrt(n), which scales by the largest term.  ``y_old`` is
-    an accepted state and never NaN; a NaN in ``y_new`` makes the norm
-    NaN, as ``np.maximum`` would.
+    terms over sqrt(n), which scales by the largest term.
     """
+    scaled = [e / (atol + rtol * abs(v)) for e, v in zip(err, y)]
     acc = 0.0
-    for e, a, b in zip(err, y_old, y_new):
-        a, b = abs(a), abs(b)
-        q = e / (atol + rtol * (a if a >= b else b))
+    for q in scaled:
         acc += q * q
     if math.isfinite(acc):
         return math.sqrt(acc / len(err))
-    return math.hypot(*(e / (atol + rtol * (a if a >= b else b))
-                        for e, a, b in zip(err, map(abs, y_old), map(abs, y_new)))
-                      ) / math.sqrt(len(err))
+    return math.hypot(*scaled) / math.sqrt(len(err))
 
 
 def _initial_step(rhs, y0, f0, t_end, cfg):
     """The first step from the state ``y0`` and ``f0`` = f(y0), lists of
     floats, by the heuristic of Hairer, Nørsett & Wanner (Solving ODEs I,
-    II.4), each scale measured in the step loop's error norm at y0.  A
-    zero first step stops the run."""
+    II.4), each scale measured in the step loop's error norm at y0, and
+    the number of evaluations of f it made (0 or 1, the probe).  A zero
+    first step stops the run."""
     if not all(map(math.isfinite, f0)):
-        return 0.0  # no step from a non-finite slope: the run stops at once
+        return 0.0, 0  # no step from a non-finite slope: the run stops at once
     atol, rtol = cfg.abs_tol, cfg.rel_tol
-    d0 = _error_norm(y0, y0, y0, atol, rtol)
-    d1 = _error_norm(f0, y0, y0, atol, rtol)
+    d0 = _error_norm(y0, y0, atol, rtol)
+    d1 = _error_norm(f0, y0, atol, rtol)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     if h0 == 0.0:
-        return 0.0  # f0 overflows the norm: no step can be sized either
+        return 0.0, 0  # f0 overflows the norm: no step can be sized either
     h0 = min(h0, t_end)
     f1 = rhs([y + h0 * f for y, f in zip(y0, f0)], [0.0] * len(y0))
-    d2 = _error_norm([b - a for a, b in zip(f0, f1)], y0, y0, atol, rtol) / h0
+    d2 = _error_norm([b - a for a, b in zip(f0, f1)], y0, atol, rtol) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_end)
+    return min(100 * h0, h1, t_end), 1
 
 
-def _attempt_source(shape) -> list[str]:
-    """The body of the DP5 attempt's factory for a field of this shape
+def _loop_source(shape) -> list[str]:
+    """The body of the DP5 step loop's factory for a field of this shape
     (see ``model._factory``).
 
-    ``attempt(y, f0, h)`` takes the state and f there as lists of n
-    floats and returns the new state, f at the 7th stage (FSAL) and the
-    error estimate, as three lists.  It is straight-line code: per stage
+    ``loop(ts, ys, fs, hs, errs, h, end, atol, rtol, budget, escape)``
+    starts from the one node in the flat lists ``ts`` (t = 0), ``ys`` (the
+    n state components) and ``fs`` (f there) with the step ``h``, runs
+    until t reaches ``end``, and appends each accepted node to those
+    lists and its step and error norm to ``hs`` and ``errs``.  It returns
+    ``(status, stop_reason, attempts, rejected)``.
+
+    Each attempt is straight-line code on Python floats: per stage
     s = 1..6 one line per component, ``v{i} = y{i} + h * (a_s0 * s0_{i}
     + ... )``, then the field's lines with f written to s{s}_0, s{s}_1,
-    ...; the new state is ``y{i} + h * (b0 * s0_{i} + ... + b6 * s6_{i})``
-    and the error ``h * (e0 * s0_{i} + ... )``, the tableau entries as
-    float literals.  Each weighted sum runs left to right over the whole
-    tableau row, zero entries included, so a non-finite stage (float
-    products and sums overflow to ±inf or nan and never raise) makes the
-    error estimate NaN.
+    ...; the new state ``z{i} = y{i} + h * (b0 * s0_{i} + ... + b6 *
+    s6_{i})`` and the error ``e{i} = h * (e0 * s0_{i} + ... )``, the
+    tableau entries as float literals.  Each weighted sum runs left to
+    right over the whole tableau row, zero entries included, so a
+    non-finite stage (float products and sums overflow to ±inf or nan and
+    never raise) makes the error estimate NaN.  The error norm is
+    ``_error_norm`` written out on the scaled errors q{i} = e{i} / (atol +
+    rtol * max(|y{i}|, |z{i}|)): their squares summed left to right and
+    ``sqrt(acc / n)``, or ``hypot(q0, ...) / sqrt(n)`` where that sum is
+    not finite.  A NaN in the new state makes the norm NaN, so an
+    accepted state holds no NaN and the blow-up and escape tests
+    ``abs(y0) > bound or abs(y1) > bound ...`` are ``max(map(abs, y)) >
+    bound``; each clamp of the controller is a conditional expression
+    that picks what the builtin ``min`` or ``max`` would.  The time is
+    ``now``, since the field's term sums use ``t``.
     """
     n = shape[0]
+    state = "".join(f"y{i}, " for i in range(n))  # "y0, y1, ": a tuple for any n
+    slope = "".join(f"s0_{i}, " for i in range(n))
 
     def weighted(row, i):
         return " + ".join(f"{w!r} * s{j}_{i}" for j, w in enumerate(row))
 
-    lines = ["def attempt(y, f0, h):",
-             "    " + "".join(f"y{i}, " for i in range(n)) + "= y",
-             "    " + "".join(f"s0_{i}, " for i in range(n)) + "= f0"]
+    def beyond(bound):
+        return " or ".join(f"abs(y{i}) > {bound}" for i in range(n))
+
+    def in_loop(lines):
+        return ["        " + line for line in lines]
+
+    lines = ["from math import hypot, isfinite, sqrt",
+             "def loop(ts, ys, fs, hs, errs, h, end, atol, rtol, budget, escape):",
+             f"    {state}= ys",
+             f"    {slope}= fs",
+             "    now = 0.0",
+             "    err_prev = 1.0",
+             "    attempts = rejected = 0",
+             "    while now < end:"]
+    lines += in_loop([
+        "if attempts >= budget:",
+        "    return 'stiff-abort', 'max_steps', attempts, rejected",
+        "rest = end - now",
+        "if rest < h:",
+        "    h = rest",
+        "if now + h == now:  # the step size underflowed: cannot advance",
+        "    if not attempts:",
+        "        return 'stiff-abort', 'no_first_step', attempts, rejected",
+        f"    if {beyond('escape')}:",
+        "        return 'blew-up', 'step_underflow', attempts, rejected",
+        "    return 'stiff-abort', 'step_underflow', attempts, rejected",
+        "attempts += 1"])
     for s in range(1, 7):
-        lines += [f"    v{i} = y{i} + h * ({weighted(_A[s], i)})" for i in range(n)]
-        lines += ["    " + line for line in
-                  _field_lines(shape, [f"s{s}_{i}" for i in range(n)])]
-    lines += ["    return ([" + ", ".join(f"y{i} + h * ({weighted(_B5, i)})"
-                                         for i in range(n)) + "],",
-              "            [" + ", ".join(f"s6_{i}" for i in range(n)) + "],",
-              "            [" + ", ".join(f"h * ({weighted(_E, i)})"
-                                         for i in range(n)) + "])",
-              "return attempt"]
+        lines += in_loop([f"v{i} = y{i} + h * ({weighted(_A[s], i)})" for i in range(n)])
+        lines += in_loop(_field_lines(shape, [f"s{s}_{i}" for i in range(n)]))
+    for i in range(n):
+        lines += in_loop([f"z{i} = y{i} + h * ({weighted(_B5, i)})",
+                          f"e{i} = h * ({weighted(_E, i)})",
+                          f"a = abs(y{i})",
+                          f"b = abs(z{i})",
+                          f"q{i} = e{i} / (atol + rtol * (a if a >= b else b))"])
+    lines += in_loop([
+        "acc = " + " + ".join(f"q{i} * q{i}" for i in range(n)),
+        "if isfinite(acc):",
+        f"    err = sqrt(acc / {n})",
+        "else:",
+        "    err = hypot(" + ", ".join(f"q{i}" for i in range(n)) + f") / sqrt({n})",
+        "if err <= 1.0:  # false for NaN and inf",
+        "    now += h",
+        f"    {state}= " + "".join(f"z{i}, " for i in range(n)),
+        # FSAL: a rejected attempt retries from f at the accepted state
+        f"    {slope}= " + "".join(f"s6_{i}, " for i in range(n)),
+        "    ts.append(now)",
+        *(f"    ys.append(y{i})" for i in range(n)),
+        *(f"    fs.append(s0_{i})" for i in range(n)),
+        "    hs.append(h)",
+        "    errs.append(err)",
+        f"    if {beyond(repr(_BLOWUP_NORM))}:",
+        "        return 'blew-up', 'blowup_norm', attempts, rejected",
+        "    if err > 0.0:",
+        f"        factor = {_SAFETY!r} * err ** {-_ALPHA!r} * err_prev ** {_BETA!r}",
+        f"        factor = factor if factor > {_MIN_FACTOR!r} else {_MIN_FACTOR!r}",
+        f"        h *= factor if factor < {_MAX_FACTOR!r} else {_MAX_FACTOR!r}",
+        "    else:",
+        f"        h *= {_MAX_FACTOR!r}",
+        "    err_prev = 1e-10 if err < 1e-10 else err",
+        "else:",
+        "    rejected += 1",
+        f"    shrink = {_SAFETY!r} * err ** -0.2 if isfinite(err) else 0.1",
+        "    shrink = shrink if shrink < 1.0 else 1.0",
+        "    h *= shrink if shrink > 0.1 else 0.1"])
+    lines += ["    return 'completed', 't_end', attempts, rejected",
+              "return loop"]
     return lines
 
 
@@ -194,97 +271,53 @@ def integrate(ivp: InitialValueProblem, t_end: float,
     """Integrate dx/dt = f(x) from t = 0 to ``t_end``.
 
     Returns every accepted step, with the number of f evaluations and of
-    rejected attempts; one DEBUG line per call under
-    ``seriesdyn.integrate`` reports them.  Deterministic: identical
-    inputs give bit-identical trajectories, on any BLAS build or CPU.
+    rejected attempts and the reason the run stopped; one DEBUG line per
+    call under ``seriesdyn.integrate`` reports them.  Deterministic:
+    identical inputs give bit-identical trajectories, on any BLAS build
+    or CPU.
 
-    Each attempt is one call of the field's DP5 attempt (see
-    ``_attempt_source``), generated once per field shape and bound once
-    to this field's coefficients: the six stages, the new state and the
-    error estimate as straight-line Python float code, so neither the
-    first step nor the step loop calls numpy; an attempt that overflows
-    is rejected.  The error norm, the blow-up test and the step-size
-    control have the same bits as the numpy forms for n <= 7 (the norm's
-    sum order differs from ``np.mean``'s pairwise one from n = 8 on).
+    After f(x0) and the first step, the whole step loop is one call of
+    the field's DP5 loop (see ``_loop_source``), generated once per field
+    shape and bound once to this field's coefficients: the six stages,
+    the new state, the error estimate and its norm, the blow-up test and
+    the step-size control as Python float code, which appends every
+    accepted node to flat lists, so neither the first step nor the step
+    loop calls numpy; an attempt that overflows is rejected.  The lists
+    become the trajectory's arrays once, at the end.  The error norm, the
+    blow-up test and the step-size control have the same bits as the
+    numpy forms for n <= 7 (the norm's sum order differs from
+    ``np.mean``'s pairwise one from n = 8 on).
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError("t_end must be positive and finite")
     cfg = cfg or IntegrationConfig()
-    atol, rtol = cfg.abs_tol, cfg.rel_tol
     program = ivp.field._program
-    attempt = program.bound(_attempt_source)
-    evals = 0
-
-    def rhs(y: list, out):
-        """f at the state ``y`` (Python floats) written into ``out``."""
-        nonlocal evals
-        evals += 1
-        return program.run(y, out)
-
-    t = 0.0
-    y_list = ivp.x0.tolist()
-    f = rhs(y_list, [0.0] * ivp.dimension)  # always f at the current state (FSAL)
-    ts = [t]
-    ys = [y_list]
-    fs = [f]
-    hs: list[float] = []
-    errs: list[float] = []
-    status = "completed"
-
-    h = _initial_step(rhs, y_list, f, t_end, cfg)
-    err_prev = 1.0
-    attempts = rejected = 0
+    loop = program.bound(_loop_source)
+    n = ivp.dimension
+    ys = ivp.x0.tolist()
+    fs = program.run(ys, [0.0] * n)
+    h, probes = _initial_step(program.run, ys, fs, t_end, cfg)
     # Algebraic escape such as (t_c - t)**-0.5 grows too slowly to cross
     # _BLOWUP_NORM before t exhausts double precision near t_c, so a step
     # size underflow with the state far beyond its initial scale is
     # reported as blow-up rather than stiffness.
-    escape_scale = 1e3 * (1.0 + max(map(abs, y_list)))
-
-    while t < t_end:
-        if attempts >= cfg.max_steps:
-            status = "stiff-abort"
-            break
-        h = min(h, t_end - t)
-        if t + h == t:  # step size underflow: cannot advance
-            status = "blew-up" if max(map(abs, y_list)) > escape_scale else "stiff-abort"
-            break
-        attempts += 1
-        evals += 6
-        new_list, f_new, err_vec = attempt(y_list, f, h)
-        err = _error_norm(err_vec, y_list, new_list, atol, rtol)
-
-        if err <= 1.0:  # false for NaN and inf
-            t += h
-            y_list = new_list
-            f = f_new  # a rejected attempt retries from f at the accepted state
-            ts.append(t)
-            ys.append(y_list)
-            fs.append(f)
-            hs.append(h)
-            errs.append(err)
-            if max(map(abs, y_list)) > _BLOWUP_NORM:
-                status = "blew-up"
-                break
-            factor = _SAFETY * err ** (-_ALPHA) * err_prev ** _BETA if err > 0 \
-                else _MAX_FACTOR
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            err_prev = max(err, 1e-10)
-        else:
-            rejected += 1
-            shrink = _SAFETY * err ** (-0.2) if math.isfinite(err) else 0.1
-            h *= max(0.1, min(1.0, shrink))
-
-    logger.debug("integrate: %s at t = %r, %d accepted, %d rejected, "
-                 "%d rhs evaluations", status, t, len(hs), rejected, evals)
+    escape = 1e3 * (1.0 + max(map(abs, ys)))
+    ts, hs, errs = [0.0], [], []
+    status, reason, attempts, rejected = loop(ts, ys, fs, hs, errs, h, t_end, cfg.abs_tol,
+                                              cfg.rel_tol, cfg.max_steps, escape)
+    evals = 1 + probes + 6 * attempts
+    logger.debug("integrate: %s (%s) at t = %r, %d accepted, %d rejected, "
+                 "%d rhs evaluations", status, reason, ts[-1], len(hs), rejected, evals)
     return Trajectory(
         ts=np.array(ts),
-        states=np.array(ys),
-        derivs=np.array(fs),
+        states=np.array(ys).reshape(-1, n),
+        derivs=np.array(fs).reshape(-1, n),
         step_sizes=np.array(hs),
         error_estimates=np.array(errs),
         status=status,
         rhs_evals=evals,
         rejected_steps=rejected,
+        stop_reason=reason,
     )
 
 

@@ -2,6 +2,7 @@
 dense output, statuses, and determinism."""
 
 import importlib
+import logging
 import math
 import warnings
 
@@ -183,25 +184,26 @@ def test_max_steps_must_be_an_integer():
     assert traj.status == "stiff-abort"
 
 
-def test_rejected_steps_are_retried(monkeypatch):
-    # the sharp logistic front makes the controller overshoot and reject
-    module = importlib.import_module("seriesdyn.integrate")
-    error_norm, norms = module._error_norm, []
-    monkeypatch.setattr(module, "_error_norm",
-                        lambda *args: norms.append(error_norm(*args)) or norms[-1])
-    traj = integrate(preset_ivp(Logistic(50.0, -50.0), [1e-6]), 1.0)
-    del norms[:3]  # the starting step's scales of x0, f(x0) and the probe
-    rejected = sum(not err <= 1.0 for err in norms)
-    assert rejected >= 1
-    assert len(traj.ts) - 1 == len(norms) - rejected
-    assert traj.status == "completed"
+def test_rejected_steps_are_retried():
+    # the sharp logistic front makes the controller overshoot and reject;
+    # the numpy loop counts its rejections, and every array, the status
+    # and the count must be the integrator's
+    ivp = preset_ivp(Logistic(50.0, -50.0), [1e-6])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(ivp, 1.0)
+    ts, ys, fs, hs, errs, status, rejected, non_finite, calls = reference_integrate(ivp, 1.0)
+    assert rejected >= 1 and non_finite == 0
+    assert traj.status == status == "completed"
+    for name, ref in (("ts", ts), ("states", ys), ("derivs", fs), ("step_sizes", hs),
+                      ("error_estimates", errs)):
+        np.testing.assert_array_equal(getattr(traj, name), ref)
     exact = np.array([logistic_exact(50.0, -50.0, 1e-6, float(t)) for t in traj.ts])
     np.testing.assert_allclose(traj.states[:, 0], exact, rtol=1e-6, atol=0.0)
-    assert traj.rejected_steps >= 1
     assert traj.rejected_steps == rejected
     # f(x0), the starting-step probe, then six stages per attempt
     accepted = len(traj.ts) - 1
-    assert traj.rhs_evals == 1 + 1 + 6 * (accepted + traj.rejected_steps)
+    assert traj.rhs_evals == calls == 1 + 1 + 6 * (accepted + traj.rejected_steps)
 
 
 def test_rejection_after_an_accepted_step_restarts_from_f_at_the_state():
@@ -223,6 +225,7 @@ def test_non_finite_initial_slope_stops_at_once():
     traj = integrate(ivp, 1.0, IntegrationConfig(max_steps=1000))
     assert traj.rhs_evals <= 2
     assert traj.status == "stiff-abort"
+    assert traj.stop_reason == "no_first_step"
     assert traj.ts.tolist() == [0.0]
 
 
@@ -310,6 +313,7 @@ def test_slope_that_overflows_the_norm_gives_no_first_step():
         warnings.simplefilter("error")
         traj = integrate(ivp, 1.0)
     assert traj.status == "stiff-abort"
+    assert traj.stop_reason == "no_first_step"
     assert traj.ts.tolist() == [0.0]
     assert traj.rhs_evals <= 2
 
@@ -398,11 +402,16 @@ def reference_integrate(ivp, t_end, cfg=None, weighted=left_to_right):
     ``eval_field`` per stage, the weighted sums of stages through
     ``weighted``, the error norm through ``np.mean`` and the blow-up test
     through ``np.max(np.abs(y))``; the accepted f is copied out of the
-    stage array (FSAL)."""
+    stage array (FSAL).  Returns the accepted nodes, steps and error
+    norms, the status, and three counts: the rejected attempts, the
+    attempts whose error norm was not finite, and the calls of f."""
     m = importlib.import_module("seriesdyn.integrate")
     cfg = cfg or IntegrationConfig()
+    calls = rejected = non_finite = 0
 
     def rhs(y):
+        nonlocal calls
+        calls += 1
         return eval_field(ivp.field, y)
 
     t = 0.0
@@ -410,7 +419,8 @@ def reference_integrate(ivp, t_end, cfg=None, weighted=left_to_right):
     f = rhs(y)
     ts, ys, fs, hs, errs = [t], [y], [f], [], []
     status = "completed"
-    h = m._initial_step(lambda x, out: rhs(x).tolist(), y.tolist(), f.tolist(), t_end, cfg)
+    h, _ = m._initial_step(lambda x, out: rhs(x).tolist(), y.tolist(), f.tolist(),
+                           t_end, cfg)
     err_prev = 1.0
     attempts = 0
     k = np.empty((7, len(y)))
@@ -431,6 +441,7 @@ def reference_integrate(ivp, t_end, cfg=None, weighted=left_to_right):
         err_vec = h * weighted(m._E, k)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
+        non_finite += not np.isfinite(err)
         if np.isfinite(err) and err <= 1.0:
             t += h
             y = y_new
@@ -448,9 +459,10 @@ def reference_integrate(ivp, t_end, cfg=None, weighted=left_to_right):
             h *= min(m._MAX_FACTOR, max(m._MIN_FACTOR, factor))
             err_prev = max(err, 1e-10)
         else:
+            rejected += 1
             shrink = m._SAFETY * err ** (-0.2) if np.isfinite(err) else 0.1
             h *= max(0.1, min(1.0, shrink))
-    return ts, ys, fs, hs, errs, status
+    return ts, ys, fs, hs, errs, status, rejected, non_finite, calls
 
 
 def numpy_reference(ivp, t_end, cfg=None):
@@ -491,7 +503,7 @@ STEP_LOOP_IDS = ["logistic", "logistic-0.1", "spiral-decay", "spiral-blowup",
 @pytest.mark.parametrize("ivp, t_end, cfg", STEP_LOOP_CASES, ids=STEP_LOOP_IDS)
 def test_step_loop_matches_numpy_reference_bit_for_bit(ivp, t_end, cfg):
     traj = integrate(ivp, t_end, cfg)
-    ts, ys, fs, hs, errs, status = reference_integrate(ivp, t_end, cfg)
+    ts, ys, fs, hs, errs, status, *_ = reference_integrate(ivp, t_end, cfg)
     assert traj.status == status
     np.testing.assert_array_equal(traj.ts, ts)
     np.testing.assert_array_equal(traj.states, ys)
@@ -500,13 +512,64 @@ def test_step_loop_matches_numpy_reference_bit_for_bit(ivp, t_end, cfg):
     np.testing.assert_array_equal(traj.error_estimates, errs)
 
 
+STATUS_OF_STOP_REASON = {"t_end": {"completed"}, "max_steps": {"stiff-abort"},
+                         "no_first_step": {"stiff-abort"}, "blowup_norm": {"blew-up"},
+                         "step_underflow": {"blew-up", "stiff-abort"}}
+
+
+@pytest.mark.parametrize("ivp, t_end, cfg", STEP_LOOP_CASES, ids=STEP_LOOP_IDS)
+def test_counts_and_storage_match_the_reference(ivp, t_end, cfg):
+    # rhs_evals is derived from the number of attempts, so it must equal
+    # the reference loop's count of calls of f: f(x0), the starting-step
+    # probe (skipped where f(x0) is not finite), six stages per attempt
+    traj = integrate(ivp, t_end, cfg)
+    *_, rejected, non_finite, calls = reference_integrate(ivp, t_end, cfg)
+    accepted = len(traj.step_sizes)
+    assert traj.rejected_steps == rejected
+    probe = int(np.all(np.isfinite(traj.derivs[0])))
+    assert traj.rhs_evals == calls == 1 + probe + 6 * (accepted + traj.rejected_steps)
+    assert traj.status in STATUS_OF_STOP_REASON[traj.stop_reason]
+    # the flat lists come back as C-contiguous read-only (N, n) arrays
+    n, nodes = ivp.dimension, accepted + 1
+    for arr in (traj.states, traj.derivs):
+        assert arr.shape == (nodes, n) and arr.dtype == np.float64
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[-1, -1] = 0.0
+    assert traj.ts.shape == (nodes,)
+    np.testing.assert_array_equal(traj.states[0], ivp.x0)
+    np.testing.assert_array_equal(traj.derivs[0], eval_field(ivp.field, ivp.x0))
+
+
+def test_stop_reasons():
+    cases = [(LOGISTIC, 1.0, None, "completed", "t_end"),
+             (TWOSPECIES, 300.0, IntegrationConfig(max_steps=5), "stiff-abort", "max_steps"),
+             (preset_ivp(Logistic(1.0, 0.5), [1.0]), 2.0, None, "blew-up", "blowup_norm"),
+             (preset_ivp(Spiral(0.5), [2.0, 2.0]), 1.0, None, "blew-up", "step_underflow"),
+             (preset_ivp(Spiral(-0.5), [1e120, 0.0]), 1.0, None, "stiff-abort",
+              "no_first_step")]
+    for ivp, t_end, cfg, status, reason in cases:
+        traj = integrate(ivp, t_end, cfg)
+        assert (traj.status, traj.stop_reason) == (status, reason)
+    assert Trajectory(ts=[0.0], states=[[1.0]], derivs=[[0.0]], step_sizes=[],
+                      error_estimates=[], status="completed").stop_reason is None
+
+
+def test_one_debug_line_per_call_names_the_stop_reason(caplog):
+    caplog.set_level(logging.DEBUG, logger="seriesdyn.integrate")
+    traj = integrate(TWOSPECIES, 300.0, IntegrationConfig(max_steps=5))
+    assert [r.getMessage() for r in caplog.records if r.name == "seriesdyn.integrate"] == [
+        f"integrate: stiff-abort (max_steps) at t = {traj.t_end!r}, 5 accepted, "
+        f"0 rejected, {traj.rhs_evals} rhs evaluations"]
+
+
 @pytest.mark.parametrize("ivp, t_end, cfg", STEP_LOOP_CASES, ids=STEP_LOOP_IDS)
 def test_step_loop_is_within_rounding_of_the_blas_reference(ivp, t_end, cfg):
     # The stage sums as BLAS products round differently (fused
     # multiply-adds, blocked order), but only in the last bits: the same
     # steps are accepted and the end points agree to rounding
     traj = integrate(ivp, t_end, cfg)
-    ts, ys, fs, hs, errs, status = numpy_reference(ivp, t_end, cfg)
+    ts, ys, fs, hs, errs, status, *_ = numpy_reference(ivp, t_end, cfg)
     assert traj.status == status
     if cfg is None:  # five steps from t = 0 are all rounding: no count to keep
         assert len(traj.step_sizes) == len(hs)
@@ -526,12 +589,12 @@ def large_field(rng):
 
 
 def test_large_field_attempt_is_flat_and_matches_the_reference():
-    # the attempt inlines f six times: about 34 000 lines, none nested
+    # the step loop inlines f six times: about 32 000 lines, none nested
     rng = np.random.default_rng(5)
     ivp = InitialValueProblem(large_field(rng), rng.uniform(-0.5, 0.5, 3))
     cfg = IntegrationConfig(max_steps=3)
     traj = integrate(ivp, 1.0, cfg)
-    ts, ys, fs, hs, errs, status = reference_integrate(ivp, 1.0, cfg)
+    ts, ys, fs, hs, errs, status, *_ = reference_integrate(ivp, 1.0, cfg)
     assert traj.status == status == "stiff-abort"
     np.testing.assert_array_equal(traj.ts, ts)
     np.testing.assert_array_equal(traj.states, ys)
@@ -539,34 +602,22 @@ def test_large_field_attempt_is_flat_and_matches_the_reference():
     np.testing.assert_array_equal(traj.error_estimates, errs)
 
 
-def test_power_overflow_mid_attempt_rejects_the_attempt(monkeypatch):
-    # f(5.8) = 1e-300 * 5.8^400 is finite, but the first stage lands past
-    # 5.9, where x^400 overflows: the attempt's products give inf and nan
-    # without raising, its error is not finite and it is rejected
-    module = importlib.import_module("seriesdyn.integrate")
+def test_power_overflow_mid_attempt_rejects_the_attempt():
+    # f(5.8) = 1e-300 * 5.8^400 is finite, but a stage that lands past
+    # 5.9, where x^400 overflows, gives inf and nan without raising: the
+    # error is not finite and the attempt is rejected.  The numpy loop
+    # counts those attempts; the integrator rejects the same ones
     p = Polynomial.from_coeffs({(400,): 1e-300}, 1)
     ivp = InitialValueProblem(PolyVectorField((p,)), [5.8])
-    attempt = ivp.field._program.bound(module._attempt_source)
-    f0 = eval_field(ivp.field, ivp.x0).tolist()
-    assert math.isfinite(f0[0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        new, f_new, err = attempt(ivp.x0.tolist(), f0, 1e-3)
-    assert not math.isfinite(err[0])
-    error_norm, overflowed = module._error_norm, []
-    def spy(err_vec, *args):
-        overflowed.append(not all(map(math.isfinite, err_vec)))
-        return error_norm(err_vec, *args)
-    monkeypatch.setattr(module, "_error_norm", spy)
+    assert math.isfinite(eval_field(ivp.field, ivp.x0)[0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj = integrate(ivp, 1.0)
-    del overflowed[:3]  # the starting step's scales of x0, f(x0) and the probe
-    assert any(overflowed)
-    assert traj.rejected_steps >= sum(overflowed)
-    assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.derivs))
     with np.errstate(all="ignore"):  # the numpy loop overflows in its stage sums
-        ts, ys, fs, hs, errs, status = reference_integrate(ivp, 1.0)
+        ts, ys, fs, hs, errs, status, rejected, non_finite, _ = reference_integrate(ivp, 1.0)
+    assert non_finite >= 1
+    assert traj.rejected_steps == rejected >= non_finite
+    assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.derivs))
     assert traj.status == status
     np.testing.assert_array_equal(traj.ts, ts)
     np.testing.assert_array_equal(traj.states, ys)

@@ -415,13 +415,13 @@ def test_field_generates_code_lazily_and_once():
     assert before_taylor == ([], set())
     assert series == ([("_taylor_source", 2)], ["taylor"], {"_taylor_source"})
     assert series_other == ([], ["taylor"], {"_taylor_source"})
-    assert first == ([("_attempt_source", 2), ("_run_source", 2), ("_run_source", 6)],
-                     ["attempt", "run", "run"])
+    assert first == ([("_loop_source", 2), ("_run_source", 2), ("_run_source", 6)],
+                     ["loop", "run", "run"])
     assert generated == [2, 2 + 4]  # f, then f and its four Jacobian entries
     assert compiled == []
-    assert bound == ["attempt", "run", "run"]
+    assert bound == ["loop", "run", "run"]
     for program in (field._program, other.field._program):
-        assert functions(program) == {"_run_source", "_attempt_source", "_taylor_source"}
+        assert functions(program) == {"_run_source", "_loop_source", "_taylor_source"}
         assert program.functions[model._run_source] is program.run
     for f in (field, other.field):
         assert functions(f._program_with_jacobian) == {"_run_source"}
