@@ -20,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,9 +114,27 @@ class HpmExpansion:
     ``corrections[j][i]`` is the order-j correction of variable i, stored on
     the common length-(K+1) coefficient grid.  The dummy expansion parameter
     is represented only by the index j; it is set to one when summing.
+    Every order must hold the same number of variables, and no correction
+    more than K+1 coefficients (DimensionError); a shorter one is read as
+    zero-padded.
     """
 
     corrections: tuple[tuple[TruncatedSeries, ...], ...]
+
+    def __post_init__(self):
+        if not self.corrections:
+            raise DimensionError("an expansion needs at least the zeroth correction")
+        n = len(self.corrections[0])
+        grid = len(self.corrections)
+        for j, per_var in enumerate(self.corrections):
+            if len(per_var) != n:
+                raise DimensionError(
+                    f"correction {j} has {len(per_var)} variables, correction 0 has {n}")
+            for i, s in enumerate(per_var):
+                if len(s.coeffs) > grid:
+                    raise DimensionError(
+                        f"correction {j} of variable {i} has {len(s.coeffs)} "
+                        f"coefficients, more than the {grid} of order {grid - 1}")
 
     @property
     def order(self) -> int:
@@ -260,6 +279,58 @@ def taylor_solve(ivp: InitialValueProblem, order: int) -> TaylorSolution:
     )
 
 
+def _hpm_source(shape) -> list[str]:
+    """The body of the perturbation recursion's factory for a field of this
+    shape (see ``model._factory``).
+
+    ``hpm(X, orders)`` fills X[node, lam_power, t_power], given X zero but
+    for the variables' x0 at [i, 0, 0], for the steps (j, d, divisor) in
+    ``orders`` (see ``_hpm_step``).  It unpacks the node views r{k} = X[k]
+    once, and binds the transposed view A{a} of every first operand before
+    the loop.  Step j computes row r = j - 1 of every product node in node
+    order, ``bincount(d, (A{a}[:j, :j] @ r{b}[r::-1, :j]).ravel())[:j]``:
+    entry (k, l) of the matrix product is the sum over q of
+    A_q[k] * B_(r-q)[l], a term of t-power k + l, and the bincount sums
+    each anti-diagonal left to right.  The reversed operand has a negative
+    stride, so ``@`` runs numpy's own loop, not BLAS.  A product's row is
+    stored in X only where the node is an operand.  Then come the field's
+    term sums on those rows (see ``model._sum_lines``, the constant only at
+    j = 1), the t-derivative of correction j, whose integral from 0 is
+    stored as every variable's row j.
+    """
+    n, products, components = shape
+    operands = {k for product in products for k in product}
+    terms = {k for nodes in components for k in nodes}
+    return ["from numpy import bincount",
+            "def hpm(X, orders):",
+            "    " + "".join(f"r{k}, " for k in range(n + len(products))) + "= X",
+            *(f"    A{a} = r{a}.T" for a in sorted({a for a, b in products})),
+            "    for j, d, divisor in orders:",
+            "        r = j - 1",
+            *(f"        v{i} = r{i}[r, :j]" for i in range(n) if i in terms),
+            *(f"        v{k} = {f'r{k}[r, :j] = ' if k in operands else ''}"
+              f"bincount(d, (A{a}[:j, :j] @ r{b}[r::-1, :j]).ravel())[:j]"
+              for k, (a, b) in enumerate(products, start=n)),
+            *("        " + line for line in _sum_lines(
+                components, [f"w{i}" for i in range(n)], "k{} if j == 1 else 0.0")),
+            *(f"        r{i}[j, 1:j + 1] = w{i} / divisor" for i in range(n)),
+            "    return X",
+            "return hpm"]
+
+
+@lru_cache(maxsize=64)
+def _hpm_step(j: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Step j of the perturbation recursion as ``(j, d, divisor)``: d[k * j
+    + l] = k + l, the t-power of entry (k, l) of a step-j product, and the
+    divisors 1..j that integrate the t-powers 0..j-1; read-only, since
+    every call shares them.  The 64 most recently used steps are kept:
+    0.7 MB while no order exceeds 64."""
+    d = np.add.outer(np.arange(j), np.arange(j)).ravel()
+    divisor = np.arange(1.0, j + 1)
+    d.flags.writeable = divisor.flags.writeable = False
+    return j, d, divisor
+
+
 def hpm_solve(ivp: InitialValueProblem, order: int) -> HpmExpansion:
     """Literal order-by-order perturbation recursion for dx/dt = lam f(x).
 
@@ -271,32 +342,22 @@ def hpm_solve(ivp: InitialValueProblem, order: int) -> HpmExpansion:
     The recursion runs over the same product graph as :func:`taylor_solve`
     but graded by powers of lam: every node keeps one t-polynomial per lam
     power, and step j computes only row j-1 of each product, the sum over q
-    of A_q * B_(j-1-q).  That costs O(j^3) per node, O(K^4) in all.
+    of A_q * B_(j-1-q).  That costs O(j^3) per node, O(K^4) in all.  It
+    reads no Taylor coefficient and never assumes a correction is a
+    monomial, so the collapse check compares two routes.  The loop is
+    generated once per field shape (see ``_hpm_source``).
     """
     _check_count(order, "order")
     n = ivp.dimension
     K = order
-    products, components = ivp.field._program
+    program = ivp.field._program
     # X[node, lam_power, t_power]; row p is a polynomial in t of degree <= p
-    X = np.zeros((n + len(products), K + 1, K + 1))
+    X = np.zeros((n + len(program[0]), K + 1, K + 1))
     X[:n, 0, 0] = ivp.x0
     # corrections that overflow stay inf/nan, without numpy warnings, as in
     # taylor_solve
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, K + 1):
-            r = j - 1
-            # the t-power of entry (k, l) of A_q^T B_(r-q) is k + l
-            diagonal = np.add.outer(np.arange(j), np.arange(j)).ravel()
-            for k, (a, b) in enumerate(products, start=n):
-                m = X[a, :j, :j].T @ X[b, r::-1, :j]
-                X[k, r, :j] = np.bincount(diagonal, m.ravel())[:j]
-            for i, (constant, terms) in enumerate(components):
-                g = np.zeros(j)  # row r of f_i: d/dt of correction j
-                if r == 0:
-                    g[0] = constant
-                for c, k in terms:
-                    g += c * X[k, r, :j]
-                X[i, j, 1: j + 1] = g / np.arange(1, j + 1)
+        program.bound(_hpm_source)(X, [_hpm_step(j) for j in range(1, K + 1)])
     if logger.isEnabledFor(logging.DEBUG):  # the overflow scan only for the log
         logger.debug("hpm_solve: order %d, %d graph nodes, overflow_order %s", K,
                      len(X), _first_overflow(np.isfinite(X[:n, 1:]).all(axis=(0, 2))))

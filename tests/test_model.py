@@ -347,12 +347,12 @@ def test_field_builds_each_program_once():
 
 def test_field_generates_code_lazily_and_once():
     # Code is compiled once per program shape and bound once per program,
-    # into the program's functions.  In the series layer only taylor_solve
-    # generates code, its recursion: hpm_solve and poly_apply_series read
-    # the product graph alone.  The code of f and of f + J is bound on
-    # first evaluation, once each, and reused by every later caller.  A
-    # field of the same shape with other coefficients compiles nothing and
-    # only binds its own coefficients.
+    # into the program's functions.  In the series layer taylor_solve and
+    # hpm_solve each generate their recursion; poly_apply_series reads the
+    # product graph alone.  The code of f and of f + J is bound on first
+    # evaluation, once each, and reused by every later caller.  A field of
+    # the same shape with other coefficients compiles nothing and only
+    # binds its own coefficients.
     import seriesdyn.model as model
     from seriesdyn import (TruncatedSeries, fixed_points, hpm_solve, integrate,
                            poly_apply_series, radius_estimate, taylor_solve)
@@ -398,7 +398,8 @@ def test_field_generates_code_lazily_and_once():
         hpm_solve(ivp, 4)
         poly_apply_series(field.components[0], [TruncatedSeries([4.0, 1.0]),
                                                 TruncatedSeries([10.0, 2.0])], 8)
-        before_taylor = list(generated + compiled + bound), functions(field._program)
+        perturbation = list(generated + compiled), list(bound), functions(field._program)
+        del bound[:], compiled[:]
         series_all(ivp)
         series = list(generated + compiled), list(bound), functions(field._program)
         del bound[:], compiled[:]
@@ -412,16 +413,17 @@ def test_field_generates_code_lazily_and_once():
         evaluate_all(other)
     finally:
         sys.setprofile(None)
-    assert before_taylor == ([], set())
-    assert series == ([("_taylor_source", 2)], ["taylor"], {"_taylor_source"})
-    assert series_other == ([], ["taylor"], {"_taylor_source"})
+    assert perturbation == ([("_hpm_source", 2)], ["hpm"], {"_hpm_source"})
+    assert series == ([("_taylor_source", 2)], ["taylor"], {"_hpm_source", "_taylor_source"})
+    assert series_other == ([], ["hpm", "taylor"], {"_hpm_source", "_taylor_source"})
     assert first == ([("_loop_source", 2), ("_run_source", 2), ("_run_source", 6)],
                      ["loop", "run", "run"])
     assert generated == [2, 2 + 4]  # f, then f and its four Jacobian entries
     assert compiled == []
     assert bound == ["loop", "run", "run"]
     for program in (field._program, other.field._program):
-        assert functions(program) == {"_run_source", "_loop_source", "_taylor_source"}
+        assert functions(program) == {"_run_source", "_loop_source", "_taylor_source",
+                                      "_hpm_source"}
         assert program.functions[model._run_source] is program.run
     for f in (field, other.field):
         assert functions(f._program_with_jacobian) == {"_run_source"}

@@ -476,6 +476,76 @@ def test_one_series_summary_line_per_call(caplog):
     assert sol.overflow_order is not None
 
 
+def numpy_hpm_recursion(ivp, order):
+    """The perturbation recursion as a numpy loop over the graph's nodes:
+    per step j, each product's row j - 1 as the anti-diagonal bincount
+    sums of A_q^T B_(j-1-q) (a reversed operand, so numpy's own matrix
+    loop), then each component's term sum on zeros, the constant at j = 1,
+    divided by 1..j.  Returns X[variable, j, t_power]."""
+    n = ivp.dimension
+    K = order
+    products, components = ivp.field._program
+    X = np.zeros((n + len(products), K + 1, K + 1))
+    X[:n, 0, 0] = ivp.x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, K + 1):
+            r = j - 1
+            diagonal = np.add.outer(np.arange(j), np.arange(j)).ravel()
+            for k, (a, b) in enumerate(products, start=n):
+                m = X[a, :j, :j].T @ X[b, r::-1, :j]
+                X[k, r, :j] = np.bincount(diagonal, m.ravel())[:j]
+            for i, (constant, terms) in enumerate(components):
+                g = np.zeros(j)
+                if r == 0:
+                    g[0] = constant
+                for c, k in terms:
+                    g += c * X[k, r, :j]
+                X[i, j, 1: j + 1] = g / np.arange(1, j + 1)
+    return X[:n]
+
+
+def assert_hpm_is_the_numpy_recursion(ivp, order):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = hpm_solve(ivp, order)
+    want = numpy_hpm_recursion(ivp, order)
+    for j, per_var in enumerate(h.corrections):
+        for i, s in enumerate(per_var):
+            assert s.coeffs.tobytes() == want[i, j].tobytes(), (ivp, order, j, i)
+    return h
+
+
+def test_hpm_equals_the_numpy_recursion_bit_for_bit():
+    # the generated loop does the numpy loop's products, bincount sums,
+    # term sums and divisions in the same order, so every correction has
+    # its bits, inf and nan where the logistic from far out overflows
+    for order in (1, 2, 5, 13, 30):
+        for ivp in bit_identity_ivps():
+            assert_hpm_is_the_numpy_recursion(ivp, order)
+    for x0 in (1e30, 1e100, 1e300):
+        h = assert_hpm_is_the_numpy_recursion(preset_ivp(Logistic(1.0, -3.0), [x0]), 12)
+        assert not np.isfinite(h.corrections[12][0].coeffs).all()
+
+
+@pytest.mark.parametrize("components, operand_products", [
+    ([{(1, 0): 0.5, (0, 1): -2.0}, {(1, 0): 1.5}], False),  # linear: no products
+    ([{(0, 0): 0.75}, {(0, 0): -1.25}], False),  # constants only
+    ([{}, {}], False),  # the zero field
+    ([{(2, 0): 1.0, (0, 2): -0.5}, {(1, 1): 2.0, (0, 0): 0.25}], False),  # terms only
+    ([{(3, 0): 1.0, (1, 0): -1.0}, {(2, 1): 0.5}], True),  # x^2 feeds x^3 and x^2 y
+], ids=["linear", "constant", "zero", "products-feed-terms-only", "operands"])
+def test_hpm_loop_compiles_for_every_graph_shape(components, operand_products):
+    # fields with no product node, no term node at all, or product nodes
+    # that no other product reads each emit a loop that compiles and does
+    # the numpy recursion's arithmetic
+    field = PolyVectorField(tuple(Polynomial.from_coeffs(c, 2) for c in components))
+    products = field._program[0]
+    assert any(k >= 2 for product in products for k in product) == operand_products
+    ivp = InitialValueProblem(field, [0.5, -1.5])
+    for order in (1, 2, 7):
+        assert_hpm_is_the_numpy_recursion(ivp, order)
+
+
 def test_hpm_zero_field_has_no_corrections():
     field = PolyVectorField((Polynomial.from_coeffs({}, 1),))
     h = hpm_solve(InitialValueProblem(field, [3.0]), 5)
@@ -600,6 +670,28 @@ def test_hand_built_expansion_with_a_short_correction():
                           exact.corrections[2]))
     assert wrong.summed()[0].coeffs.tolist() == [1.5, 0.0, 3.0]
     assert hpm_collapse_check(wrong, taylor, 0.5) == (False, 1.0)
+
+
+def test_expansion_needs_a_zeroth_correction():
+    with pytest.raises(DimensionError, match="zeroth correction"):
+        HpmExpansion(())
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_expansion_orders_share_the_variable_count(count):
+    # one variable too few or too many in correction 1 of a two-variable
+    # expansion
+    x0, x1 = TruncatedSeries([1.0]), TruncatedSeries([0.0, 2.0])
+    with pytest.raises(DimensionError, match=f"correction 1 has {count} variables"):
+        HpmExpansion(((x0, x0), (x1,) * count))
+
+
+def test_expansion_rejects_an_over_long_correction():
+    # order 1 has two coefficients per correction at most
+    x0 = TruncatedSeries([1.0])
+    with pytest.raises(DimensionError, match="correction 1 of variable 0 has 3"):
+        HpmExpansion(((x0,), (TruncatedSeries([0.0, 2.0, 0.0]),)))
+    HpmExpansion(((x0,), (TruncatedSeries([0.0, 2.0]),)))
 
 
 def test_collapse_random_systems():
