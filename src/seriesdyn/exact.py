@@ -89,9 +89,10 @@ def logistic_singularity(b: float, a: float, x0: float) -> Singularity:
     principal branch t = (ln|q| + i*arg(q)) / b is nearest the origin;
     arg(q) is 0 for q > 0 and pi for q < 0.  For b = 0, and for b so small
     beside a*x0 that q rounds to 1, the pole is real at the b -> 0 limit
-    t = 1/(a*x0).  When q = 0 the initial state is the equilibrium -b/a,
-    the solution is constant, and the result is flagged degenerate with
-    infinite modulus.
+    t = 1/(a*x0).  Where a*x0 underflows or b/(a*x0) overflows, ln|q| is
+    ln|b + a*x0| - ln|a| - ln|x0| and the b = 0 pole is +-inf.  When q = 0
+    the initial state is the equilibrium -b/a, the solution is constant,
+    and the result is flagged degenerate with infinite modulus.
     """
     if b < 0:
         raise ValueError("b must be non-negative")
@@ -99,11 +100,19 @@ def logistic_singularity(b: float, a: float, x0: float) -> Singularity:
         raise ValueError("b, a and x0 must be finite")
     if a == 0.0 or x0 == 0.0:
         raise ValueError("a and x0 must be nonzero for a pole to exist")
-    q = 1.0 + b / (a * x0)
+    ax = a * x0
+    if ax == 0.0 or not math.isfinite(b / ax):  # q has the sign of a*x0
+        if b == 0.0:
+            loc = complex(math.copysign(math.inf, ax), 0.0)
+        else:
+            log_q = math.log(abs(b + ax)) - math.log(abs(a)) - math.log(abs(x0))
+            loc = complex(log_q, math.pi if math.copysign(1.0, ax) < 0 else 0.0) / b
+        return Singularity(location=loc, modulus=abs(loc), kind="pole")
+    q = 1.0 + b / ax
     if q == 0.0:
         return Singularity(location=complex(-math.inf, 0.0),
                            modulus=math.inf, kind="pole", degenerate=True)
-    loc = (complex(1.0 / (a * x0), 0.0) if q == 1.0
+    loc = (complex(1.0 / ax, 0.0) if q == 1.0
            else complex(math.log(abs(q)), 0.0 if q > 0 else math.pi) / b)
     return Singularity(location=loc, modulus=abs(loc), kind="pole")
 

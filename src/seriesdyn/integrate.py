@@ -115,78 +115,41 @@ class Trajectory:
         return self.states.shape[1]
 
 
-def _error_norm(err, y, atol, rtol):
-    """RMS of err / (atol + rtol * |y|), on lists of Python floats: the
-    step loop's error norm (see ``_loop_source``) where the old and the
-    new state are both ``y``, as in the first step's scales.
-
-    The sum runs left to right, which is how ``np.mean`` sums fewer than
-    eight values, so for n <= 7 this is ``np.mean``'s value bit for bit.
-    Where the squares overflow, the norm is ``math.hypot`` of the scaled
-    terms over sqrt(n), which scales by the largest term.
-    """
-    scaled = [e / (atol + rtol * abs(v)) for e, v in zip(err, y)]
-    acc = 0.0
-    for q in scaled:
-        acc += q * q
-    if math.isfinite(acc):
-        return math.sqrt(acc / len(err))
-    return math.hypot(*scaled) / math.sqrt(len(err))
-
-
-def _initial_step(rhs, y0, f0, t_end, cfg):
-    """The first step from the state ``y0`` and ``f0`` = f(y0), lists of
-    floats, by the heuristic of Hairer, Nørsett & Wanner (Solving ODEs I,
-    II.4), each scale measured in the step loop's error norm at y0, and
-    the number of evaluations of f it made (0 or 1, the probe).  A zero
-    first step stops the run."""
-    if not all(map(math.isfinite, f0)):
-        return 0.0, 0  # no step from a non-finite slope: the run stops at once
-    atol, rtol = cfg.abs_tol, cfg.rel_tol
-    d0 = _error_norm(y0, y0, atol, rtol)
-    d1 = _error_norm(f0, y0, atol, rtol)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    if h0 == 0.0:
-        return 0.0, 0  # f0 overflows the norm: no step can be sized either
-    h0 = min(h0, t_end)
-    f1 = rhs([y + h0 * f for y, f in zip(y0, f0)], [0.0] * len(y0))
-    d2 = _error_norm([b - a for a, b in zip(f0, f1)], y0, atol, rtol) / h0
-    if max(d1, d2) <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_end), 1
-
-
 def _loop_source(shape) -> list[str]:
-    """The body of the DP5 step loop's factory for a field of this shape
-    (see ``model._factory``).
+    """The body of the DP5 loop's factory for a field of this shape (see
+    ``model._factory``).
 
-    ``loop(ts, ys, fs, hs, errs, h, end, atol, rtol, budget, escape)``
-    starts from the one node in the flat lists ``ts`` (t = 0), ``ys`` (the
-    n state components) and ``fs`` (f there) with the step ``h``, runs
-    until t reaches ``end``, and appends each accepted node to those
-    lists and its step and error norm to ``hs`` and ``errs``.  It returns
-    ``(status, stop_reason, attempts, rejected)``.
+    ``loop(run, ts, ys, fs, hs, errs, end, atol, rtol, budget)`` is the
+    whole run from t = 0 to ``end``.  ``ts`` = [0.0] and ``ys`` = x0 on
+    entry, and ``run`` (the field's ``_Program.run``) writes f(x0) into the
+    n zeros of ``fs``; each accepted node is appended to those flat lists,
+    its step and error norm to ``hs`` and ``errs``.  Every stop leaves
+    through the one ``break`` of a ``while ... else``, which returns
+    ``(status, stop_reason, rhs_evals, rejected)``.  The first step is the
+    heuristic of Hairer, Norsett & Wanner (Solving ODEs I, II.4), sized by
+    the norms d0 of x0, d1 of f(x0) and d2 of f's change over a probe step
+    that ``run`` evaluates, and zero, which stops the run, where f(x0) is
+    not finite or overflows the norm.  A step size underflow with the
+    state beyond ``escape`` = 1e3 (1 + max|x0|) is blow-up: an algebraic
+    escape such as (t_c - t)**-0.5 cannot cross the blow-up norm in
+    double precision.
 
-    Each attempt is straight-line code on Python floats: per stage
-    s = 1..6 one line per component, ``v{i} = y{i} + h * (a_s0 * s0_{i}
-    + ... )``, then the field's lines with f written to s{s}_0, s{s}_1,
-    ...; the new state ``z{i} = y{i} + h * (b0 * s0_{i} + ... + b6 *
-    s6_{i})`` and the error ``e{i} = h * (e0 * s0_{i} + ... )``, the
-    tableau entries as float literals.  Each weighted sum runs left to
-    right over the whole tableau row, zero entries included, so a
-    non-finite stage (float products and sums overflow to ±inf or nan and
-    never raise) makes the error estimate NaN.  The error norm is
-    ``_error_norm`` written out on the scaled errors q{i} = e{i} / (atol +
-    rtol * max(|y{i}|, |z{i}|)): their squares summed left to right and
-    ``sqrt(acc / n)``, or ``hypot(q0, ...) / sqrt(n)`` where that sum is
-    not finite.  A NaN in the new state makes the norm NaN, so an
-    accepted state holds no NaN and the blow-up and escape tests
-    ``abs(y0) > bound or abs(y1) > bound ...`` are ``max(map(abs, y)) >
-    bound``; each clamp of the controller is a conditional expression
-    that picks what the builtin ``min`` or ``max`` would.  The time is
-    ``now``, since the field's term sums use ``t``.
+    Each attempt is straight-line code on Python floats: per stage s =
+    1..6 one line per component, ``v{i} = y{i} + h * (a_s0 * s0_{i} + ...
+    )``, then the field's lines with f written to s{s}_0, s{s}_1, ...; the
+    new state ``z{i} = y{i} + h * (b0 * s0_{i} + ... + b6 * s6_{i})`` and
+    the error ``e{i} = h * (e0 * s0_{i} + ... )``, the tableau entries as
+    float literals.  Each weighted sum runs left to right over the whole
+    row, zeros included, so a non-finite stage (float arithmetic overflows
+    to +-inf or nan and never raises) makes the error NaN.  Every norm, the
+    first step's three and each attempt's, is written by ``rms``: the
+    scaled terms, e{i} / (atol + rtol * max(|y{i}|, |z{i}|)) in an attempt,
+    their squares summed left to right and ``sqrt(acc / n)``, or
+    ``hypot(q0, ...) / sqrt(n)`` where that sum is not finite.  An accepted
+    state holds no NaN, so the blow-up and escape tests ``abs(y0) > bound
+    or ...`` are ``max(map(abs, y)) > bound``; each clamp picks what the
+    builtin ``min`` or ``max`` would.  The time is ``now``, since the
+    field's term sums use ``t``.
     """
     n = shape[0]
     state = "".join(f"y{i}, " for i in range(n))  # "y0, y1, ": a tuple for any n
@@ -198,45 +161,64 @@ def _loop_source(shape) -> list[str]:
     def beyond(bound):
         return " or ".join(f"abs(y{i}) > {bound}" for i in range(n))
 
-    def in_loop(lines):
-        return ["        " + line for line in lines]
+    def rms(target, terms):
+        qs = [f"q{i}" for i in range(n)]
+        return [*(f"{q} = {term}" for q, term in zip(qs, terms)),
+                "acc = " + " + ".join(f"{q} * {q}" for q in qs),
+                "if isfinite(acc):",
+                f"    {target} = sqrt(acc / {n})",
+                "else:",
+                f"    {target} = hypot({', '.join(qs)}) / sqrt({n})"]
+
+    def indent(depth, lines):
+        return ["    " * depth + line for line in lines]
 
     lines = ["from math import hypot, isfinite, sqrt",
-             "def loop(ts, ys, fs, hs, errs, h, end, atol, rtol, budget, escape):",
+             "def loop(run, ts, ys, fs, hs, errs, end, atol, rtol, budget):",
              f"    {state}= ys",
-             f"    {slope}= fs",
-             "    now = 0.0",
-             "    err_prev = 1.0",
-             "    attempts = rejected = 0",
-             "    while now < end:"]
-    lines += in_loop([
+             f"    {slope}= run(ys, fs)",
+             "    escape = 1e3 * (1.0 + max(map(abs, ys)))",
+             "    now = h = 0.0",
+             "    err_prev, attempts, rejected, evals = 1.0, 0, 0, 1",
+             "    if " + " and ".join(f"isfinite(s0_{i})" for i in range(n)) + ":"]
+    lines += indent(2, [f"w{i} = atol + rtol * abs(y{i})" for i in range(n)]
+                    + rms("d0", [f"y{i} / w{i}" for i in range(n)])
+                    + rms("d1", [f"s0_{i} / w{i}" for i in range(n)]) + [
+        "h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1",
+        "if h != 0.0:  # zero where f(x0) overflows the norm",
+        "    h0 = end if end < h else h",
+        "    " + "".join(f"p{i}, " for i in range(n)) + "= run(["
+        + ", ".join(f"y{i} + h0 * s0_{i}" for i in range(n)) + f"], [0.0] * {n})",
+        "    evals = 2"])
+    lines += indent(3, rms("d2", [f"(p{i} - s0_{i}) / w{i}" for i in range(n)]) + [
+        "d2 /= h0",
+        "d = d2 if d2 > d1 else d1",
+        "h1 = (h0 * 1e-3 if h0 * 1e-3 > 1e-6 else 1e-6) if d <= 1e-15 else (0.01 / d) ** 0.2",
+        "h = h1 if h1 < 100 * h0 else 100 * h0"])  # the loop clamps h to end
+    lines += ["    while now < end:"]
+    lines += indent(2, [
         "if attempts >= budget:",
-        "    return 'stiff-abort', 'max_steps', attempts, rejected",
+        "    status, reason = 'stiff-abort', 'max_steps'",
+        "    break",
         "rest = end - now",
         "if rest < h:",
         "    h = rest",
         "if now + h == now:  # the step size underflowed: cannot advance",
-        "    if not attempts:",
-        "        return 'stiff-abort', 'no_first_step', attempts, rejected",
-        f"    if {beyond('escape')}:",
-        "        return 'blew-up', 'step_underflow', attempts, rejected",
-        "    return 'stiff-abort', 'step_underflow', attempts, rejected",
+        "    reason = 'step_underflow' if attempts else 'no_first_step'",
+        f"    status = 'blew-up' if attempts and ({beyond('escape')}) else 'stiff-abort'",
+        "    break",
         "attempts += 1"])
     for s in range(1, 7):
-        lines += in_loop([f"v{i} = y{i} + h * ({weighted(_A[s], i)})" for i in range(n)])
-        lines += in_loop(_field_lines(shape, [f"s{s}_{i}" for i in range(n)]))
+        lines += indent(2, [f"v{i} = y{i} + h * ({weighted(_A[s], i)})" for i in range(n)])
+        lines += indent(2, _field_lines(shape, [f"s{s}_{i}" for i in range(n)]))
     for i in range(n):
-        lines += in_loop([f"z{i} = y{i} + h * ({weighted(_B5, i)})",
-                          f"e{i} = h * ({weighted(_E, i)})",
-                          f"a = abs(y{i})",
-                          f"b = abs(z{i})",
-                          f"q{i} = e{i} / (atol + rtol * (a if a >= b else b))"])
-    lines += in_loop([
-        "acc = " + " + ".join(f"q{i} * q{i}" for i in range(n)),
-        "if isfinite(acc):",
-        f"    err = sqrt(acc / {n})",
-        "else:",
-        "    err = hypot(" + ", ".join(f"q{i}" for i in range(n)) + f") / sqrt({n})",
+        lines += indent(2, [f"z{i} = y{i} + h * ({weighted(_B5, i)})",
+                            f"e{i} = h * ({weighted(_E, i)})",
+                            f"a{i} = abs(y{i})",
+                            f"b{i} = abs(z{i})"])
+    lines += indent(2, rms("err", [f"e{i} / (atol + rtol * (a{i} if a{i} >= b{i} else b{i}))"
+                                   for i in range(n)]))
+    lines += indent(2, [
         "if err <= 1.0:  # false for NaN and inf",
         "    now += h",
         f"    {state}= " + "".join(f"z{i}, " for i in range(n)),
@@ -248,7 +230,8 @@ def _loop_source(shape) -> list[str]:
         "    hs.append(h)",
         "    errs.append(err)",
         f"    if {beyond(repr(_BLOWUP_NORM))}:",
-        "        return 'blew-up', 'blowup_norm', attempts, rejected",
+        "        status, reason = 'blew-up', 'blowup_norm'",
+        "        break",
         "    if err > 0.0:",
         f"        factor = {_SAFETY!r} * err ** {-_ALPHA!r} * err_prev ** {_BETA!r}",
         f"        factor = factor if factor > {_MIN_FACTOR!r} else {_MIN_FACTOR!r}",
@@ -261,7 +244,9 @@ def _loop_source(shape) -> list[str]:
         f"    shrink = {_SAFETY!r} * err ** -0.2 if isfinite(err) else 0.1",
         "    shrink = shrink if shrink < 1.0 else 1.0",
         "    h *= shrink if shrink > 0.1 else 0.1"])
-    lines += ["    return 'completed', 't_end', attempts, rejected",
+    lines += ["    else:",
+              "        status, reason = 'completed', 't_end'",
+              "    return status, reason, evals + 6 * attempts, rejected",
               "return loop"]
     return lines
 
@@ -276,36 +261,24 @@ def integrate(ivp: InitialValueProblem, t_end: float,
     identical inputs give bit-identical trajectories, on any BLAS build
     or CPU.
 
-    After f(x0) and the first step, the whole step loop is one call of
-    the field's DP5 loop (see ``_loop_source``), generated once per field
-    shape and bound once to this field's coefficients: the six stages,
-    the new state, the error estimate and its norm, the blow-up test and
-    the step-size control as Python float code, which appends every
-    accepted node to flat lists, so neither the first step nor the step
-    loop calls numpy; an attempt that overflows is rejected.  The lists
-    become the trajectory's arrays once, at the end.  The error norm, the
-    blow-up test and the step-size control have the same bits as the
-    numpy forms for n <= 7 (the norm's sum order differs from
-    ``np.mean``'s pairwise one from n = 8 on).
+    The whole run, f(x0) and the first step included, is one call of the
+    field's DP5 loop (see ``_loop_source``), generated once per field
+    shape and bound once to its coefficients: Python float code that
+    appends every accepted node to flat lists and calls no numpy; an
+    attempt that overflows is rejected.  The lists become the
+    trajectory's arrays once, at the end.  The error norm, the blow-up
+    test and the step-size control have the same bits as the numpy forms
+    for n <= 7 (the norm's sum order differs from ``np.mean``'s pairwise
+    one from n = 8 on).
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError("t_end must be positive and finite")
     cfg = cfg or IntegrationConfig()
     program = ivp.field._program
-    loop = program.bound(_loop_source)
     n = ivp.dimension
-    ys = ivp.x0.tolist()
-    fs = program.run(ys, [0.0] * n)
-    h, probes = _initial_step(program.run, ys, fs, t_end, cfg)
-    # Algebraic escape such as (t_c - t)**-0.5 grows too slowly to cross
-    # _BLOWUP_NORM before t exhausts double precision near t_c, so a step
-    # size underflow with the state far beyond its initial scale is
-    # reported as blow-up rather than stiffness.
-    escape = 1e3 * (1.0 + max(map(abs, ys)))
-    ts, hs, errs = [0.0], [], []
-    status, reason, attempts, rejected = loop(ts, ys, fs, hs, errs, h, t_end, cfg.abs_tol,
-                                              cfg.rel_tol, cfg.max_steps, escape)
-    evals = 1 + probes + 6 * attempts
+    ts, ys, fs, hs, errs = [0.0], ivp.x0.tolist(), [0.0] * n, [], []
+    status, reason, evals, rejected = program.bound(_loop_source)(
+        program.run, ts, ys, fs, hs, errs, t_end, cfg.abs_tol, cfg.rel_tol, cfg.max_steps)
     logger.debug("integrate: %s (%s) at t = %r, %d accepted, %d rejected, "
                  "%d rhs evaluations", status, reason, ts[-1], len(hs), rejected, evals)
     return Trajectory(
@@ -322,13 +295,17 @@ def integrate(ivp: InitialValueProblem, t_end: float,
 
 
 def sample(traj: Trajectory, times) -> np.ndarray:
-    """States at the requested times, shape (len(times), n).
+    """States at the requested times, a scalar or a 1-D sequence, shape
+    (len(times), n); ValueError for times of more dimensions.
 
     Node hits return the stored states exactly; interior points use cubic
     Hermite interpolation on the bracketing accepted step with the stored
     endpoint derivatives.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = np.asarray(times, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"sample times must be a scalar or 1-D, got shape {times.shape}")
+    times = np.atleast_1d(times)
     ts = traj.ts
     if not np.all((times >= ts[0]) & (times <= ts[-1])):
         raise RangeError(

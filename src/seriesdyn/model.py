@@ -189,12 +189,14 @@ class _Program(tuple):
     """The pair (products, components) that ``_compile`` builds for
     polynomials in n variables.  Its code is generated from its ``shape``
     by a source emitter (``_run_source`` for f, the integrator's
-    ``_loop_source`` for the DP5 step loop, the series' ``_taylor_source``
-    and ``_hpm_source`` for the Taylor and perturbation recursions), all
+    ``_loop_source`` for the whole DP5 run, which calls ``run`` for f(x0)
+    and the first step's probe, the series' ``_taylor_source`` and
+    ``_hpm_source`` for the Taylor and perturbation recursions), all
     built on ``_field_lines`` or its term sums, compiled once per shape by
     ``_factory`` and bound to the program's coefficients by ``bound`` on
-    first use: ``run`` on the first evaluation, the step loop on the
-    first integration, each recursion on its first expansion.
+    first use: ``run`` on the first evaluation, the DP5 loop (then
+    ``run``) on the first integration, each recursion on its first
+    expansion.
     ``poly_apply_series`` reads only the pair, so it never pays for the
     code."""
 

@@ -99,16 +99,18 @@ def _default_box(field: PolyVectorField) -> list[tuple[float, float]]:
 
 
 def _injected_seeds(field: PolyVectorField) -> list[np.ndarray]:
-    """Closed-form fixed-point candidates for 2-D product-form fields:
-    the origin, the two axis intercepts, and the interior solution of
-    [[a_11, a_12], [a_21, a_22]] x = (-b_1, -b_2) when its determinant is
-    nonzero (a NaN one is not), by Cramer's rule on Python floats as
-    ``_newton_all`` takes its 2-D step."""
-    if field.dimension != 2:
-        return []
+    """Closed-form fixed-point candidates for product-form fields: in 1-D
+    the origin and -b/a when a is nonzero; in 2-D the origin, the two axis
+    intercepts, and the interior solution of [[a_11, a_12], [a_21, a_22]]
+    x = (-b_1, -b_2) when its determinant is nonzero (a NaN one is not),
+    by Cramer's rule on Python floats as ``_newton_all`` takes its 2-D
+    step."""
     parts = _product_form(field)
     if parts is None:
         return []
+    if field.dimension == 1:
+        (b, (a,)), = parts
+        return [np.zeros(1)] + ([np.array([-b / a])] if a != 0.0 else [])
     (b1, (a, b)), (b2, (c, d)) = parts
     seeds = [np.zeros(2)]
     if d != 0.0:

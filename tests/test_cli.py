@@ -165,6 +165,18 @@ def test_radius_cli_overflowed_tail_collapses(tmp_path, capsys):
     assert "relative disagreement x: ratio 1  root 1" in out
 
 
+@pytest.mark.parametrize("command", ["radius", "solve", "fixed-points"])
+@pytest.mark.parametrize("params, x0", [({"b": 1.0, "a": -1e-200}, 1e-200),
+                                        ({"b": 1.0, "a": -3.0}, 1e-320)],
+                         ids=["a-x0-underflows", "b-over-a-x0-overflows"])
+def test_logistic_beyond_the_float_range_of_q_exits_zero(tmp_path, capsys, command,
+                                                         params, x0):
+    path = write_model(tmp_path, {"model": "logistic", "params": params, "x0": [x0]})
+    assert main([command, path]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert "nan" not in out
+
+
 def test_radius_cli_order_override(tmp_path, capsys):
     path = write_model(tmp_path, LOGISTIC_DOC)
     assert main(["radius", path, "-k", "12"]) == EXIT_OK

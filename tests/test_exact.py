@@ -185,6 +185,24 @@ def test_logistic_singularity_b_zero():
     assert s.modulus == pytest.approx(10.0 / 3.0, rel=1e-15)
 
 
+def test_logistic_singularity_where_q_leaves_the_float_range():
+    # a*x0 = -1e-400 underflows to -0.0, and b/(a*x0) = -1/(3e-320)
+    # overflows: ln|q| is ln|b + a*x0| - ln|a| - ln|x0|, where the direct
+    # route divided by zero or turned the location into inf - nan i
+    for b, a, x0 in [(1.0, -1e-200, 1e-200), (1.0, -3.0, 1e-320), (1.0, 1e-200, 1e-200)]:
+        s = logistic_singularity(b, a, x0)
+        assert s.location.real == pytest.approx(-math.log(abs(a)) - math.log(x0), rel=1e-15)
+        assert s.location.imag == (math.pi if a < 0 else 0.0)
+        assert s.modulus == abs(s.location) < math.inf
+        assert not s.degenerate
+        # a*x0 is far below rounding beside b: the solution is x0 e^t
+        assert logistic_exact(b, a, x0, 0.5) == pytest.approx(x0 * math.exp(0.5), rel=1e-3)
+    # b = 0: the pole 1/(a*x0) lies beyond the largest double
+    assert logistic_singularity(0.0, -1e-200, 1e-200).location == complex(-math.inf, 0.0)
+    assert logistic_singularity(0.0, 1e-200, 1e-200).location == complex(math.inf, 0.0)
+    assert logistic_exact(0.0, -1e-200, 1e-200, 0.5) == 1e-200
+
+
 def test_logistic_singularity_degenerate_equilibrium():
     # x0 = -b/a is the equilibrium: constant solution, no singularity
     s = logistic_singularity(1.0, -3.0, 1.0 / 3.0)

@@ -315,7 +315,7 @@ def test_slope_that_overflows_the_norm_gives_no_first_step():
     assert traj.status == "stiff-abort"
     assert traj.stop_reason == "no_first_step"
     assert traj.ts.tolist() == [0.0]
-    assert traj.rhs_evals <= 2
+    assert traj.rhs_evals == 1  # f(x0) only: the first step is zero before the probe
 
 
 def test_integrate_rejects_non_finite_t_end():
@@ -332,6 +332,15 @@ def test_sample_rejects_nan_times():
         sample(traj, [math.nan])
     with pytest.raises(RangeError):
         sample(traj, [0.5, math.nan])
+
+
+def test_sample_takes_a_scalar_or_one_dimension_of_times():
+    # a (2, 2) array of times used to give a (2, 2, 2) array of states
+    traj = integrate(LOGISTIC, 1.0)
+    with pytest.raises(ValueError, match=r"scalar or 1-D, got shape \(2, 2\)"):
+        sample(traj, [[0.1, 0.2], [0.3, 0.4]])
+    np.testing.assert_array_equal(sample(traj, 0.5), sample(traj, [0.5]))
+    assert sample(traj, 0.5).shape == (1, 1)
 
 
 def scalar_hermite(traj, times):
@@ -397,6 +406,32 @@ def numpy_product(weights, rows):
     return np.array(weights) @ rows
 
 
+def reference_norm(q):
+    """RMS of q: the square root of ``np.mean`` of the squares, or, where
+    they overflow, ``math.hypot`` of the terms over sqrt(n)."""
+    acc = np.mean(q ** 2)
+    return float(np.sqrt(acc)) if np.isfinite(acc) else math.hypot(*q) / math.sqrt(len(q))
+
+
+def reference_first_step(rhs, y, f, t_end, cfg):
+    """The first step of Hairer, Norsett & Wanner (Solving ODEs I, II.4)
+    in numpy, each scale an RMS norm weighted by abs_tol + rel_tol * |y|:
+    zero where f(y) is not finite or overflows the norm, else sized from
+    d0 = |y|, d1 = |f| and d2 = |f(y + h0 f) - f| / h0."""
+    if not np.all(np.isfinite(f)):
+        return 0.0
+    scale = cfg.abs_tol + cfg.rel_tol * np.abs(y)
+    with np.errstate(over="ignore"):
+        d0, d1 = reference_norm(y / scale), reference_norm(f / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        if h0 == 0.0:
+            return 0.0
+        h0 = min(h0, t_end)
+        d2 = reference_norm((rhs(y + h0 * f) - f) / scale) / h0
+    h1 = max(1e-6, h0 * 1e-3) if max(d1, d2) <= 1e-15 else (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, t_end)
+
+
 def reference_integrate(ivp, t_end, cfg=None, weighted=left_to_right):
     """The DP5 step loop with numpy on every value: f through
     ``eval_field`` per stage, the weighted sums of stages through
@@ -419,8 +454,7 @@ def reference_integrate(ivp, t_end, cfg=None, weighted=left_to_right):
     f = rhs(y)
     ts, ys, fs, hs, errs = [t], [y], [f], [], []
     status = "completed"
-    h, _ = m._initial_step(lambda x, out: rhs(x).tolist(), y.tolist(), f.tolist(),
-                           t_end, cfg)
+    h = reference_first_step(rhs, y, f, t_end, cfg)
     err_prev = 1.0
     attempts = 0
     k = np.empty((7, len(y)))
@@ -494,10 +528,18 @@ STEP_LOOP_CASES = [
     (preset_ivp(Spiral(-0.5), [1e120, 0.0]), 1.0, None),
     (random_ivp(3, 31), 5.0, None),
     (random_ivp(7, 71), 5.0, None),
+    (InitialValueProblem(PolyVectorField((Polynomial.from_coeffs({(0,): 1e300}, 1),)),
+                         [1.0]), 1.0, None),
+    # x' = 1 - x from 0: d0 = 0 takes the 1e-6 first guess, and the first
+    # step is its 100-fold clamp, 1e-4
+    (InitialValueProblem(PolyVectorField((Polynomial.from_coeffs({(0,): 1.0, (1,): -1.0}, 1),)),
+                         [0.0]), 2.0, None),
+    (LOGISTIC, 0.004, None),  # the first guess, 0.005, is clamped to t_end
 ]
 STEP_LOOP_IDS = ["logistic", "logistic-0.1", "spiral-decay", "spiral-blowup",
                  "two-species-2000", "logistic-rejects", "max-steps", "overflow-start",
-                 "random-3d", "random-7d"]
+                 "random-3d", "random-7d", "norm-overflow-start", "zero-start-clamped",
+                 "logistic-short"]
 
 
 @pytest.mark.parametrize("ivp, t_end, cfg", STEP_LOOP_CASES, ids=STEP_LOOP_IDS)
@@ -519,15 +561,15 @@ STATUS_OF_STOP_REASON = {"t_end": {"completed"}, "max_steps": {"stiff-abort"},
 
 @pytest.mark.parametrize("ivp, t_end, cfg", STEP_LOOP_CASES, ids=STEP_LOOP_IDS)
 def test_counts_and_storage_match_the_reference(ivp, t_end, cfg):
-    # rhs_evals is derived from the number of attempts, so it must equal
-    # the reference loop's count of calls of f: f(x0), the starting-step
-    # probe (skipped where f(x0) is not finite), six stages per attempt
+    # rhs_evals must equal the reference loop's count of calls of f:
+    # f(x0), the starting-step probe (skipped where the first step is
+    # zero before it), six stages per attempt
     traj = integrate(ivp, t_end, cfg)
     *_, rejected, non_finite, calls = reference_integrate(ivp, t_end, cfg)
     accepted = len(traj.step_sizes)
     assert traj.rejected_steps == rejected
-    probe = int(np.all(np.isfinite(traj.derivs[0])))
-    assert traj.rhs_evals == calls == 1 + probe + 6 * (accepted + traj.rejected_steps)
+    assert traj.rhs_evals == calls
+    assert calls - 6 * (accepted + rejected) in (1, 2)
     assert traj.status in STATUS_OF_STOP_REASON[traj.stop_reason]
     # the flat lists come back as C-contiguous read-only (N, n) arrays
     n, nodes = ivp.dimension, accepted + 1

@@ -87,11 +87,11 @@ def test_two_species_eigenvalues():
 
 
 def test_logistic_fixed_points_and_stability():
+    # 0 and -b/a are injected as seeds, so the catalog is exact, where
+    # the lattice alone gave the origin as -1.16303e-18
     field = Logistic(1.0, -3.0).build_field()
     roots = fixed_points(field)
-    assert len(roots) == 2
-    np.testing.assert_allclose([r[0] for r in roots], [0.0, 1.0 / 3.0],
-                               atol=1e-12)
+    assert [r.tolist() for r in roots] == [[0.0], [1.0 / 3.0]]
     assert classify(field, roots[0]).classification == "unstable-node"
     assert classify(field, roots[1]).classification == "stable-node"
 
@@ -294,6 +294,12 @@ def test_reference_seeds_and_box_are_pinned():
         assert hi == pytest.approx(160.0, rel=1e-12)
     assert _injected_seeds(Spiral(0.5).build_field()) == []
     assert _default_box(Spiral(0.5).build_field()) == [(-10.0, 10.0)] * 2
+    # 1-D: the origin, and -b/a when a is nonzero
+    for preset, want in ((Logistic(1.0, -3.0), [[0.0], [1.0 / 3.0]]),
+                         (Logistic(2.0, 0.0), [[0.0]])):
+        assert [s.tolist() for s in _injected_seeds(preset.build_field())] == want
+    not_product = PolyVectorField((Polynomial.from_coeffs({(0,): 1.0, (2,): -1.0}, 1),))
+    assert _injected_seeds(not_product) == []
 
 
 _SUMMARY = re.compile(
@@ -317,7 +323,8 @@ def test_one_summary_line_per_call(caplog):
     caplog.clear()
     fixed_points(Logistic(1.0, -3.0).build_field())
     fixed_points(Spiral(-0.5).build_field())
-    assert [s[0] for s in _summaries(caplog)] == [25, 625]
+    # the logistic adds its two closed-form seeds, 0 and -b/a, to its 25
+    assert [s[0] for s in _summaries(caplog)] == [27, 625]
 
 
 # -- the batched search against a scalar reference ----------------------------

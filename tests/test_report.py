@@ -207,6 +207,18 @@ def test_cmd_radius_real_pole_both_methods_agree():
     assert "4.05465108108e-01" in out
 
 
+@pytest.mark.parametrize("params, x0, modline", [
+    ({"b": 1.0, "a": -1e-200}, 1e-200, "9.21039395075e+02 (pole at t = "
+                                       "9.21034037198e+02+3.14159265359e+00i)"),
+    ({"b": 1.0, "a": -3.0}, 1e-320, "7.35735335939e+02 (pole at t = "
+                                   "7.35728628602e+02+3.14159265359e+00i)"),
+], ids=["a-x0-underflows", "b-over-a-x0-overflows"])
+def test_cmd_radius_pole_where_q_leaves_the_float_range(params, x0, modline):
+    out = cmd_radius(parse_model({"model": "logistic", "params": params, "x0": [x0]}))
+    assert f"analytic singularity modulus: {modline}" in out.splitlines()
+    assert "nan" not in out
+
+
 def test_cmd_radius_degenerate_equilibrium():
     mf = parse_model({"model": "logistic", "params": {"b": 3.0, "a": -3.0},
                       "x0": [1.0], "order": 12})
