@@ -61,8 +61,10 @@ def logistic_exact(b: float, a: float, x0: float, t: float) -> float:
     denominator follows from partial-fraction integration of
     dx / (x (b + a x)) = dt and satisfies the ODE identically, with the
     pole condition e^(bt) = 1 + b/(a*x0).  It is evaluated with expm1, so
-    no digit is lost when b is tiny beside a*x0.  For b = 0 the solution
-    degenerates to x0 / (1 - a*x0*t).
+    no digit is lost when b is tiny beside a*x0.  Where e^(-bt) and a*x0
+    both underflow, numerator and denominator are divided by x0 as well,
+    so the far tail stays finite where the solution is.  For b = 0 the
+    solution degenerates to x0 / (1 - a*x0*t).
 
     Raises SingularityError when t is within 1e-12 of a real-axis pole,
     as located by ``logistic_singularity``.
@@ -78,7 +80,15 @@ def logistic_exact(b: float, a: float, x0: float, t: float) -> float:
     bt = b * t
     if bt >= 0.0:
         # divide through by e^(bt) so large bt cannot overflow
-        return b * x0 / (b * math.exp(-bt) + a * x0 * math.expm1(-bt))
+        den = b * math.exp(-bt) + a * x0 * math.expm1(-bt)
+        if den != 0.0:
+            return b * x0 / den
+        if x0 == 0.0:
+            return x0  # the equilibrium at 0
+        # e^(-bt) underflowed, and a*x0 with it: divide through by x0 too,
+        # with e^(-bt) / |x0| taken in logs
+        den = math.copysign(b * math.exp(-bt - math.log(abs(x0))), x0) + a * math.expm1(-bt)
+        return b / den if den != 0.0 else math.copysign(math.inf, x0)
     return b * x0 * math.exp(bt) / (b - a * x0 * math.expm1(bt))
 
 

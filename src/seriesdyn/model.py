@@ -276,9 +276,10 @@ def _factory(source, shape):
     c{i}_{j} (coefficient of its term j), which the body's functions read
     as closure cells, so fields of one shape share the code; only what is
     the same for every field, such as the DP5 tableau, is a literal.  For
-    two variables, compiling takes about 0.1 ms (f), 0.2 to 0.3 ms (the
-    Taylor and perturbation recursions) and 1.2 ms (the DP5 step loop),
-    and calling the factory about 6 µs, so each (source, shape) is
+    two variables, on 2 shared cores, compiling takes about 0.15 ms (f),
+    0.25 to 0.45 ms (the Taylor recursion, one line per graph level, or
+    the perturbation recursion, one per node) and 2 ms (the DP5 step
+    loop), and calling the factory about 6 µs, so each (source, shape) is
     compiled once and the 256 most recently used are kept."""
     names = "".join(f"k{i}, " + "".join(f"c{i}_{j}, " for j in range(len(nodes)))
                     for i, nodes in enumerate(shape[2]))

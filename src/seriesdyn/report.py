@@ -73,6 +73,16 @@ def _csv(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
+def _grid(t_end: float, samples: int) -> np.ndarray:
+    """``samples`` equally spaced times from 0 to ``t_end``, checked
+    before ``np.linspace`` would warn on an infinite end."""
+    if samples < 2:
+        raise ValueError("samples must be at least 2")
+    if not (math.isfinite(t_end) and t_end > 0):
+        raise ValueError("t_end must be positive and finite")
+    return np.linspace(0.0, t_end, samples)
+
+
 def _curves(ivp: InitialValueProblem, ts, orders: list[int],
             cfg: IntegrationConfig | None = None
             ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
@@ -131,10 +141,8 @@ def cmd_phase2d(orders: list[int] | None = None, t_end: float = 300.0,
     orders = sorted(set(orders)) if orders else [4, 10]
     if any(k < 1 for k in orders):
         raise ValueError("orders must be positive integers")
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
     ivp = preset_ivp(TwoSpecies.reference(), [4.0, 10.0])
-    ts = np.linspace(0.0, t_end, samples)
+    ts = _grid(t_end, samples)
     num, sums = _curves(ivp, ts, orders, cfg)
     lo, hi = orders[0], orders[-1]
     dev_lo = np.linalg.norm(sums[lo] - num, axis=1)
@@ -164,11 +172,9 @@ def cmd_spiral(order: int = 5, t_end: float = 20.0, samples: int = 201,
     ``cfg`` sets the integrator's tolerances (the defaults when None)."""
     if order < 1:
         raise ValueError("order must be at least 1")
-    if samples < 2:
-        raise ValueError("samples must be at least 2")
     a, x0, y0 = -0.5, 2.0, 2.0
     ivp = preset_ivp(Spiral(a), [x0, y0])
-    ts = np.linspace(0.0, t_end, samples)
+    ts = _grid(t_end, samples)
     num, sums = _curves(ivp, ts, [order], cfg)
     rows = [["t", "x_num", "y_num", "x_exact", "y_exact", "x_series", "y_series"]]
     for t, n_i, s_i in zip(ts, num, sums[order]):

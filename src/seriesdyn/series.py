@@ -21,6 +21,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -220,33 +221,71 @@ def _taylor_source(shape) -> list[str]:
     """The body of the Taylor recursion's factory for a field of this shape
     (see ``model._factory``).
 
-    ``taylor(C)`` fills the coefficient rows of C[node, j], given C zero
-    but for the variables' x0 in column 0.  It is one loop over the orders
-    j on the row views r{k} of C, with one line per product node (in node
-    order, each yielding its order-j coefficient) and the field's term
-    sums (see ``model._sum_lines``, the constant only at j = 0) into w{i},
-    from which every variable's order-(j + 1) coefficient is stored after
-    all components have read order j.
+    ``taylor(x0, order)`` returns the work array S[row, j] whose first n
+    rows are the variables' coefficients 0..order.  It is one loop over
+    the orders j, with one line per level of the product graph (a
+    variable is level 0, a product one more than its operands' larger
+    level), each yielding the order-j coefficients of all of the level's
+    nodes, and the field's term sums (see ``model._sum_lines``, the
+    constant only at j = 0) into w{i}, from which every variable's
+    order-(j + 1) coefficient is stored after all components have read
+    order j.
 
-    A product (a, b) is ``r{a}[:j + 1] @ r{b}[j::-1]``.  Its second
-    operand has a negative stride, so numpy runs its own dot loop, not
-    BLAS: ``s = 0; s += a[i] * b[i]`` for i = 0..j, left to right.  A
-    product's coefficient is stored in C only where the node is an
-    operand; every variable's is stored, as the result.
+    A level's nodes, ordered by their operands, take one call
+    ``vecdot(S[a0:a0 + m, :j + 1], S[b0:b0 + m, j::-1]).tolist()``: row
+    i of the first block holds the first operand of node i, row i of the
+    second its second operand.  A block is the variables' own rows when
+    its operands are consecutive variables, and otherwise m slot rows of
+    its own, into which every operand's coefficient is also written as
+    it is made, so S has at most n + 2P rows for P products.  The second
+    block has a negative stride, so numpy runs its own dot loop, not
+    BLAS: ``s = 0; s += a[i] * b[i]`` for i = 0..j, left to right.  The
+    term sums run on the Python floats of ``tolist``, the same IEEE
+    operations.
     """
     n, products, components = shape
-    operands = {k for product in products for k in product}
-    return ["def taylor(C):",
-            "    " + "".join(f"r{k}, " for k in range(n + len(products))) + "= C",
-            "    " + "".join(f"v{i}, " for i in range(n)) + f"= C[:{n}, 0].tolist()",
-            "    for j in range(C.shape[1] - 1):",
-            *(f"        v{k} = {f'r{k}[j] = ' if k in operands else ''}"
-              f"r{a}[:j + 1] @ r{b}[j::-1]"
-              for k, (a, b) in enumerate(products, start=n)),
+    level = [0] * n
+    for a, b in products:
+        level.append(1 + max(level[a], level[b]))
+    rows = n
+    copies = {k: [] for k in range(len(level))}  # node -> its slot rows
+    calls = []
+    for _, group in groupby(sorted(range(n, len(level)),
+                                   key=lambda k: (level[k], products[k - n])),
+                            key=level.__getitem__):
+        nodes = list(group)
+        starts = []
+        for operands in zip(*(products[k - n] for k in nodes)):
+            if operands[-1] < n and operands == tuple(range(operands[0], operands[-1] + 1)):
+                starts.append(operands[0])
+            else:
+                starts.append(rows)
+                for k in operands:
+                    copies[k].append(rows)
+                    rows += 1
+        a0, b0 = starts
+        m = len(nodes)
+        calls.append((nodes, f"vecdot(S[{a0}:{a0 + m}, :j + 1], S[{b0}:{b0 + m}, j::-1])"))
+
+    def store(k, column):
+        return "".join(f"r{row}[{column}] = " for row in copies[k])
+
+    return ["from numpy import vecdot, zeros",
+            "def taylor(x0, order):",
+            f"    S = zeros(({rows}, order + 1))",
+            f"    S[:{n}, 0] = x0",
+            "    " + "".join(f"r{row}, " for row in range(rows)) + "= S",
+            "    " + "".join(f"v{i}, " for i in range(n)) + f"= S[:{n}, 0].tolist()",
+            *(f"    {store(i, 0)}v{i}" for i in range(n) if copies[i]),
+            "    for j in range(order):",
+            *(line for nodes, call in calls for line in (
+                "        " + "".join(f"v{k}, " for k in nodes) + f"= {call}.tolist()",
+                *(f"        {store(k, 'j')}v{k}" for k in nodes if copies[k]))),
             *("        " + line for line in _sum_lines(
                 components, [f"w{i}" for i in range(n)], "k{} if j == 0 else 0.0")),
-            *(f"        v{i} = r{i}[j + 1] = w{i} / (j + 1)" for i in range(n)),
-            "    return C",
+            *(f"        v{i} = r{i}[j + 1] = {store(i, 'j + 1')}w{i} / (j + 1)"
+              for i in range(n)),
+            "    return S",
             "return taylor"]
 
 
@@ -257,21 +296,19 @@ def taylor_solve(ivp: InitialValueProblem, order: int) -> TaylorSolution:
     to the partial series known so far, divided by j+1.  For polynomial f
     these are the exact Taylor coefficients of the true solution.  Each
     product node of the field's graph yields its t^j coefficient as one
-    length-(j+1) dot product, so the cost is O(K^2) per node.  The loop is
-    generated once per field shape (see ``_taylor_source``).
+    length-(j+1) dot product, so the cost is O(K^2) per node; the nodes
+    of one level of the graph share one numpy call per order.  The loop
+    is generated once per field shape (see ``_taylor_source``).
     """
     _check_count(order, "order")
     n = ivp.dimension
     program = ivp.field._program
-    # C[node, j]: the t^j coefficient of every variable and product node
-    C = np.zeros((n + len(program[0]), order + 1))
-    C[:n, 0] = ivp.x0
     # overflow is reported through overflow_order, not as numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
-        program.bound(_taylor_source)(C)
-    overflow_order = _first_overflow(np.isfinite(C[:n, 1:]).all(axis=0))
+        C = program.bound(_taylor_source)(ivp.x0, order)[:n]
+    overflow_order = _first_overflow(np.isfinite(C[:, 1:]).all(axis=0))
     logger.debug("taylor_solve: order %d, %d graph nodes, overflow_order %s",
-                 order, len(C), overflow_order)
+                 order, n + len(program[0]), overflow_order)
     return TaylorSolution(
         series=tuple(TruncatedSeries(C[i]) for i in range(n)),
         ivp=ivp,

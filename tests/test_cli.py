@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import pytest
 
@@ -258,6 +259,19 @@ def test_invalid_tolerance_flags_are_input_errors(capsys, command, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "tolerances must be positive and finite" in captured.err
+
+
+@pytest.mark.parametrize("command", ["phase2d", "spiral"])
+@pytest.mark.parametrize("t_end", ["inf", "-inf", "nan", "0", "-1"])
+def test_non_finite_or_non_positive_t_end_is_input_error(capsys, command, t_end):
+    # checked before the time grid is built, where np.linspace(0, inf, n)
+    # would warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, f"--t-end={t_end}"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "t_end must be positive and finite" in captured.err
 
 
 @pytest.mark.parametrize("argv", [

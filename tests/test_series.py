@@ -34,6 +34,7 @@ from seriesdyn import (
     series_mul,
     taylor_solve,
 )
+from seriesdyn.series import _taylor_source
 
 LOGISTIC = preset_ivp(Logistic(1.0, -3.0), [1.0])
 
@@ -254,6 +255,38 @@ def test_taylor_equals_the_float_recursion_bit_for_bit():
         assert got.tobytes() == want.tobytes(), (ivp, order)
         finite = np.isfinite(want[:, 1:]).all(axis=0)
         assert sol.overflow_order == (None if finite.all() else int(np.argmin(finite)) + 1)
+
+
+def field_ivp(components, x0):
+    n = len(x0)
+    field = PolyVectorField(tuple(Polynomial.from_coeffs(c, n) for c in components))
+    return InitialValueProblem(field, x0)
+
+
+@pytest.mark.parametrize("ivp", [
+    field_ivp([{}, {}], [0.5, -1.5]),
+    field_ivp([{(1, 0): 0.5, (0, 1): -2.0}, {(1, 0): 1.5}], [0.5, -1.5]),
+    field_ivp([{(0, 0): 0.75}, {(0, 0): -1.25}], [0.5, -1.5]),
+    preset_ivp(Spiral(-0.5), [2.0, 2.0]),
+    preset_ivp(TwoSpecies.reference(), [4.0, 10.0]),
+    field_ivp([{(1, 2): 1.0}, {(0, 1): -1.0}], [0.5, -1.5]),
+    field_ivp([{(400,): 1.0, (401,): -1.0}], [0.5]),
+    random_ivp(np.random.default_rng(23), 3, max_degree=4),
+], ids=["zero", "linear", "constant", "spiral", "two-species", "x-y2", "x400-x401",
+        "random-3"])
+def test_taylor_loop_compiles_for_every_graph_shape(ivp):
+    # fields with no product, consecutive variable operands (the
+    # spiral's squares), scattered or repeated operands, or one product
+    # per level each emit a loop that compiles, keeps at most n + 2P
+    # work rows and does the float recursion's arithmetic
+    program = ivp.field._program
+    rows = len(program.bound(_taylor_source)(ivp.x0, 1))
+    assert ivp.dimension <= rows <= ivp.dimension + 2 * len(program[0])
+    for order in (1, 2, 7, 40):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = np.array([s.coeffs for s in taylor_solve(ivp, order).series])
+        assert got.tobytes() == float_recursion(ivp, order).tobytes(), order
 
 
 def test_taylor_satisfies_its_own_recursion():
@@ -835,9 +868,10 @@ def test_radius_estimates_do_not_depend_on_the_blas_kernel(here_and_under_presco
 
 
 def test_taylor_does_not_depend_on_the_blas_kernel(here_and_under_prescott):
-    # each product is numpy's own loop over a reversed (negative stride)
-    # operand, not a BLAS ddot, so the coefficients keep their bits under
-    # any kernel, the spiral's overflow at order 340 of 360 included
+    # each product is numpy's own loop in vecdot over a reversed
+    # (negative stride) operand, not a BLAS ddot, so the coefficients keep
+    # their bits under any kernel, the spiral's overflow at order 340 of
+    # 360 included
     here, child = here_and_under_prescott("\n".join([
         "from seriesdyn import Logistic, Spiral, TwoSpecies, preset_ivp, taylor_solve",
         "for preset, x0, K in [(Spiral(-0.5), [2.0, 2.0], 300), (Spiral(-0.5), [2.0, 2.0], 360),",
