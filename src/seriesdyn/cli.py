@@ -67,6 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-precision", action="store_true",
                    help="print all values at full precision")
     add_output(p)
+    p.set_defaults(run=lambda args: cmd_table1(full_precision=args.full_precision))
 
     p = sub.add_parser("phase2d", help="two-species CSV: integrator vs "
                                        "partial sums, fixed-point footer")
@@ -76,6 +77,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=samples_type, default=121)
     add_tols(p)
     add_output(p)
+    p.set_defaults(run=lambda args: cmd_phase2d(
+        orders=args.order, t_end=args.t_end, samples=args.samples, cfg=_tolerances(args)))
 
     p = sub.add_parser("spiral", help="spiral CSV: integrator, closed form, "
                                       "series")
@@ -84,6 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=samples_type, default=201)
     add_tols(p)
     add_output(p)
+    p.set_defaults(run=lambda args: cmd_spiral(
+        order=args.order, t_end=args.t_end, samples=args.samples, cfg=_tolerances(args)))
 
     p = sub.add_parser("radius", help="radius-of-convergence report for a "
                                       "model file")
@@ -91,17 +96,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", "-k", type=order_type, default=None, metavar="K",
                    help="series order (default: model file's, needs >= 8)")
     add_output(p)
+    p.set_defaults(run=lambda args: cmd_radius(load_model(args.model_file), order=args.order))
 
     p = sub.add_parser("solve", help="CSV of numerical and series solutions "
                                      "on the model file's grid")
     p.add_argument("model_file")
     add_tols(p)
     add_output(p)
+    p.set_defaults(run=_solve)
 
     p = sub.add_parser("fixed-points", help="fixed-point table for a model "
                                             "file")
     p.add_argument("model_file")
     add_output(p)
+    p.set_defaults(run=lambda args: cmd_fixed_points(load_model(args.model_file)))
     return parser
 
 
@@ -113,23 +121,9 @@ def _tolerances(args, cfg: IntegrationConfig = IntegrationConfig()) -> Integrati
     return dataclasses.replace(cfg, **given)
 
 
-def _dispatch(args) -> str:
-    if args.command == "table1":
-        return cmd_table1(full_precision=args.full_precision)
-    if args.command == "phase2d":
-        return cmd_phase2d(orders=args.order, t_end=args.t_end,
-                           samples=args.samples, cfg=_tolerances(args))
-    if args.command == "spiral":
-        return cmd_spiral(order=args.order, t_end=args.t_end,
-                          samples=args.samples, cfg=_tolerances(args))
-    if args.command == "radius":
-        return cmd_radius(load_model(args.model_file), order=args.order)
-    if args.command == "solve":
-        mf = load_model(args.model_file)
-        return cmd_solve(dataclasses.replace(mf, cfg=_tolerances(args, mf.cfg)))
-    if args.command == "fixed-points":
-        return cmd_fixed_points(load_model(args.model_file))
-    raise AssertionError(f"unhandled command {args.command!r}")
+def _solve(args) -> str:
+    mf = load_model(args.model_file)
+    return cmd_solve(dataclasses.replace(mf, cfg=_tolerances(args, mf.cfg)))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -139,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
                             format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
     try:
-        text = _dispatch(args)
+        text = args.run(args)
     except IntegrationFailedError as exc:
         print(f"seriesdyn: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

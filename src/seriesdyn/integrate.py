@@ -23,8 +23,9 @@ logger = logging.getLogger("seriesdyn.integrate")
 
 __all__ = ["IntegrationConfig", "Trajectory", "integrate", "sample"]
 
-# Dormand-Prince 5(4) tableau (FSAL: the 7th stage is f at the new point).
-# The system is autonomous, so no stage needs its time node c.
+# Dormand-Prince 5(4) tableau.  A's last row is b5, the 5th-order weights,
+# so the 7th stage is f at the new state (FSAL: first same as last).  The
+# system is autonomous, so no stage needs its time node c.
 _A = (
     (),
     (1 / 5,),
@@ -34,7 +35,6 @@ _A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 # b5 - b4: weights of the embedded error estimate
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
@@ -136,18 +136,19 @@ def _loop_source(shape) -> list[str]:
 
     Each attempt is straight-line code on Python floats: per stage s =
     1..6 one line per component, ``v{i} = y{i} + h * (a_s0 * s0_{i} + ...
-    )``, then the field's lines with f written to s{s}_0, s{s}_1, ...; the
-    new state ``z{i} = y{i} + h * (b0 * s0_{i} + ... + b6 * s6_{i})`` and
+    )``, then the field's lines with f written to s{s}_0, s{s}_1, ...; and
     the error ``e{i} = h * (e0 * s0_{i} + ... )``, the tableau entries as
-    float literals.  Each weighted sum runs left to right over the whole
-    row, zeros included, so a non-finite stage (float arithmetic overflows
-    to +-inf or nan and never raises) makes the error NaN.  Every norm, the
-    first step's three and each attempt's, is written by ``rms``: the
-    scaled terms, e{i} / (atol + rtol * max(|y{i}|, |z{i}|)) in an attempt,
-    their squares summed left to right and ``sqrt(acc / n)``, or
-    ``hypot(q0, ...) / sqrt(n)`` where that sum is not finite.  An accepted
-    state holds no NaN, so the blow-up and escape tests ``abs(y0) > bound
-    or ...`` are ``max(map(abs, y)) > bound``; each clamp picks what the
+    float literals.  Stage 6's row is b5, so its v{i}, which the field's
+    lines leave alone, are the new state and s6 is f there.  Each weighted
+    sum runs left to right over the whole row, zeros included, so a
+    non-finite stage (float arithmetic overflows to +-inf or nan and never
+    raises) makes the error NaN.  Every norm, the first step's three and
+    each attempt's, is written by ``rms``: the scaled terms, e{i} / (atol +
+    rtol * max(|y{i}|, |v{i}|)) in an attempt, their squares summed left to
+    right and ``sqrt(acc / n)``, or ``hypot(q0, ...) / sqrt(n)`` where that
+    sum is not finite.  An accepted state holds no NaN, so the escape test
+    ``abs(y0) > bound or ...`` and the blow-up test, the same on b{i} =
+    |y{i}|, are ``max(map(abs, y)) > bound``; each clamp picks what the
     builtin ``min`` or ``max`` would.  The time is ``now``, since the
     field's term sums use ``t``.
     """
@@ -212,16 +213,15 @@ def _loop_source(shape) -> list[str]:
         lines += indent(2, [f"v{i} = y{i} + h * ({weighted(_A[s], i)})" for i in range(n)])
         lines += indent(2, _field_lines(shape, [f"s{s}_{i}" for i in range(n)]))
     for i in range(n):
-        lines += indent(2, [f"z{i} = y{i} + h * ({weighted(_B5, i)})",
-                            f"e{i} = h * ({weighted(_E, i)})",
+        lines += indent(2, [f"e{i} = h * ({weighted(_E, i)})",
                             f"a{i} = abs(y{i})",
-                            f"b{i} = abs(z{i})"])
+                            f"b{i} = abs(v{i})"])
     lines += indent(2, rms("err", [f"e{i} / (atol + rtol * (a{i} if a{i} >= b{i} else b{i}))"
                                    for i in range(n)]))
     lines += indent(2, [
         "if err <= 1.0:  # false for NaN and inf",
         "    now += h",
-        f"    {state}= " + "".join(f"z{i}, " for i in range(n)),
+        f"    {state}= " + "".join(f"v{i}, " for i in range(n)),
         # FSAL: a rejected attempt retries from f at the accepted state
         f"    {slope}= " + "".join(f"s6_{i}, " for i in range(n)),
         "    ts.append(now)",
@@ -229,7 +229,7 @@ def _loop_source(shape) -> list[str]:
         *(f"    fs.append(s0_{i})" for i in range(n)),
         "    hs.append(h)",
         "    errs.append(err)",
-        f"    if {beyond(repr(_BLOWUP_NORM))}:",
+        "    if " + " or ".join(f"b{i} > {_BLOWUP_NORM!r}" for i in range(n)) + ":",  # |y{i}|
         "        status, reason = 'blew-up', 'blowup_norm'",
         "        break",
         "    if err > 0.0:",

@@ -19,8 +19,7 @@ import numpy as np
 from .errors import DegenerateError, InsufficientOrderError, IntegrationFailedError
 from .exact import logistic_exact, logistic_singularity, spiral_exact, spiral_singularity
 from .integrate import IntegrationConfig, integrate, sample
-from .model import (InitialValueProblem, Logistic, Spiral, TwoSpecies, eval_field,
-                    preset_ivp)
+from .model import InitialValueProblem, Logistic, Spiral, TwoSpecies, preset_ivp
 from .modelfile import ModelFile
 from .phase import classify, fixed_points
 from .series import radius_estimate, taylor_solve
@@ -214,8 +213,9 @@ def cmd_radius(mf: ModelFile, order: int | None = None) -> str:
         lines.append(f"variable {name}: ratio {_fmt(ratio.value)}  "
                      f"root {_fmt(root.value)}")
     sing = _analytic_singularity(mf)
-    # f(x0) = 0 exactly: the solution is constant, whatever the model
-    if not np.any(eval_field(mf.ivp.field, mf.ivp.x0)) or (sing and sing.degenerate):
+    # coefficient 1 is f(x0) bit for bit, and f(x0) = 0 exactly makes the
+    # solution constant, whatever the model
+    if not any(series.coeffs[1] for series in sol.series) or (sing and sing.degenerate):
         lines.append("analytic singularity modulus: inf"
                      " (degenerate: initial state is an equilibrium)")
     elif sing is None:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import groupby
 
@@ -117,16 +117,19 @@ class HpmExpansion:
     is represented only by the index j; it is set to one when summing.
     Every order must hold the same number of variables, and no correction
     more than K+1 coefficients (DimensionError); a shorter one is read as
-    zero-padded.
+    zero-padded.  ``G[j, i, m]`` is the t^m coefficient of correction j of
+    variable i on that grid, read-only.
     """
 
     corrections: tuple[tuple[TruncatedSeries, ...], ...]
+    G: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.corrections:
             raise DimensionError("an expansion needs at least the zeroth correction")
         n = len(self.corrections[0])
         grid = len(self.corrections)
+        G = np.zeros((grid, n, grid))
         for j, per_var in enumerate(self.corrections):
             if len(per_var) != n:
                 raise DimensionError(
@@ -136,6 +139,9 @@ class HpmExpansion:
                     raise DimensionError(
                         f"correction {j} of variable {i} has {len(s.coeffs)} "
                         f"coefficients, more than the {grid} of order {grid - 1}")
+                G[j, i, : len(s.coeffs)] = s.coeffs
+        G.flags.writeable = False
+        object.__setattr__(self, "G", G)
 
     @property
     def order(self) -> int:
@@ -145,18 +151,9 @@ class HpmExpansion:
     def dimension(self) -> int:
         return len(self.corrections[0])
 
-    def _grid(self) -> np.ndarray:
-        """Corrections stacked as G[j, i, m], the t^m coefficient of
-        correction j of variable i, zero-padded to the common grid."""
-        G = np.zeros((self.order + 1, self.dimension, self.order + 1))
-        for j, per_var in enumerate(self.corrections):
-            for i, s in enumerate(per_var):
-                G[j, i, : len(s.coeffs)] = s.coeffs
-        return G
-
     def summed(self) -> tuple[TruncatedSeries, ...]:
         """Sum of all corrections (the expansion parameter set to one)."""
-        return tuple(TruncatedSeries(c) for c in self._grid().sum(axis=0))
+        return tuple(TruncatedSeries(c) for c in self.G.sum(axis=0))
 
 
 @dataclass(frozen=True)
@@ -418,7 +415,7 @@ def hpm_collapse_check(h: HpmExpansion, t: TaylorSolution,
         raise DimensionError("expansion and series have different dimensions")
     if h.order != t.order:
         raise DimensionError("expansion and series have different orders")
-    G = h._grid()
+    G = h.G.copy()
     X = np.array([s.coeffs for s in t.series]).T  # X[j, i] = x_j of variable i
     # a non-finite coefficient makes its deviation inf or nan
     with np.errstate(over="ignore", invalid="ignore"):

@@ -136,6 +136,14 @@ def test_spiral_flags(capsys):
     assert len(lines) == 6
 
 
+@pytest.mark.parametrize("command", ["phase2d", "spiral"])
+def test_order_zero_is_input_error(capsys, command):
+    assert main([command, "-k", "0"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "order" in captured.err
+
+
 def test_fixed_points_cli(tmp_path, capsys):
     doc = {"model": "two-species",
            "params": {"b1": 0.1, "b2": 0.08, "a11": -0.0014, "a12": -0.0012,

@@ -147,11 +147,14 @@ def test_trajectory_shapes_and_read_only():
 
 
 def test_trajectory_stores_field_derivatives():
-    traj = integrate(TWOSPECIES, 10.0)
-    for k in (0, len(traj.ts) // 2, len(traj.ts) - 1):
-        np.testing.assert_allclose(traj.derivs[k],
-                                   eval_field(TWOSPECIES.field, traj.states[k]),
-                                   rtol=1e-12, atol=1e-15)
+    # every stored slope is f at the stored state, to the last bit: the
+    # 7th stage's argument is the accepted state (FSAL)
+    for ivp, t_end in [(TWOSPECIES, 10.0), (LOGISTIC, 1.0),
+                       (preset_ivp(Spiral(-0.5), [2.0, 2.0]), 20.0),
+                       (preset_ivp(Spiral(-0.5), [-0.0, 1.0]), 20.0)]:
+        traj = integrate(ivp, t_end)
+        for state, deriv in zip(traj.states, traj.derivs):
+            assert deriv.tobytes() == eval_field(ivp.field, state).tobytes()
 
 
 def test_integration_is_deterministic():
@@ -195,9 +198,7 @@ def test_rejected_steps_are_retried():
     ts, ys, fs, hs, errs, status, rejected, non_finite, calls = reference_integrate(ivp, 1.0)
     assert rejected >= 1 and non_finite == 0
     assert traj.status == status == "completed"
-    for name, ref in (("ts", ts), ("states", ys), ("derivs", fs), ("step_sizes", hs),
-                      ("error_estimates", errs)):
-        np.testing.assert_array_equal(getattr(traj, name), ref)
+    assert_same_bits(traj, ts, ys, fs, hs, errs)
     exact = np.array([logistic_exact(50.0, -50.0, 1e-6, float(t)) for t in traj.ts])
     np.testing.assert_allclose(traj.states[:, 0], exact, rtol=1e-6, atol=0.0)
     assert traj.rejected_steps == rejected
@@ -432,14 +433,19 @@ def reference_first_step(rhs, y, f, t_end, cfg):
     return min(100 * h0, h1, t_end)
 
 
+# Dormand-Prince 5th-order weights (the 7th stage's weight is zero)
+B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+
+
 def reference_integrate(ivp, t_end, cfg=None, weighted=left_to_right):
     """The DP5 step loop with numpy on every value: f through
     ``eval_field`` per stage, the weighted sums of stages through
     ``weighted``, the error norm through ``np.mean`` and the blow-up test
-    through ``np.max(np.abs(y))``; the accepted f is copied out of the
-    stage array (FSAL).  Returns the accepted nodes, steps and error
-    norms, the status, and three counts: the rejected attempts, the
-    attempts whose error norm was not finite, and the calls of f."""
+    through ``np.max(np.abs(y))``; the new state is the 5th-order sum
+    and the accepted f is copied out of the stage array (FSAL).  Returns
+    the accepted nodes, steps and error norms, the status, and three
+    counts: the rejected attempts, the attempts whose error norm was not
+    finite, and the calls of f."""
     m = importlib.import_module("seriesdyn.integrate")
     cfg = cfg or IntegrationConfig()
     calls = rejected = non_finite = 0
@@ -471,7 +477,7 @@ def reference_integrate(ivp, t_end, cfg=None, weighted=left_to_right):
         k[0] = f
         for s in range(1, 7):
             k[s] = rhs(y + h * weighted(m._A[s], k[:s]))
-        y_new = y + h * weighted(m._B5, k)
+        y_new = y + h * weighted(B5, k[:6])
         err_vec = h * weighted(m._E, k)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
@@ -497,6 +503,14 @@ def reference_integrate(ivp, t_end, cfg=None, weighted=left_to_right):
             shrink = m._SAFETY * err ** (-0.2) if np.isfinite(err) else 0.1
             h *= max(0.1, min(1.0, shrink))
     return ts, ys, fs, hs, errs, status, rejected, non_finite, calls
+
+
+def assert_same_bits(traj, ts, ys, fs, hs, errs):
+    """The trajectory's arrays are the reference loop's, byte for byte
+    (``assert_array_equal`` would let -0.0 pass for 0.0)."""
+    for name, ref in (("ts", ts), ("states", ys), ("derivs", fs), ("step_sizes", hs),
+                      ("error_estimates", errs)):
+        assert getattr(traj, name).tobytes() == np.array(ref).tobytes(), name
 
 
 def numpy_reference(ivp, t_end, cfg=None):
@@ -535,11 +549,12 @@ STEP_LOOP_CASES = [
     (InitialValueProblem(PolyVectorField((Polynomial.from_coeffs({(0,): 1.0, (1,): -1.0}, 1),)),
                          [0.0]), 2.0, None),
     (LOGISTIC, 0.004, None),  # the first guess, 0.005, is clamped to t_end
+    (preset_ivp(Spiral(-0.5), [-0.0, 1.0]), 20.0, None),
 ]
 STEP_LOOP_IDS = ["logistic", "logistic-0.1", "spiral-decay", "spiral-blowup",
                  "two-species-2000", "logistic-rejects", "max-steps", "overflow-start",
                  "random-3d", "random-7d", "norm-overflow-start", "zero-start-clamped",
-                 "logistic-short"]
+                 "logistic-short", "spiral-negative-zero"]
 
 
 @pytest.mark.parametrize("ivp, t_end, cfg", STEP_LOOP_CASES, ids=STEP_LOOP_IDS)
@@ -547,11 +562,7 @@ def test_step_loop_matches_numpy_reference_bit_for_bit(ivp, t_end, cfg):
     traj = integrate(ivp, t_end, cfg)
     ts, ys, fs, hs, errs, status, *_ = reference_integrate(ivp, t_end, cfg)
     assert traj.status == status
-    np.testing.assert_array_equal(traj.ts, ts)
-    np.testing.assert_array_equal(traj.states, ys)
-    np.testing.assert_array_equal(traj.derivs, fs)
-    np.testing.assert_array_equal(traj.step_sizes, hs)
-    np.testing.assert_array_equal(traj.error_estimates, errs)
+    assert_same_bits(traj, ts, ys, fs, hs, errs)
 
 
 STATUS_OF_STOP_REASON = {"t_end": {"completed"}, "max_steps": {"stiff-abort"},
@@ -638,10 +649,7 @@ def test_large_field_attempt_is_flat_and_matches_the_reference():
     traj = integrate(ivp, 1.0, cfg)
     ts, ys, fs, hs, errs, status, *_ = reference_integrate(ivp, 1.0, cfg)
     assert traj.status == status == "stiff-abort"
-    np.testing.assert_array_equal(traj.ts, ts)
-    np.testing.assert_array_equal(traj.states, ys)
-    np.testing.assert_array_equal(traj.derivs, fs)
-    np.testing.assert_array_equal(traj.error_estimates, errs)
+    assert_same_bits(traj, ts, ys, fs, hs, errs)
 
 
 def test_power_overflow_mid_attempt_rejects_the_attempt():
@@ -661,11 +669,7 @@ def test_power_overflow_mid_attempt_rejects_the_attempt():
     assert traj.rejected_steps == rejected >= non_finite
     assert np.all(np.isfinite(traj.states)) and np.all(np.isfinite(traj.derivs))
     assert traj.status == status
-    np.testing.assert_array_equal(traj.ts, ts)
-    np.testing.assert_array_equal(traj.states, ys)
-    np.testing.assert_array_equal(traj.derivs, fs)
-    np.testing.assert_array_equal(traj.step_sizes, hs)
-    np.testing.assert_array_equal(traj.error_estimates, errs)
+    assert_same_bits(traj, ts, ys, fs, hs, errs)
 
 
 def test_trajectories_do_not_depend_on_the_blas_kernel(here_and_under_prescott):
