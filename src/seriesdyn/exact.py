@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateError, SingularityError
@@ -61,9 +62,10 @@ def logistic_exact(b: float, a: float, x0: float, t: float) -> float:
     denominator follows from partial-fraction integration of
     dx / (x (b + a x)) = dt and satisfies the ODE identically, with the
     pole condition e^(bt) = 1 + b/(a*x0).  It is evaluated with expm1, so
-    no digit is lost when b is tiny beside a*x0.  Where e^(-bt) and a*x0
-    both underflow, numerator and denominator are divided by x0 as well,
-    so the far tail stays finite where the solution is.  For b = 0 the
+    no digit is lost when b is tiny beside a*x0.  Where that denominator
+    is zero or subnormal (e^(-bt) and a*x0 both tiny), numerator and
+    denominator are divided by x0 as well, so the far tail keeps its
+    digits and stays finite where the solution is.  For b = 0 the
     solution degenerates to x0 / (1 - a*x0*t).
 
     Raises SingularityError when t is within 1e-12 of a real-axis pole,
@@ -81,12 +83,12 @@ def logistic_exact(b: float, a: float, x0: float, t: float) -> float:
     if bt >= 0.0:
         # divide through by e^(bt) so large bt cannot overflow
         den = b * math.exp(-bt) + a * x0 * math.expm1(-bt)
-        if den != 0.0:
+        if not abs(den) < sys.float_info.min:  # normal, or not finite
             return b * x0 / den
         if x0 == 0.0:
             return x0  # the equilibrium at 0
-        # e^(-bt) underflowed, and a*x0 with it: divide through by x0 too,
-        # with e^(-bt) / |x0| taken in logs
+        # e^(-bt) underflowed to zero or a subnormal, and a*x0 with it:
+        # divide through by x0 too, with e^(-bt) / |x0| taken in logs
         den = math.copysign(b * math.exp(-bt - math.log(abs(x0))), x0) + a * math.expm1(-bt)
         return b / den if den != 0.0 else math.copysign(math.inf, x0)
     return b * x0 * math.exp(bt) / (b - a * x0 * math.expm1(bt))

@@ -70,7 +70,7 @@ class IntegrationConfig:
         object.__setattr__(self, "max_steps", int(self.max_steps))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Accepted integration steps plus per-step metadata.
 
@@ -87,7 +87,7 @@ class Trajectory:
     t after at least one attempt), 'blowup_norm' (state norm crossed
     1e8) or 'no_first_step' (the first step was zero: f(x0) or its
     probe not finite or overflowing the norm); None for a trajectory
-    built by hand.
+    built by hand.  A trajectory compares and hashes by identity.
     """
 
     ts: np.ndarray

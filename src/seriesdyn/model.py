@@ -162,9 +162,10 @@ class PolyVectorField:
         return eval_field(self, x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InitialValueProblem:
-    """A polynomial field together with the initial state x(0)."""
+    """A polynomial field together with the initial state x(0); it compares
+    and hashes by identity, as every result object holding an array does."""
 
     field: PolyVectorField
     x0: np.ndarray

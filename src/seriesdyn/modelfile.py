@@ -51,12 +51,14 @@ _PRESETS = {"logistic": Logistic, "two-species": TwoSpecies, "spiral": Spiral}
 _TOP_KEYS = {"model", "params", "terms", "x0", "order", "grid", "tolerances"}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelFile:
     """A parsed and validated model definition.
 
     ``preset`` is the originating preset when the model named one (None
     for explicit term lists); commands use it to look up closed forms.
+    Its problem holds an array, so a model file compares and hashes by
+    identity.
     """
 
     kind: str

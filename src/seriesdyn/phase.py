@@ -38,13 +38,14 @@ CLASSIFICATIONS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CriticalPoint:
     """A classified fixed point.
 
     ``residual`` is the Euclidean norm of the field at ``location``.
     Points produced by ``fixed_points`` satisfy residual < 1e-10;
-    ``classify`` also accepts hand-supplied locations up to 1e-8.
+    ``classify`` also accepts hand-supplied locations up to 1e-8.  A
+    point compares and hashes by identity.
     """
 
     location: np.ndarray

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from itertools import groupby
 
 import numpy as np
@@ -49,17 +49,20 @@ __all__ = [
 _ZERO_SKIP = 1e-300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TruncatedSeries:
-    """Coefficients c_0..c_K of a power series in t, truncated at order K."""
+    """Coefficients c_0..c_K of a power series in t, truncated at order K.
+
+    The coefficients are a read-only copy of the input.  Like every result
+    object that holds an array, a series compares and hashes by identity.
+    """
 
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
+        c = np.array(self.coeffs, dtype=float, ndmin=1)  # always a copy
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a non-empty 1-D sequence")
-        c = c.copy()
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -82,13 +85,13 @@ class TruncatedSeries:
         return TruncatedSeries(np.concatenate(([0.0], c / np.arange(1, len(c) + 1))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TaylorSolution:
     """Per-variable series x_i(t) = sum_j c_{i,j} t^j for one problem.
 
     ``overflow_order`` is the first order at which any coefficient became
     non-finite (None when all coefficients are finite); overflow is a
-    diagnostic, not an error.
+    diagnostic, not an error.  A solution compares and hashes by identity.
     """
 
     series: tuple[TruncatedSeries, ...]
@@ -108,29 +111,44 @@ class TaylorSolution:
         return np.stack([series_eval(s, t) for s in self.series], axis=-1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HpmExpansion:
     """Perturbation corrections x^(j)(t), each a polynomial in t of degree <= j.
 
-    ``corrections[j][i]`` is the order-j correction of variable i, stored on
-    the common length-(K+1) coefficient grid.  The dummy expansion parameter
-    is represented only by the index j; it is set to one when summing.
-    Every order must hold the same number of variables, and no correction
-    more than K+1 coefficients (DimensionError); a shorter one is read as
-    zero-padded.  ``G[j, i, m]`` is the t^m coefficient of correction j of
-    variable i on that grid, read-only.
+    ``G[j, i, m]`` is the t^m coefficient of the order-j correction of
+    variable i on the common (K+1, n, K+1) grid, read-only: the one array
+    an expansion stores.  A writable ``G`` is copied, a read-only one kept
+    as given, and any other shape raises DimensionError.  The dummy
+    expansion parameter is represented only by the index j; it is set to
+    one when summing.  ``corrections[j][i]`` is row G[j, i] as a
+    length-(K+1) TruncatedSeries, built on first read and then kept.  Like
+    every result object that holds an array, an expansion compares and
+    hashes by identity.
     """
 
-    corrections: tuple[tuple[TruncatedSeries, ...], ...]
-    G: np.ndarray = field(init=False, repr=False, compare=False)
+    G: np.ndarray
 
     def __post_init__(self):
-        if not self.corrections:
+        G = np.asarray(self.G, dtype=float)
+        if G.ndim != 3 or len(G) == 0 or len(G) != G.shape[2]:
+            raise DimensionError(f"the grid must have shape (K+1, n, K+1), not {G.shape}")
+        if G.flags.writeable:
+            G = G.copy()
+            G.flags.writeable = False
+        object.__setattr__(self, "G", G)
+
+    @classmethod
+    def from_corrections(cls, corrections) -> "HpmExpansion":
+        """The expansion whose ``corrections[j][i]`` is the order-j
+        correction of variable i.  Every order must hold the same number of
+        variables, and no correction more than K+1 coefficients
+        (DimensionError); a shorter one is read as zero-padded."""
+        if not corrections:
             raise DimensionError("an expansion needs at least the zeroth correction")
-        n = len(self.corrections[0])
-        grid = len(self.corrections)
+        n = len(corrections[0])
+        grid = len(corrections)
         G = np.zeros((grid, n, grid))
-        for j, per_var in enumerate(self.corrections):
+        for j, per_var in enumerate(corrections):
             if len(per_var) != n:
                 raise DimensionError(
                     f"correction {j} has {len(per_var)} variables, correction 0 has {n}")
@@ -141,24 +159,29 @@ class HpmExpansion:
                         f"coefficients, more than the {grid} of order {grid - 1}")
                 G[j, i, : len(s.coeffs)] = s.coeffs
         G.flags.writeable = False
-        object.__setattr__(self, "G", G)
+        return cls(G)
+
+    @cached_property
+    def corrections(self) -> tuple[tuple[TruncatedSeries, ...], ...]:
+        return tuple(tuple(TruncatedSeries(row) for row in per_var) for per_var in self.G)
 
     @property
     def order(self) -> int:
-        return len(self.corrections) - 1
+        return len(self.G) - 1
 
     @property
     def dimension(self) -> int:
-        return len(self.corrections[0])
+        return self.G.shape[1]
 
     def summed(self) -> tuple[TruncatedSeries, ...]:
         """Sum of all corrections (the expansion parameter set to one)."""
         return tuple(TruncatedSeries(c) for c in self.G.sum(axis=0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadiusEstimate:
-    """Convergence-radius estimate plus the per-order sequence behind it."""
+    """Convergence-radius estimate plus the per-order sequence behind it;
+    it compares and hashes by identity."""
 
     value: float
     method: str
@@ -379,7 +402,10 @@ def hpm_solve(ivp: InitialValueProblem, order: int) -> HpmExpansion:
     of A_q * B_(j-1-q).  That costs O(j^3) per node, O(K^4) in all.  It
     reads no Taylor coefficient and never assumes a correction is a
     monomial, so the collapse check compares two routes.  The loop is
-    generated once per field shape (see ``_hpm_source``).
+    generated once per field shape (see ``_hpm_source``).  The variables'
+    rows of its work array, copied once, are the result's read-only grid
+    G; no correction becomes a TruncatedSeries until ``corrections`` is
+    read.
     """
     _check_count(order, "order")
     n = ivp.dimension
@@ -395,10 +421,9 @@ def hpm_solve(ivp: InitialValueProblem, order: int) -> HpmExpansion:
     if logger.isEnabledFor(logging.DEBUG):  # the overflow scan only for the log
         logger.debug("hpm_solve: order %d, %d graph nodes, overflow_order %s", K,
                      len(X), _first_overflow(np.isfinite(X[:n, 1:]).all(axis=(0, 2))))
-    corrections = tuple(
-        tuple(TruncatedSeries(X[i, j]) for i in range(n)) for j in range(K + 1)
-    )
-    return HpmExpansion(corrections)
+    G = X[:n].transpose(1, 0, 2).copy()  # G[j, i, m] = X[i, j, m]
+    G.flags.writeable = False
+    return HpmExpansion(G)
 
 
 def hpm_collapse_check(h: HpmExpansion, t: TaylorSolution,

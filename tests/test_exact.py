@@ -205,18 +205,20 @@ def test_logistic_singularity_where_q_leaves_the_float_range():
 
 
 def test_logistic_exact_where_e_to_the_minus_bt_and_a_x0_underflow():
-    # b e^(-bt) + a x0 expm1(-bt) is 0.0 once e^(-bt) underflows beside an
-    # underflowed a*x0, while the solution x0 e^t / (1 - (a x0 / b)(e^t - 1))
-    # is finite, about 1e147 at t = 800
+    # b e^(-bt) + a x0 expm1(-bt) is subnormal beyond bt = 708.4 beside an
+    # underflowed a*x0, and 0.0 from bt = 745.2, while the solution
+    # x0 e^t / (1 - (a x0 / b)(e^t - 1)) is finite, about 1e147 at t = 800;
+    # dividing by a subnormal kept only 1.8e-7 relative at t = 730 and 43%
+    # at t = 745
     b, a, x0 = 1.0, -1e-200, 1e-200
-    for t in (750.0, 800.0):
+    for t in (730.0, 740.0, 745.0, 750.0, 800.0):
         with localcontext() as ctx:
             ctx.prec = 50
             e = Decimal(t).exp()
             want = Decimal(x0) * e / (1 - Decimal(a) * Decimal(x0) / Decimal(b) * (e - 1))
-        assert logistic_exact(b, a, x0, t) == pytest.approx(float(want), rel=1e-13)
-    # where the direct form has a nonzero denominator it keeps its bits
-    for t in (0.5, 700.0, 745.0):
+        assert logistic_exact(b, a, x0, t) == pytest.approx(float(want), rel=1e-13), t
+    # where the direct form has a normal denominator it keeps its bits
+    for t in (0.5, 700.0, 708.0):
         assert logistic_exact(b, a, x0, t) == (
             b * x0 / (b * math.exp(-t) + a * x0 * math.expm1(-t)))
     # the equilibrium at 0 stays put; with a = 0, x0 e^t leaves the range

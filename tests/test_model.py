@@ -1,11 +1,21 @@
 """Polynomial field representation, evaluation, and exact Jacobians."""
 
+import dataclasses
 import math
 import sys
 
 import numpy as np
 import pytest
 
+from seriesdyn import (
+    IntegrationConfig,
+    TruncatedSeries,
+    classify,
+    hpm_solve,
+    integrate,
+    radius_estimate,
+    taylor_solve,
+)
 from seriesdyn.errors import DimensionError
 from seriesdyn.model import (
     InitialValueProblem,
@@ -20,6 +30,7 @@ from seriesdyn.model import (
     jacobian_at,
     preset_ivp,
 )
+from seriesdyn.modelfile import loads_model
 
 
 def random_field(rng, n, max_degree=3):
@@ -534,3 +545,35 @@ def test_scalar_evaluation_overflow_leaks_no_warning():
     p = Polynomial.from_coeffs({(400,): 1.0, (401,): -1.0}, 1)
     assert np.isnan(p([10.0]))
     assert np.isnan(eval_field(PolyVectorField((p,)), [10.0])[0])
+
+
+def test_result_objects_holding_arrays_compare_by_identity():
+    # value equality would compare arrays elementwise, which raises for
+    # more than one element; these objects compare and hash by identity
+    def spiral():
+        return preset_ivp(Spiral(-0.5), [2.0, 2.0])
+
+    text = '{"model": "spiral", "params": {"a": -0.5}, "x0": [2.0, 2.0]}'
+    makers = [
+        lambda: TruncatedSeries([1.0, 2.0, 3.0]),
+        lambda: taylor_solve(spiral(), 8),
+        lambda: hpm_solve(spiral(), 4),
+        lambda: radius_estimate(taylor_solve(spiral(), 12).series[0]),
+        lambda: integrate(spiral(), 1.0),
+        spiral,
+        lambda: classify(TwoSpecies.reference().build_field(), [12.5, 68.75]),
+        lambda: loads_model(text),
+    ]
+    for make in makers:
+        a, b = make(), make()
+        assert type(a) is type(b)
+        assert a == a and not a != a
+        assert a != b and not a == b, type(a).__name__
+        # a copy holding the same field values is still another object
+        assert a != dataclasses.replace(a), type(a).__name__
+        assert hash(a) == hash(a) and len({a, b, a}) == 2
+        assert a in [b, a] and b not in [a]
+    # objects without arrays keep value equality
+    assert Spiral(-0.5) == Spiral(-0.5) and hash(Spiral(-0.5)) == hash(Spiral(-0.5))
+    assert IntegrationConfig(1e-9) == IntegrationConfig(1e-9)
+    assert spiral().field == spiral().field

@@ -100,7 +100,12 @@ def test_loads_model_and_load_model(tmp_path):
     path = tmp_path / "model.json"
     path.write_text(text, encoding="utf-8")
     mf2 = load_model(str(path))
-    assert mf2 == mf
+    # a model file compares by identity, so the two loads are compared
+    # field by field, the initial state by its values
+    for name in ("kind", "preset", "order", "grid_end", "grid_count", "cfg"):
+        assert getattr(mf2, name) == getattr(mf, name), name
+    assert mf2.ivp.field == mf.ivp.field
+    assert mf2.ivp.x0.tolist() == mf.ivp.x0.tolist()
 
 
 def test_invalid_json_reports_position():

@@ -637,7 +637,7 @@ def test_collapse_check_detects_corruption():
     bad = corr[3][0].coeffs.copy()
     bad[0] += 1e-6
     corr[3][0] = TruncatedSeries(bad)
-    broken = HpmExpansion(tuple(tuple(pv) for pv in corr))
+    broken = HpmExpansion.from_corrections(tuple(tuple(pv) for pv in corr))
     ok, dev = hpm_collapse_check(broken, t, 1e-10)
     assert not ok
     # deviation is normalized by max(1, |x_3|) with x_3 = -37/3
@@ -683,7 +683,7 @@ def test_short_corrections_are_zero_padded():
     # a correction stored shorter than the grid counts as zero above its
     # length, in summed() and in the collapse check alike
     h, t = hpm_solve(LOGISTIC, 6), taylor_solve(LOGISTIC, 6)
-    short = HpmExpansion(tuple(
+    short = HpmExpansion.from_corrections(tuple(
         tuple(TruncatedSeries(s.coeffs[: j + 1]) for s in per_var)
         for j, per_var in enumerate(h.corrections)))
     for a, b in zip(short.summed(), h.summed()):
@@ -693,21 +693,22 @@ def test_short_corrections_are_zero_padded():
 
 def test_hand_built_expansion_with_a_short_correction():
     taylor = TaylorSolution((TruncatedSeries([1.0, 2.0, 3.0]),), LOGISTIC)
-    exact = HpmExpansion(((TruncatedSeries([1.0]),), (TruncatedSeries([0.0, 2.0]),),
-                          (TruncatedSeries([0.0, 0.0, 3.0]),)))
+    exact = HpmExpansion.from_corrections(
+        ((TruncatedSeries([1.0]),), (TruncatedSeries([0.0, 2.0]),),
+         (TruncatedSeries([0.0, 0.0, 3.0]),)))
     assert exact.summed()[0].coeffs.tolist() == [1.0, 2.0, 3.0]
     assert hpm_collapse_check(exact, taylor, 0.0) == (True, 0.0)
     # correction 1 is the constant 0.5: t^0 is off by 0.5, the padded t^1
     # by 2 = x_1, and the deviation is 2 / max(1, |x_1|) = 1
-    wrong = HpmExpansion((exact.corrections[0], (TruncatedSeries([0.5]),),
-                          exact.corrections[2]))
+    wrong = HpmExpansion.from_corrections(
+        (exact.corrections[0], (TruncatedSeries([0.5]),), exact.corrections[2]))
     assert wrong.summed()[0].coeffs.tolist() == [1.5, 0.0, 3.0]
     assert hpm_collapse_check(wrong, taylor, 0.5) == (False, 1.0)
 
 
 def test_expansion_needs_a_zeroth_correction():
     with pytest.raises(DimensionError, match="zeroth correction"):
-        HpmExpansion(())
+        HpmExpansion.from_corrections(())
 
 
 @pytest.mark.parametrize("count", [1, 3])
@@ -716,15 +717,83 @@ def test_expansion_orders_share_the_variable_count(count):
     # expansion
     x0, x1 = TruncatedSeries([1.0]), TruncatedSeries([0.0, 2.0])
     with pytest.raises(DimensionError, match=f"correction 1 has {count} variables"):
-        HpmExpansion(((x0, x0), (x1,) * count))
+        HpmExpansion.from_corrections(((x0, x0), (x1,) * count))
 
 
 def test_expansion_rejects_an_over_long_correction():
     # order 1 has two coefficients per correction at most
     x0 = TruncatedSeries([1.0])
     with pytest.raises(DimensionError, match="correction 1 of variable 0 has 3"):
-        HpmExpansion(((x0,), (TruncatedSeries([0.0, 2.0, 0.0]),)))
-    HpmExpansion(((x0,), (TruncatedSeries([0.0, 2.0]),)))
+        HpmExpansion.from_corrections(((x0,), (TruncatedSeries([0.0, 2.0, 0.0]),)))
+    HpmExpansion.from_corrections(((x0,), (TruncatedSeries([0.0, 2.0]),)))
+
+
+@pytest.mark.parametrize("shape", [(2, 1), (2, 1, 3), (0, 1, 0), (3, 2, 2, 3)])
+def test_expansion_rejects_a_grid_of_another_shape(shape):
+    with pytest.raises(DimensionError, match="shape"):
+        HpmExpansion(np.zeros(shape))
+
+
+def test_expansion_copies_a_writable_grid():
+    G = np.zeros((2, 1, 2))
+    h = HpmExpansion(G)
+    G[1, 0, 1] = 2.0
+    assert h.G[1, 0, 1] == 0.0 and not h.G.flags.writeable
+
+
+def test_hpm_solve_makes_corrections_only_when_read(monkeypatch):
+    made = []
+    post_init = TruncatedSeries.__post_init__
+
+    def counted(self):
+        made.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(TruncatedSeries, "__post_init__", counted)
+    K = 12
+    h = hpm_solve(preset_ivp(TwoSpecies.reference(), [4.0, 10.0]), K)
+    assert made == []
+    corrections = h.corrections
+    assert len(made) == 2 * (K + 1)
+    # the second read returns the same tuple and builds nothing
+    assert h.corrections is corrections and len(made) == 2 * (K + 1)
+    assert not h.G.flags.writeable
+    for j, per_var in enumerate(corrections):
+        for i, s in enumerate(per_var):
+            assert len(s.coeffs) == K + 1 and not s.coeffs.flags.writeable
+            assert s.coeffs.tobytes() == h.G[j, i].tobytes()
+
+
+def test_expansion_rebuilt_from_its_corrections_has_the_same_grid():
+    cases = [(ivp, 1 + i % 25) for i, ivp in enumerate(bit_identity_ivps()[:40])]
+    cases.append((preset_ivp(Logistic(1.0, -3.0), [1e100]), 10))
+    for ivp, K in cases:
+        h = hpm_solve(ivp, K)
+        again = HpmExpansion.from_corrections(h.corrections)
+        assert again.G.shape == h.G.shape == (K + 1, ivp.dimension, K + 1)
+        assert again.G.tobytes() == h.G.tobytes(), (ivp, K)
+        assert (h.order, h.dimension) == (K, ivp.dimension)
+
+
+def test_summed_and_collapse_check_keep_their_bits():
+    # the pinned sums are those of the expansion built from corrections
+    h = hpm_solve(LOGISTIC, 5)
+    assert [c.hex() for c in h.summed()[0].coeffs.tolist()] == [
+        "0x1.0000000000000p+0", "-0x1.0000000000000p+1", "0x1.4000000000000p+2",
+        "-0x1.8aaaaaaaaaaabp+3", "0x1.e6aaaaaaaaaabp+4", "-0x1.2c11111111112p+6"]
+    assert hpm_collapse_check(h, taylor_solve(LOGISTIC, 5), 1e-10) == (True, 0.0)
+    for preset, x0 in [(TwoSpecies.reference(), [4.0, 10.0]), (Spiral(-0.5), [2.0, 2.0]),
+                       (Spiral(0.5), [2.0, 2.0])]:
+        ivp = preset_ivp(preset, x0)
+        assert hpm_collapse_check(hpm_solve(ivp, 20), taylor_solve(ivp, 20),
+                                  1e-10) == (True, 0.0)
+    ivp = preset_ivp(Logistic(1.0, -3.0), [1e100])
+    h = hpm_solve(ivp, 10)
+    assert [c.hex() for c in h.summed()[0].coeffs.tolist()[:4]] == [
+        "0x1.249ad2594c37dp+332", "-0x1.f5aa543c31387p+665", "0x1.ae0c419008450p+999",
+        "-inf"]
+    assert np.all(np.isnan(h.summed()[0].coeffs[4:]))
+    assert hpm_collapse_check(h, taylor_solve(ivp, 10), 1e-10) == (False, math.inf)
 
 
 def test_collapse_random_systems():
