@@ -8,6 +8,7 @@ and purely functional, so instances can be shared freely.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -110,7 +111,14 @@ class Polynomial:
             lowered = list(mono.exponents)
             lowered[var] = e - 1
             key = Monomial(tuple(lowered))
-            out[key] = out.get(key, 0.0) + c * e
+            try:
+                d = c * e
+            except OverflowError:  # e itself is beyond the float range
+                d = math.inf
+            if math.isinf(d) and math.isfinite(c):
+                raise ValueError(f"the derivative by variable {var} of a term with "
+                                 f"exponent {e} has a coefficient beyond the float range")
+            out[key] = out.get(key, 0.0) + d
         return Polynomial(out, self.dimension)
 
     @staticmethod
@@ -171,7 +179,7 @@ class InitialValueProblem:
     x0: np.ndarray
 
     def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=float)
+        x0 = np.array(self.x0, dtype=float)  # always a copy
         if x0.shape != (self.field.dimension,):
             raise DimensionError(
                 f"x0 has shape {x0.shape}, field dimension is {self.field.dimension}"
@@ -308,15 +316,28 @@ def _compile(polynomials: tuple[Polynomial, ...]):
     nodes = {((i, 1),): i for i in range(n)}
     products: list[tuple[int, int]] = []
 
+    def operands(factors):
+        if len(factors) > 1:
+            return factors[:-1], factors[-1:]
+        (i, e), = factors
+        return ((i, e - e // 2),), ((i, e // 2),)
+
     def node(factors) -> int:
-        if factors not in nodes:
-            if len(factors) > 1:
-                operands = node(factors[:-1]), node(factors[-1:])
+        # the depth-first, operands-first numbering of a recursion, kept on
+        # an explicit stack: an exponent of 2^1000 is 1000 halvings deep
+        stack = [factors]
+        while stack:
+            top = stack[-1]
+            if top in nodes:
+                stack.pop()
+                continue
+            pair = operands(top)
+            missing = [f for f in pair if f not in nodes]
+            if missing:
+                stack += reversed(missing)
             else:
-                (i, e), = factors
-                operands = node(((i, e - e // 2),)), node(((i, e // 2),))
-            nodes[factors] = n + len(products)
-            products.append(operands)
+                nodes[stack.pop()] = n + len(products)
+                products.append((nodes[pair[0]], nodes[pair[1]]))
         return nodes[factors]
 
     components = []
@@ -447,14 +468,26 @@ class Spiral:
 ModelPreset = Logistic | TwoSpecies | Spiral
 
 
+@lru_cache(maxsize=64)
+def _preset_field(preset: ModelPreset) -> PolyVectorField:
+    """The field of a preset value, built once: equal presets share it, and
+    with it its programs, their bound code and its Jacobian.  Equal presets
+    of different form, such as Logistic(1, -3) and Logistic(1.0, -3.0) or
+    Spiral(0.0) and Spiral(-0.0), build equal fields, since coefficients
+    become floats and zeros are dropped.  The 64 most recently used are
+    kept."""
+    return preset.build_field()
+
+
 def preset_ivp(preset: ModelPreset, x0) -> InitialValueProblem:
     """Initial-value problem for a preset, with the factored model form
-    expanded into explicit polynomial terms.
+    expanded into explicit polynomial terms.  Every call with an equal
+    preset shares one field (``build_field`` builds a new one each time).
 
     Out-of-regime parameters are accepted; a warning is logged so the
     caller knows the run leaves the regime the models were studied in.
     """
-    ivp = InitialValueProblem(preset.build_field(), x0)  # checks x0 first
+    ivp = InitialValueProblem(_preset_field(preset), x0)
     if not preset.in_reference_regime:
         logger.warning("preset %r is outside the reference parameter regime", preset)
     return ivp

@@ -54,7 +54,7 @@ class CriticalPoint:
     residual: float
 
     def __post_init__(self):
-        loc = np.asarray(self.location, dtype=float)
+        loc = np.array(self.location, dtype=float)  # always a copy
         loc.flags.writeable = False
         object.__setattr__(self, "location", loc)
         object.__setattr__(self, "eigenvalues",

@@ -144,8 +144,10 @@ def cmd_phase2d(orders: list[int] | None = None, t_end: float = 300.0,
     ts = _grid(t_end, samples)
     num, sums = _curves(ivp, ts, orders, cfg)
     lo, hi = orders[0], orders[-1]
-    dev_lo = np.linalg.norm(sums[lo] - num, axis=1)
-    dev_hi = np.linalg.norm(sums[hi] - num, axis=1)
+    # overflowed partial sums (K >= 190 here) give inf deviations, quietly
+    with np.errstate(over="ignore"):
+        dev_lo = np.linalg.norm(sums[lo] - num, axis=1)
+        dev_hi = np.linalg.norm(sums[hi] - num, axis=1)
     worse = dev_hi > dev_lo
     first_cross = int(np.argmax(worse)) if worse.any() and lo != hi else None
 

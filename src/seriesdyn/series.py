@@ -432,9 +432,11 @@ def hpm_collapse_check(h: HpmExpansion, t: TaylorSolution,
 
     For every order j and variable i, all t^m coefficients with m != j must
     vanish and the t^j coefficient must equal the Taylor coefficient x_j,
-    within ``tol`` relative to max(1, |x_j|).  Returns (passed, worst
-    normalized deviation); an overflowed expansion, with any compared
-    coefficient non-finite, fails with deviation inf.
+    within ``tol`` relative to |x_j|, floored at the smallest normal float,
+    so a small coefficient is judged at its own scale.  Returns (passed,
+    worst normalized deviation); an overflowed expansion, with any compared
+    coefficient non-finite, fails with deviation inf, and so does a
+    deviation too large to scale.
     """
     if h.dimension != t.dimension:
         raise DimensionError("expansion and series have different dimensions")
@@ -446,7 +448,8 @@ def hpm_collapse_check(h: HpmExpansion, t: TaylorSolution,
     with np.errstate(over="ignore", invalid="ignore"):
         diagonal = np.arange(h.order + 1)
         G[diagonal, :, diagonal] -= X
-        worst = float(np.max(np.max(np.abs(G), axis=2) / np.maximum(1.0, np.abs(X))))
+        scale = np.maximum(np.finfo(float).tiny, np.abs(X))
+        worst = float(np.max(np.max(np.abs(G), axis=2) / scale))
     if not math.isfinite(worst):
         return False, math.inf
     return bool(worst <= tol), worst

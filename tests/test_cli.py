@@ -204,6 +204,26 @@ def test_huge_exponent_is_bounded_work(tmp_path, capsys):
     assert main(["radius", path]) == EXIT_OK
 
 
+@pytest.mark.parametrize("exponent, command, code", [
+    (2 ** 1000, "solve", EXIT_OK), (2 ** 1000, "radius", EXIT_OK),
+    (2 ** 1000, "fixed-points", EXIT_OK), (10 ** 400, "solve", EXIT_OK),
+    (10 ** 400, "radius", EXIT_OK), (10 ** 400, "fixed-points", EXIT_INPUT),
+], ids=["2^1000-solve", "2^1000-radius", "2^1000-fixed-points", "10^400-solve",
+        "10^400-radius", "10^400-fixed-points"])
+def test_exponent_beyond_the_recursion_limit_or_float_range(tmp_path, capsys, exponent,
+                                                            command, code):
+    # 2^1000 is 1000 halvings deep; the derivative of x^(10^400), which
+    # fixed-points needs for its Jacobian, has a coefficient beyond the
+    # float range and is bad input
+    doc = {"model": "terms", "terms": [[{"exponents": [exponent], "coeff": -1.0}]],
+           "x0": [0.5]}
+    assert main([command, write_model(tmp_path, doc)]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == EXIT_INPUT:
+        assert "beyond the float range" in err
+
+
 @pytest.mark.parametrize("field", ['"x0": [NaN]',
                                    '"x0": [1.0], "grid": {"end": NaN}'])
 def test_non_finite_model_value_is_input_error(tmp_path, capsys, field):

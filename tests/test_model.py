@@ -101,6 +101,14 @@ def test_field_requires_square_shape():
 def test_ivp_validates_and_freezes_x0():
     ivp = preset_ivp(Logistic(1.0, -3.0), [0.5])
     assert ivp.x0.flags.writeable is False
+    # the stored start is a read-only copy: the caller's array stays writable
+    for make in (lambda x: preset_ivp(Spiral(-0.5), x),
+                 lambda x: InitialValueProblem(Spiral(-0.5).build_field(), x)):
+        x = np.array([2.0, 2.0])
+        ivp = make(x)
+        assert ivp.x0 is not x and x.flags.writeable and not ivp.x0.flags.writeable
+        x[0] = 1.0
+        assert ivp.x0.tolist() == [2.0, 2.0]
     with pytest.raises(DimensionError):
         InitialValueProblem(Logistic(1.0, -3.0).build_field(), [1.0, 2.0])
 
@@ -221,11 +229,112 @@ def test_out_of_regime_preset_logs_warning(caplog):
     with caplog.at_level("WARNING", logger="seriesdyn.model"):
         preset_ivp(Logistic(1.0, 3.0), [1.0])
     assert "regime" in caplog.text
+    # on every call, although the second and third share the first's field
+    caplog.clear()
+    with caplog.at_level("WARNING", logger="seriesdyn.model"):
+        for x0 in ([1.0], [2.0], [3.0]):
+            preset_ivp(Logistic(1.0, 3.0), x0)
+    assert [r.getMessage().endswith("outside the reference parameter regime")
+            for r in caplog.records] == [True] * 3
     assert not Logistic(1.0, 3.0).in_reference_regime
     assert Logistic(1.0, -3.0).in_reference_regime
     assert TwoSpecies.reference().in_reference_regime
     assert Spiral(-0.5).in_reference_regime
     assert not Spiral(0.0).in_reference_regime
+
+
+def test_equal_presets_share_one_field():
+    # preset_ivp keys its field by the preset's value; build_field builds anew
+    def field(preset, x0):
+        return preset_ivp(preset, x0).field
+
+    ref = field(TwoSpecies.reference(), [4.0, 10.0])
+    assert field(TwoSpecies.reference(), [1.0, 2.0]) is ref
+    assert field(TwoSpecies(0.1, 0.08, -0.0014, -0.0012, -0.0009, -0.001), [4.0, 10.0]) is ref
+    assert field(Logistic(1, -3), [0.1]) is field(Logistic(1.0, -3.0), [0.5])
+    # -0.0 == 0.0, and a zero coefficient is dropped either way
+    assert field(Spiral(0.0), [1.0, 1.0]) is field(Spiral(-0.0), [1.0, 1.0])
+    assert field(Spiral(-0.5), [2.0, 2.0]) is not field(Spiral(0.5), [2.0, 2.0])
+    assert field(Logistic(1.0, -3.0), [0.1]) is not field(Logistic(1.0, -2.0), [0.1])
+    assert TwoSpecies.reference().build_field() is not ref
+    assert TwoSpecies.reference().build_field() == ref
+    with pytest.raises(ValueError):
+        preset_ivp(Logistic("one", -3.0), [0.1])  # raised by float(), as by build_field
+    with pytest.raises(ValueError):
+        Logistic("one", -3.0).build_field()
+
+
+def test_a_shared_preset_field_compiles_and_binds_nothing_again():
+    # the first call with a new preset value builds the field's programs and
+    # binds their code; a second, equal preset reuses all of it, Jacobian
+    # polynomials included
+    import seriesdyn.model as model
+
+    events = []
+
+    def spy(frame, event, arg):
+        code = frame.f_code
+        if event == "return" and (code.co_name, code.co_filename) == ("factory", "<string>"):
+            events.append(("bound", arg.__name__))
+        if event == "call" and code in (model._compile.__code__,
+                                        model._factory.__wrapped__.__code__,
+                                        model.Polynomial.diff.__code__):
+            events.append(code.co_name)
+
+    def work(preset):
+        ivp = preset_ivp(preset, [4.0, 10.0])
+        integrate(ivp, 1.0)
+        cp = classify(ivp.field, [0.0, 0.0])
+        taylor_solve(ivp, 8)
+        hpm_solve(ivp, 4)
+        return cp
+
+    preset = TwoSpecies(0.37, 0.29, -0.011, -0.013, -0.017, -0.019)  # used nowhere else
+    sys.setprofile(spy)
+    try:
+        first = work(preset)
+        built = list(events)
+        del events[:]
+        again = work(dataclasses.replace(preset))
+    finally:
+        sys.setprofile(None)
+    assert built.count("_compile") == 2 and built.count("diff") == 4
+    assert ("bound", "run") in built and ("bound", "loop") in built
+    assert events == []
+    assert again.eigenvalues == first.eigenvalues == (0.29 + 0j, 0.37 + 0j)
+
+
+def test_preset_field_cache_is_bounded():
+    import seriesdyn.model as model
+
+    maxsize = model._preset_field.cache_info().maxsize
+    assert maxsize is not None
+    for a in range(maxsize + 5):
+        preset_ivp(Spiral(1000.0 + a), [1.0, 1.0])
+    assert model._preset_field.cache_info().currsize == maxsize
+
+
+def test_shared_and_fresh_preset_fields_give_the_same_bits():
+    import hashlib
+
+    from seriesdyn import fixed_points
+
+    def digest(ivp):
+        h = hashlib.sha256()
+        traj = integrate(ivp, 5.0)
+        for arr in (traj.ts, traj.states, taylor_solve(ivp, 30).series[0].coeffs,
+                    hpm_solve(ivp, 10).G):
+            h.update(arr.tobytes())
+        if ivp.dimension == 2:
+            for loc in fixed_points(ivp.field, grid=4):
+                h.update(repr(classify(ivp.field, loc).eigenvalues).encode())
+        return h.hexdigest()
+
+    for preset, x0 in [(Logistic(1.0, -3.0), [0.1]), (TwoSpecies.reference(), [4.0, 10.0]),
+                       (Spiral(-0.5), [2.0, 2.0])]:
+        shared = digest(preset_ivp(preset, x0))
+        assert digest(preset_ivp(preset, x0)) == shared
+        assert digest(InitialValueProblem(preset.build_field(), x0)) == shared, preset
 
 
 def test_preset_ivp_examples_build():
@@ -513,6 +622,26 @@ def test_a_power_costs_logarithmically_many_products():
     # up to x^3 the products are the chain x * x, x^2 * x
     for e, products in [(1, []), (2, [(0, 0)]), (3, [(0, 0), (1, 0)])]:
         assert Polynomial.from_coeffs({(e,): 1.0}, 1)._program[0] == products
+
+
+def test_a_power_beyond_the_recursion_limit_compiles():
+    # powers are built on an explicit stack, not one call per halving
+    e = 2 ** 1000
+    assert e.bit_length() > sys.getrecursionlimit()
+    p = Polynomial.from_coeffs({(e,): -1.0}, 1)
+    assert len(p._program[0]) <= 2 * e.bit_length()
+    assert p([0.5]) == 0.0 and p([1.0]) == -1.0
+
+
+def test_derivative_coefficient_beyond_the_float_range_is_a_value_error():
+    for coeffs, e in [({(10 ** 400,): 1.0}, 10 ** 400), ({(0, 10 ** 10): 1e300}, 10 ** 10)]:
+        p = Polynomial.from_coeffs(coeffs, len(next(iter(coeffs))))
+        var = len(next(iter(coeffs))) - 1
+        with pytest.raises(ValueError, match=f"variable {var} .* exponent {e} "):
+            p.diff(var)
+    # 2^1000 fits: the derivative is 2^1000 x^(2^1000 - 1)
+    d = Polynomial.from_coeffs({(2 ** 1000,): 1.0}, 1).diff(0)
+    assert d.terms == {Monomial((2 ** 1000 - 1,)): float(2 ** 1000)}
 
 
 def test_field_jacobian_entries_are_the_partial_derivatives():

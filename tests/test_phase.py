@@ -202,6 +202,13 @@ def test_critical_point_validation():
     with pytest.raises(ValueError):
         cp.location[0] = 5.0
     assert set(CLASSIFICATIONS) >= {cp.classification}
+    # the stored location is a read-only copy: the caller's array stays writable
+    loc = np.zeros(2)
+    cp = CriticalPoint(location=loc, eigenvalues=(1.0, 2.0),
+                       classification="unstable-node", residual=0.0)
+    assert cp.location is not loc and not cp.location.flags.writeable
+    loc[0] = 5.0
+    assert cp.location.tolist() == [0.0, 0.0]
 
 
 def test_classification_agrees_with_flow():

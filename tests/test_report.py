@@ -143,6 +143,14 @@ def test_cmd_phase2d_custom_orders():
         cmd_phase2d(samples=1)
 
 
+def test_cmd_phase2d_overflowed_orders_leak_no_warning():
+    # from K = 190 the two-species partial sums overflow at late times; the
+    # suite turns a RuntimeWarning from their deviation norms into an error
+    for orders in ([190], [4, 190]):
+        header, rows, _ = parse_csv(cmd_phase2d(orders=orders))
+        assert f"x_s{orders[-1]}" in header and len(rows) == 121
+
+
 def test_cmd_phase2d_deterministic():
     assert cmd_phase2d(samples=31, t_end=100.0) == \
         cmd_phase2d(samples=31, t_end=100.0)

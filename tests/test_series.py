@@ -618,15 +618,29 @@ def test_collapse_at_depth(ivp):
     h, t = hpm_solve(ivp, K), taylor_solve(ivp, K)
     ok, dev = hpm_collapse_check(h, t, 1e-10)
     assert ok, dev
-    # the check scales by max(1, |x_j|), so it is blind where |x_j| is tiny
-    # (two-species coefficients fall below 1e-30 by order 20); hold every
-    # correction to its Taylor monomial relative to |x_j| as well
+    # hold every correction to its Taylor monomial relative to |x_j|, as the
+    # check does (two-species coefficients fall below 1e-30 by order 20)
     for j, per_var in enumerate(h.corrections):
         for i, s in enumerate(per_var):
             xj = t.series[i].coeffs[j]
             expect = np.zeros(K + 1)
             expect[j] = xj
             assert np.max(np.abs(s.coeffs - expect)) <= 1e-12 * abs(xj), (i, j)
+
+
+def test_collapse_check_judges_small_coefficients_at_their_own_scale():
+    # two-species coefficients from (10, 20) are at most 1.3e-30 from order
+    # 20 on; doubling corrections 20..60 puts each off by |x_j| itself, a
+    # deviation of 1, where a scale of max(1, |x_j|) would read 1.24e-30
+    ivp = preset_ivp(TwoSpecies.reference(), [10.0, 20.0])
+    K = 60
+    h, t = hpm_solve(ivp, K), taylor_solve(ivp, K)
+    assert hpm_collapse_check(h, t, 1e-10) == (True, 0.0)
+    assert np.max(np.abs(t.series[0].coeffs[20:])) < 1.3e-30
+    doubled = HpmExpansion.from_corrections(tuple(
+        per_var if j < 20 else tuple(TruncatedSeries(2.0 * s.coeffs) for s in per_var)
+        for j, per_var in enumerate(h.corrections)))
+    assert hpm_collapse_check(doubled, t, 1e-10) == (False, 1.0)
 
 
 def test_collapse_check_detects_corruption():
@@ -640,7 +654,7 @@ def test_collapse_check_detects_corruption():
     broken = HpmExpansion.from_corrections(tuple(tuple(pv) for pv in corr))
     ok, dev = hpm_collapse_check(broken, t, 1e-10)
     assert not ok
-    # deviation is normalized by max(1, |x_3|) with x_3 = -37/3
+    # deviation is normalized by |x_3| with x_3 = -37/3
     assert dev == pytest.approx(1e-6 / (37.0 / 3.0), rel=1e-6)
 
 
@@ -699,7 +713,7 @@ def test_hand_built_expansion_with_a_short_correction():
     assert exact.summed()[0].coeffs.tolist() == [1.0, 2.0, 3.0]
     assert hpm_collapse_check(exact, taylor, 0.0) == (True, 0.0)
     # correction 1 is the constant 0.5: t^0 is off by 0.5, the padded t^1
-    # by 2 = x_1, and the deviation is 2 / max(1, |x_1|) = 1
+    # by 2 = x_1, and the deviation is 2 / |x_1| = 1
     wrong = HpmExpansion.from_corrections(
         (exact.corrections[0], (TruncatedSeries([0.5]),), exact.corrections[2]))
     assert wrong.summed()[0].coeffs.tolist() == [1.5, 0.0, 3.0]
