@@ -8,72 +8,63 @@ useful: coefficient-based radius-of-convergence estimates, closed-form
 oracles with their movable singularities, an adaptive Runge-Kutta
 integrator as the global reference, and fixed-point classification for
 the phase-plane structure no local series can see.
+
+Importing the package loads none of its modules: each public name (and
+each module below) is imported the first time it is read (PEP 562), so
+a command-line run loads only the layers it calls.
 """
 
-from .errors import (
-    DegenerateError,
-    DimensionError,
-    InsufficientOrderError,
-    IntegrationFailedError,
-    ModelFileError,
-    NotAFixedPointError,
-    RangeError,
-    SeriesDynError,
-    SingularityError,
-)
-from .exact import (
-    PolarInit,
-    Singularity,
-    logistic_exact,
-    logistic_singularity,
-    polar_init,
-    spiral_exact,
-    spiral_singularity,
-)
-from .integrate import IntegrationConfig, Trajectory, integrate, sample
-from .model import (
-    InitialValueProblem,
-    Logistic,
-    Monomial,
-    PolyVectorField,
-    Polynomial,
-    Spiral,
-    TwoSpecies,
-    eval_field,
-    field_jacobian,
-    jacobian_at,
-    preset_ivp,
-)
-from .phase import CLASSIFICATIONS, CriticalPoint, classify, fixed_points
-from .series import (
-    HpmExpansion,
-    RadiusEstimate,
-    TaylorSolution,
-    TruncatedSeries,
-    hpm_collapse_check,
-    hpm_solve,
-    poly_apply_series,
-    radius_estimate,
-    series_eval,
-    series_mul,
-    taylor_solve,
-)
+import importlib
+import sys
+import types
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SeriesDynError", "DimensionError", "SingularityError", "DegenerateError",
-    "InsufficientOrderError", "NotAFixedPointError", "RangeError",
-    "ModelFileError", "IntegrationFailedError",
-    "Monomial", "Polynomial", "PolyVectorField", "InitialValueProblem",
-    "Logistic", "TwoSpecies", "Spiral",
-    "eval_field", "field_jacobian", "jacobian_at", "preset_ivp",
-    "TruncatedSeries", "TaylorSolution", "HpmExpansion", "RadiusEstimate",
-    "series_mul", "poly_apply_series", "taylor_solve", "hpm_solve",
-    "hpm_collapse_check", "series_eval", "radius_estimate",
-    "Singularity", "PolarInit", "logistic_exact", "logistic_singularity",
-    "polar_init", "spiral_exact", "spiral_singularity",
-    "IntegrationConfig", "Trajectory", "integrate", "sample",
-    "CLASSIFICATIONS", "CriticalPoint", "fixed_points", "classify",
-    "__version__",
-]
+# each module and the public names it defines, in the order of __all__
+_EXPORTS = {
+    "errors": ("SeriesDynError", "DimensionError", "SingularityError", "DegenerateError",
+               "InsufficientOrderError", "NotAFixedPointError", "RangeError",
+               "ModelFileError", "IntegrationFailedError"),
+    "model": ("Monomial", "Polynomial", "PolyVectorField", "InitialValueProblem",
+              "Logistic", "TwoSpecies", "Spiral",
+              "eval_field", "field_jacobian", "jacobian_at", "preset_ivp"),
+    "series": ("TruncatedSeries", "TaylorSolution", "HpmExpansion", "RadiusEstimate",
+               "series_mul", "poly_apply_series", "taylor_solve", "hpm_solve",
+               "hpm_collapse_check", "series_eval", "radius_estimate"),
+    "exact": ("Singularity", "PolarInit", "logistic_exact", "logistic_singularity",
+              "polar_init", "spiral_exact", "spiral_singularity"),
+    "integrate": ("IntegrationConfig", "Trajectory", "integrate", "sample"),
+    "phase": ("CLASSIFICATIONS", "CriticalPoint", "fixed_points", "classify"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name):
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+        globals()[name] = value  # later reads skip this function
+        return value
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})
+
+
+class _Package(types.ModuleType):
+    """The package's type.  The import system binds each submodule it loads
+    as an attribute of the package, and ``integrate`` names both a module
+    and the function it defines: the package attribute stays the function,
+    as the public name says, however the module came to be loaded."""
+
+    def __setattr__(self, name, value):
+        if name == "integrate" and isinstance(value, types.ModuleType):
+            value = value.integrate
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -3,7 +3,8 @@
 Subcommands: table1, phase2d, spiral, radius, solve, fixed-points.
 Output goes to stdout or to --output <path>.  Exit codes: 0 success,
 2 input error (bad arguments, malformed model file, order too small, an
-order above MAX_ORDER or a sample count above MAX_SAMPLES),
+order above MAX_ORDER or a sample count above MAX_SAMPLES, an --output
+path that cannot be written),
 3 numerical failure (integration did not complete).  Set SERIESDYN_LOG
 to a logging level name (DEBUG, INFO, ...) for diagnostics on stderr.
 """
@@ -15,28 +16,28 @@ import dataclasses
 import logging
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from .errors import IntegrationFailedError, SeriesDynError
-from .integrate import IntegrationConfig
-from .modelfile import MAX_ORDER, MAX_SAMPLES, load_model
-from .report import (
-    cmd_fixed_points,
-    cmd_phase2d,
-    cmd_radius,
-    cmd_solve,
-    cmd_spiral,
-    cmd_table1,
-)
+
+# the library's layers are imported where they run, so that each command
+# loads only its own (see main)
+if TYPE_CHECKING:
+    from .integrate import IntegrationConfig
+    from .modelfile import ModelFile
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-def _int_at_most(limit: int):
-    """argparse type: an integer no larger than ``limit``."""
+def _int_at_most(cap: str):
+    """argparse type: an integer no larger than the model-file module's
+    constant ``cap``, which is read only when such an argument is given."""
     def parse(text: str) -> int:
         value = int(text)
+        from . import modelfile
+        limit = getattr(modelfile, cap)
         if value > limit:
             raise argparse.ArgumentTypeError(f"must be <= {limit}, got {value}")
         return value
@@ -50,7 +51,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Truncated time-power-series solutions of polynomial "
                     "ODE systems, with oracles that show where they fail.")
     sub = parser.add_subparsers(dest="command", required=True)
-    order_type, samples_type = _int_at_most(MAX_ORDER), _int_at_most(MAX_SAMPLES)
+    order_type, samples_type = _int_at_most("MAX_ORDER"), _int_at_most("MAX_SAMPLES")
 
     def add_output(p):
         p.add_argument("--output", metavar="PATH", default=None,
@@ -67,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--full-precision", action="store_true",
                    help="print all values at full precision")
     add_output(p)
-    p.set_defaults(run=lambda args: cmd_table1(full_precision=args.full_precision))
+    p.set_defaults(run=lambda report, args: report.cmd_table1(
+        full_precision=args.full_precision))
 
     p = sub.add_parser("phase2d", help="two-species CSV: integrator vs "
                                        "partial sums, fixed-point footer")
@@ -77,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=samples_type, default=121)
     add_tols(p)
     add_output(p)
-    p.set_defaults(run=lambda args: cmd_phase2d(
+    p.set_defaults(run=lambda report, args: report.cmd_phase2d(
         orders=args.order, t_end=args.t_end, samples=args.samples, cfg=_tolerances(args)))
 
     p = sub.add_parser("spiral", help="spiral CSV: integrator, closed form, "
@@ -87,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=samples_type, default=201)
     add_tols(p)
     add_output(p)
-    p.set_defaults(run=lambda args: cmd_spiral(
+    p.set_defaults(run=lambda report, args: report.cmd_spiral(
         order=args.order, t_end=args.t_end, samples=args.samples, cfg=_tolerances(args)))
 
     p = sub.add_parser("radius", help="radius-of-convergence report for a "
@@ -96,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", "-k", type=order_type, default=None, metavar="K",
                    help="series order (default: model file's, needs >= 8)")
     add_output(p)
-    p.set_defaults(run=lambda args: cmd_radius(load_model(args.model_file), order=args.order))
+    p.set_defaults(run=lambda report, args: report.cmd_radius(_model(args), order=args.order))
 
     p = sub.add_parser("solve", help="CSV of numerical and series solutions "
                                      "on the model file's grid")
@@ -109,21 +111,28 @@ def _build_parser() -> argparse.ArgumentParser:
                                             "file")
     p.add_argument("model_file")
     add_output(p)
-    p.set_defaults(run=lambda args: cmd_fixed_points(load_model(args.model_file)))
+    p.set_defaults(run=lambda report, args: report.cmd_fixed_points(_model(args)))
     return parser
 
 
-def _tolerances(args, cfg: IntegrationConfig = IntegrationConfig()) -> IntegrationConfig:
-    """Integrator settings: ``cfg`` with --rel-tol/--abs-tol replaced where
-    given.  The config rejects NaN, inf and values <= 0."""
+def _tolerances(args, cfg: IntegrationConfig | None = None) -> IntegrationConfig:
+    """Integrator settings: ``cfg`` (the defaults when None) with
+    --rel-tol/--abs-tol replaced where given.  The config rejects NaN, inf
+    and values <= 0."""
+    from .integrate import IntegrationConfig
     given = {name: getattr(args, name) for name in ("rel_tol", "abs_tol")
              if getattr(args, name) is not None}
-    return dataclasses.replace(cfg, **given)
+    return dataclasses.replace(cfg or IntegrationConfig(), **given)
 
 
-def _solve(args) -> str:
-    mf = load_model(args.model_file)
-    return cmd_solve(dataclasses.replace(mf, cfg=_tolerances(args, mf.cfg)))
+def _model(args) -> ModelFile:
+    from .modelfile import load_model
+    return load_model(args.model_file)
+
+
+def _solve(report, args) -> str:
+    mf = _model(args)
+    return report.cmd_solve(dataclasses.replace(mf, cfg=_tolerances(args, mf.cfg)))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -132,8 +141,9 @@ def main(argv: list[str] | None = None) -> int:
         logging.basicConfig(level=level.upper(),
                             format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)
+    from . import report  # after logging is set up; it loads no layer the command skips
     try:
-        text = args.run(args)
+        text = args.run(report, args)
     except IntegrationFailedError as exc:
         print(f"seriesdyn: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -141,8 +151,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"seriesdyn: error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:  # a directory, a missing folder, no permission
+            print(f"seriesdyn: error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(text)
     return EXIT_OK

@@ -13,16 +13,18 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DegenerateError, InsufficientOrderError, IntegrationFailedError
-from .exact import logistic_exact, logistic_singularity, spiral_exact, spiral_singularity
 from .integrate import IntegrationConfig, integrate, sample
 from .model import InitialValueProblem, Logistic, Spiral, TwoSpecies, preset_ivp
-from .modelfile import ModelFile
-from .phase import classify, fixed_points
-from .series import radius_estimate, taylor_solve
+
+# the closed forms, the series and the fixed points are imported by the
+# functions that use them, so a cold command loads only its own layers
+if TYPE_CHECKING:
+    from .modelfile import ModelFile
 
 _FLOAT_FMT = "{:.11e}"  # 12 significant digits
 
@@ -88,6 +90,7 @@ def _curves(ivp: InitialValueProblem, ts, orders: list[int],
     """Integrate to ts[-1], sample the trajectory at ``ts`` and expand to
     each order: returns the sampled states, shape (len(ts), n), and
     {order: partial sums at ``ts``, same shape}."""
+    from .series import taylor_solve
     t_end = float(ts[-1])
     traj = integrate(ivp, t_end, cfg)
     if traj.status != "completed":
@@ -99,6 +102,7 @@ def _curves(ivp: InitialValueProblem, ts, orders: list[int],
 
 def table1_rows() -> list[ComparisonRow]:
     """The ten comparison rows behind the logistic log-error table."""
+    from .exact import logistic_exact
     b, a, x0 = 1.0, -3.0, 1.0
     ts = [i / 10 for i in range(1, 11)]
     numerical, sums = _curves(preset_ivp(Logistic(b, a), [x0]), ts, [4])
@@ -137,6 +141,7 @@ def cmd_phase2d(orders: list[int] | None = None, t_end: float = 300.0,
     '#'-comment footer.  ``cfg`` sets the integrator's tolerances (the
     defaults when None); the series columns do not depend on it.
     """
+    from .phase import classify, fixed_points
     orders = sorted(set(orders)) if orders else [4, 10]
     if any(k < 1 for k in orders):
         raise ValueError("orders must be positive integers")
@@ -171,6 +176,7 @@ def cmd_spiral(order: int = 5, t_end: float = 20.0, samples: int = 201,
                cfg: IntegrationConfig | None = None) -> str:
     """CSV curves for the spiral model: integrator, closed form, series.
     ``cfg`` sets the integrator's tolerances (the defaults when None)."""
+    from .exact import spiral_exact
     if order < 1:
         raise ValueError("order must be at least 1")
     a, x0, y0 = -0.5, 2.0, 2.0
@@ -186,6 +192,7 @@ def cmd_spiral(order: int = 5, t_end: float = 20.0, samples: int = 201,
 
 def _analytic_singularity(mf: ModelFile):
     """Singularity of the model's closed form, when one exists."""
+    from .exact import logistic_singularity, spiral_singularity
     x0 = mf.ivp.x0
     try:
         if isinstance(mf.preset, Logistic):
@@ -200,6 +207,7 @@ def _analytic_singularity(mf: ModelFile):
 def cmd_radius(mf: ModelFile, order: int | None = None) -> str:
     """Radius-of-convergence report: coefficient estimates per variable,
     plus the analytic singularity modulus when a closed form exists."""
+    from .series import radius_estimate, taylor_solve
     k = mf.order if order is None else order
     if k < 8:
         raise InsufficientOrderError(
@@ -251,6 +259,7 @@ def cmd_solve(mf: ModelFile) -> str:
 
 def cmd_fixed_points(mf: ModelFile) -> str:
     """Text table of the model's fixed points with eigenvalues and class."""
+    from .phase import classify, fixed_points
     field = mf.ivp.field
     points = [classify(field, loc) for loc in fixed_points(field)]
     names = _var_names(field.dimension)

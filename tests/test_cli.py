@@ -1,12 +1,18 @@
 """Command-line interface: exit codes, flags, output destinations."""
 
 import dataclasses
+import importlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import seriesdyn
 from seriesdyn.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
 from seriesdyn.integrate import IntegrationConfig
 from seriesdyn.modelfile import MAX_ORDER, MAX_SAMPLES, load_model
@@ -316,3 +322,141 @@ def test_work_caps_on_flags_are_input_errors(capsys, argv):
         main(argv)
     assert info.value.code == EXIT_INPUT
     assert "must be <=" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-folder"])
+def test_output_path_that_cannot_be_written_is_input_error(tmp_path, capsys, where):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "x.txt"
+    assert main(["table1", "--output", str(target)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("seriesdyn: error: ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_failed_command_creates_no_output_file(tmp_path, capsys):
+    # the output is written only once the command has computed all of it
+    target = tmp_path / "out.csv"
+    assert main(["spiral", "-k", "0", "--output", str(target)]) == EXIT_INPUT
+    assert not target.exists()
+
+
+# -- cold processes: what a command loads, and what it logs ------------------
+
+GOLDEN = Path(__file__).parent / "golden"
+SRC = str(Path(seriesdyn.__file__).resolve().parents[1])
+
+# each command on its golden inputs, and the package modules it loads
+# (json rides with the model file); no command loads all of them
+LOADS = {
+    "table1": (["table1"], {"errors", "model", "integrate", "series", "exact", "report"}),
+    "phase2d": (["phase2d"], {"errors", "model", "integrate", "series", "phase", "report"}),
+    "spiral": (["spiral"], {"errors", "model", "integrate", "series", "exact", "report"}),
+    "radius": (["radius", str(GOLDEN / "spiral.json"), "-k", "30"],
+               {"errors", "model", "integrate", "modelfile", "json", "series", "exact",
+                "report"}),
+    "solve": (["solve", str(GOLDEN / "logistic.json")],
+              {"errors", "model", "integrate", "modelfile", "json", "series", "report"}),
+    "fixed-points": (["fixed-points", str(GOLDEN / "two_species.json")],
+                     {"errors", "model", "integrate", "modelfile", "json", "phase",
+                      "report"}),
+}
+
+
+def cold(args, log=None):
+    """A fresh ``python <args>`` with this checkout's package on the path,
+    logging at ``log`` (a SERIESDYN_LOG level) or not at all."""
+    env = {key: value for key, value in os.environ.items() if key != "SERIESDYN_LOG"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    if log:
+        env["SERIESDYN_LOG"] = log
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          check=True, timeout=120)
+
+
+@pytest.mark.parametrize("command", list(LOADS))
+def test_cold_command_loads_only_its_own_layers(command):
+    argv, loads = LOADS[command]
+    child = cold(["-X", "importtime", "-m", "seriesdyn.cli", *argv])
+    assert child.stdout == (GOLDEN / f"{command}.out").read_bytes()
+    imported = {line.rsplit("|", 1)[1].strip()
+                for line in child.stderr.decode().splitlines()
+                if line.startswith("import time:")}
+    ours = {name.removeprefix("seriesdyn.") for name in imported
+            if name.startswith("seriesdyn.")}
+    assert ours | ({"json"} & imported) == loads
+
+
+def test_bare_import_loads_no_module_and_no_numpy():
+    child = cold(["-c", "import sys, seriesdyn; "
+                        "print(sorted(m for m in sys.modules "
+                        "if m.startswith('seriesdyn.') or m.split('.')[0] == 'numpy')); "
+                        "print(seriesdyn.phase.__name__)"])
+    # a submodule the package used to bind is still an attribute, loaded when read
+    assert child.stdout.decode().split("\n")[:2] == ["[]", "seriesdyn.phase"]
+
+
+def test_integrate_names_the_function_however_its_module_was_loaded():
+    # the submodule and its function share the name; loading the module by
+    # its own path binds it on the package, and the package name stays the
+    # function, as it was when the package imported every module up front
+    child = cold(["-c", "import seriesdyn.report; import seriesdyn; "
+                        "from seriesdyn import integrate; "
+                        "print(seriesdyn.integrate is integrate, integrate.__name__, "
+                        "callable(integrate))"])
+    assert child.stdout.decode().split() == ["True", "integrate", "True"]
+
+
+@pytest.mark.parametrize("command, lines", [
+    ("solve", {"seriesdyn.integrate": 1, "seriesdyn.series": 1}),
+    ("fixed-points", {"seriesdyn.phase": 1}),
+])
+def test_debug_log_under_lazy_loading(command, lines):
+    # logging is set up before a command imports its layers, whose loggers
+    # must still reach stderr; stdout is that of the run without logging
+    child = cold(["-m", "seriesdyn.cli", *LOADS[command][0]], log="DEBUG")
+    assert child.stdout == (GOLDEN / f"{command}.out").read_bytes()
+    names = [line.split()[1].rstrip(":") for line in child.stderr.decode().splitlines()]
+    assert {name: names.count(name) for name in lines} == lines
+
+
+# -- the package's public names ---------------------------------------------
+
+PUBLIC = {
+    "errors": ["DegenerateError", "DimensionError", "InsufficientOrderError",
+               "IntegrationFailedError", "ModelFileError", "NotAFixedPointError",
+               "RangeError", "SeriesDynError", "SingularityError"],
+    "exact": ["PolarInit", "Singularity", "logistic_exact", "logistic_singularity",
+              "polar_init", "spiral_exact", "spiral_singularity"],
+    "integrate": ["IntegrationConfig", "Trajectory", "integrate", "sample"],
+    "model": ["InitialValueProblem", "Logistic", "Monomial", "PolyVectorField",
+              "Polynomial", "Spiral", "TwoSpecies", "eval_field", "field_jacobian",
+              "jacobian_at", "preset_ivp"],
+    "phase": ["CLASSIFICATIONS", "CriticalPoint", "classify", "fixed_points"],
+    "series": ["HpmExpansion", "RadiusEstimate", "TaylorSolution", "TruncatedSeries",
+               "hpm_collapse_check", "hpm_solve", "poly_apply_series", "radius_estimate",
+               "series_eval", "series_mul", "taylor_solve"],
+}
+
+
+def test_package_surface_is_unchanged():
+    assert sorted(seriesdyn.__all__) == sorted(
+        [name for names in PUBLIC.values() for name in names] + ["__version__"])
+    assert seriesdyn.__version__ == "0.1.0"
+    star = {}
+    exec("from seriesdyn import *", star)
+    listed = dir(seriesdyn)
+    for module, names in PUBLIC.items():
+        home = importlib.import_module(f"seriesdyn.{module}")
+        for name in names:
+            assert getattr(seriesdyn, name) is getattr(home, name), name
+            assert star[name] is getattr(home, name), name
+            assert name in listed, name
+    assert star["__version__"] == seriesdyn.__version__
+
+
+def test_unknown_package_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        seriesdyn.no_such_name  # noqa: B018
+    assert not hasattr(seriesdyn, "MAX_ORDER")
