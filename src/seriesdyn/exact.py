@@ -9,17 +9,15 @@ where and why the truncated series stop converging.
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
-from dataclasses import dataclass
 
-from .errors import DegenerateError, SingularityError
+from .errors import DegenerateError, SingularityError, record
 
 _SINGULARITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@record
 class Singularity:
     """A movable singularity of a closed-form solution.
 
@@ -43,7 +41,7 @@ class Singularity:
             raise ValueError("singularity modulus must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class PolarInit:
     """Initial state of the spiral model in polar form."""
 

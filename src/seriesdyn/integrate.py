@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RangeError
+from .errors import RangeError, record
 from .model import InitialValueProblem, _check_count, _field_lines
 
 logger = logging.getLogger("seriesdyn.integrate")
@@ -50,8 +49,12 @@ _BLOWUP_NORM = 1e8  # a state norm beyond this ends the run as 'blew-up'
 _REL_TOL_FLOOR = 100 * math.ulp(1.0)  # 100 machine epsilons
 
 
-@dataclass(frozen=True)
+@record
 class IntegrationConfig:
+    """Tolerances and step budget of ``integrate``: positive finite
+    tolerances, ``rel_tol`` at least 100 machine epsilons, and
+    ``max_steps`` (attempts) an integer >= 1."""
+
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_steps: int = 1_000_000
@@ -70,7 +73,10 @@ class IntegrationConfig:
         object.__setattr__(self, "max_steps", int(self.max_steps))
 
 
-@dataclass(frozen=True, eq=False)
+_DEFAULT_CONFIG = IntegrationConfig()  # shared: a record is immutable
+
+
+@record(eq=False)
 class Trajectory:
     """Accepted integration steps plus per-step metadata.
 
@@ -273,7 +279,7 @@ def integrate(ivp: InitialValueProblem, t_end: float,
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValueError("t_end must be positive and finite")
-    cfg = cfg or IntegrationConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     program = ivp.field._program
     n = ivp.dimension
     ts, ys, fs, hs, errs = [0.0], ivp.x0.tolist(), [0.0] * n, [], []

@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, record
 
 logger = logging.getLogger("seriesdyn.model")
 
@@ -33,7 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@record
 class Monomial:
     """Product of variable powers, e.g. exponents (2, 1) is x^2 y."""
 
@@ -62,7 +61,7 @@ class Monomial:
         return self._polynomial(x)
 
 
-@dataclass(frozen=True)
+@record
 class Polynomial:
     """Sparse real polynomial in n variables: map from Monomial to coefficient.
 
@@ -126,7 +125,7 @@ class Polynomial:
         return Polynomial({Monomial(k): v for k, v in coeffs.items()}, dimension)
 
 
-@dataclass(frozen=True)
+@record
 class PolyVectorField:
     """Right-hand side f(x) of an autonomous system dx/dt = f(x)."""
 
@@ -170,7 +169,7 @@ class PolyVectorField:
         return eval_field(self, x)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class InitialValueProblem:
     """A polynomial field together with the initial state x(0); it compares
     and hashes by identity, as every result object holding an array does."""
@@ -386,7 +385,7 @@ def jacobian_at(field: PolyVectorField, x) -> np.ndarray:
 # Model presets
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Logistic:
     """One-species growth dx/dt = x(b + a x)."""
 
@@ -405,7 +404,7 @@ class Logistic:
         return PolyVectorField((p,))
 
 
-@dataclass(frozen=True)
+@record
 class TwoSpecies:
     """Competing populations:
 
@@ -443,7 +442,7 @@ class TwoSpecies:
                           a21=-0.0009, a22=-0.001)
 
 
-@dataclass(frozen=True)
+@record
 class Spiral:
     """Exactly solvable planar cubic system:
 

@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 
-from .errors import ModelFileError
+from .errors import ModelFileError, record
 from .integrate import IntegrationConfig
 from .model import (
     InitialValueProblem,
@@ -51,7 +51,7 @@ _PRESETS = {"logistic": Logistic, "two-species": TwoSpecies, "spiral": Spiral}
 _TOP_KEYS = {"model", "params", "terms", "x0", "order", "grid", "tolerances"}
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class ModelFile:
     """A parsed and validated model definition.
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotAFixedPointError
+from .errors import NotAFixedPointError, record
 from .model import PolyVectorField, eval_field, jacobian_at
 
 logger = logging.getLogger("seriesdyn.phase")
@@ -38,7 +37,7 @@ CLASSIFICATIONS = (
 )
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class CriticalPoint:
     """A classified fixed point.
 

@@ -10,14 +10,15 @@ printed at 12 significant digits; fixed-point footers ride along as
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import logging
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateError, InsufficientOrderError, IntegrationFailedError
+from .errors import DegenerateError, InsufficientOrderError, IntegrationFailedError, record
 from .integrate import IntegrationConfig, integrate, sample
 from .model import InitialValueProblem, Logistic, Spiral, TwoSpecies, preset_ivp
 
@@ -26,10 +27,12 @@ from .model import InitialValueProblem, Logistic, Spiral, TwoSpecies, preset_ivp
 if TYPE_CHECKING:
     from .modelfile import ModelFile
 
+logger = logging.getLogger("seriesdyn.report")
+
 _FLOAT_FMT = "{:.11e}"  # 12 significant digits
 
 
-@dataclass(frozen=True)
+@record
 class ComparisonRow:
     """One time point of the logistic table: the 4th-order partial sum,
     the closed form, the integrator, and log10 |(exact - series)/exact|."""
@@ -74,6 +77,18 @@ def _csv(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
+def _logged(cmd):
+    """``cmd`` logging one DEBUG line per call: its name and the lines and
+    bytes (UTF-8) of the text it returns."""
+    @functools.wraps(cmd)
+    def logged(*args, **kwargs):
+        text = cmd(*args, **kwargs)
+        logger.debug("%s: %d lines, %d bytes", cmd.__name__, text.count("\n"),
+                     len(text.encode()))
+        return text
+    return logged
+
+
 def _grid(t_end: float, samples: int) -> np.ndarray:
     """``samples`` equally spaced times from 0 to ``t_end``, checked
     before ``np.linspace`` would warn on an infinite end."""
@@ -114,6 +129,7 @@ def table1_rows() -> list[ComparisonRow]:
     return rows
 
 
+@_logged
 def cmd_table1(full_precision: bool = False) -> str:
     """Log-error table for the 4th-order logistic series, t = 0.1..1.0.
 
@@ -130,6 +146,7 @@ def cmd_table1(full_precision: bool = False) -> str:
     return _aligned(table)
 
 
+@_logged
 def cmd_phase2d(orders: list[int] | None = None, t_end: float = 300.0,
                 samples: int = 121, cfg: IntegrationConfig | None = None) -> str:
     """CSV curves for the two-species model: integrator vs partial sums.
@@ -172,6 +189,7 @@ def cmd_phase2d(orders: list[int] | None = None, t_end: float = 300.0,
     return out
 
 
+@_logged
 def cmd_spiral(order: int = 5, t_end: float = 20.0, samples: int = 201,
                cfg: IntegrationConfig | None = None) -> str:
     """CSV curves for the spiral model: integrator, closed form, series.
@@ -204,6 +222,7 @@ def _analytic_singularity(mf: ModelFile):
     return None
 
 
+@_logged
 def cmd_radius(mf: ModelFile, order: int | None = None) -> str:
     """Radius-of-convergence report: coefficient estimates per variable,
     plus the analytic singularity modulus when a closed form exists."""
@@ -245,6 +264,7 @@ def cmd_radius(mf: ModelFile, order: int | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_logged
 def cmd_solve(mf: ModelFile) -> str:
     """CSV of the numerical solution and the configured-order partial sums
     on the model file's time grid."""
@@ -257,6 +277,7 @@ def cmd_solve(mf: ModelFile) -> str:
     return _csv(rows)
 
 
+@_logged
 def cmd_fixed_points(mf: ModelFile) -> str:
     """Text table of the model's fixed points with eigenvalues and class."""
     from .phase import classify, fixed_points

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import groupby
 
 import numpy as np
 
-from .errors import DimensionError, InsufficientOrderError
+from .errors import DimensionError, InsufficientOrderError, record
 from .model import InitialValueProblem, Polynomial, _check_count, _sum_lines
 
 logger = logging.getLogger("seriesdyn.series")
@@ -49,7 +48,7 @@ __all__ = [
 _ZERO_SKIP = 1e-300
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TruncatedSeries:
     """Coefficients c_0..c_K of a power series in t, truncated at order K.
 
@@ -85,7 +84,7 @@ class TruncatedSeries:
         return TruncatedSeries(np.concatenate(([0.0], c / np.arange(1, len(c) + 1))))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class TaylorSolution:
     """Per-variable series x_i(t) = sum_j c_{i,j} t^j for one problem.
 
@@ -111,7 +110,7 @@ class TaylorSolution:
         return np.stack([series_eval(s, t) for s in self.series], axis=-1)
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class HpmExpansion:
     """Perturbation corrections x^(j)(t), each a polynomial in t of degree <= j.
 
@@ -178,7 +177,7 @@ class HpmExpansion:
         return tuple(TruncatedSeries(c) for c in self.G.sum(axis=0))
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class RadiusEstimate:
     """Convergence-radius estimate plus the per-order sequence behind it;
     it compares and hashes by identity."""

@@ -421,6 +421,18 @@ def test_debug_log_under_lazy_loading(command, lines):
     assert {name: names.count(name) for name in lines} == lines
 
 
+def test_debug_log_leaves_stdout_of_every_command_unchanged():
+    # one process runs the six commands with SERIESDYN_LOG=DEBUG: stdout is
+    # the six golden files, and stderr has one seriesdyn.report line each
+    argvs = [argv for argv, loads in LOADS.values()]
+    child = cold(["-c", "import sys; from seriesdyn.cli import main; "
+                        f"sys.exit(max(main(argv) for argv in {argvs!r}))"], log="DEBUG")
+    assert child.stdout == b"".join((GOLDEN / f"{name}.out").read_bytes() for name in LOADS)
+    report = [line.split()[2] for line in child.stderr.decode().splitlines()
+              if line.startswith("DEBUG seriesdyn.report:")]
+    assert report == [f"cmd_{name.replace('-', '_')}:" for name in LOADS]
+
+
 # -- the package's public names ---------------------------------------------
 
 PUBLIC = {

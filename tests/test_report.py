@@ -2,7 +2,9 @@
 
 import csv
 import io
+import logging
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from seriesdyn import (
     IntegrationFailedError,
     logistic_exact,
 )
-from seriesdyn.modelfile import parse_model
+from seriesdyn.modelfile import load_model, parse_model
 from seriesdyn.report import (
     cmd_fixed_points,
     cmd_phase2d,
@@ -340,3 +342,28 @@ def test_float_format_round_trip_precision():
     for v in vals:
         s = "{:.11e}".format(v)
         assert abs(float(s) - v) <= 1e-11 * abs(v)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_one_debug_line_per_command(caplog):
+    # each cmd_* logs its name, the lines and the UTF-8 bytes of its text;
+    # logging at DEBUG leaves the text as the golden file has it
+    calls = {
+        "table1": lambda: cmd_table1(),
+        "phase2d": lambda: cmd_phase2d(),
+        "spiral": lambda: cmd_spiral(),
+        "radius": lambda: cmd_radius(load_model(str(GOLDEN / "spiral.json")), order=30),
+        "solve": lambda: cmd_solve(load_model(str(GOLDEN / "logistic.json"))),
+        "fixed-points": lambda: cmd_fixed_points(load_model(str(GOLDEN / "two_species.json"))),
+    }
+    caplog.set_level(logging.DEBUG, logger="seriesdyn")
+    for name, call in calls.items():
+        caplog.clear()
+        text = call()
+        golden = (GOLDEN / f"{name}.out").read_bytes()
+        assert text.encode() == golden
+        lines = [r.getMessage() for r in caplog.records if r.name == "seriesdyn.report"]
+        command, count = name.replace("-", "_"), golden.count(b"\n")
+        assert lines == [f"cmd_{command}: {count} lines, {len(golden)} bytes"]
