@@ -364,9 +364,11 @@ def _state(x, n: int) -> list[float]:
 
 def eval_field(field: PolyVectorField, x) -> np.ndarray:
     """Evaluate f(x): each component is the sum over its terms of
-    coefficient times the product of variable powers."""
-    n = field.dimension
-    return field._program.run(_state(x, n), np.empty(n))
+    coefficient times the product of variable powers.  Returns a new
+    array; ``DimensionError`` for a state of another shape than (n,)."""
+    program = field._program
+    n = program.n
+    return program.run(_state(x, n), np.empty(n))
 
 
 def field_jacobian(field: PolyVectorField) -> list[list[Polynomial]]:
@@ -375,9 +377,11 @@ def field_jacobian(field: PolyVectorField) -> list[list[Polynomial]]:
 
 
 def jacobian_at(field: PolyVectorField, x) -> np.ndarray:
-    """Jacobian matrix of f evaluated at a state vector."""
-    n = field.dimension
-    out = field._program_with_jacobian.run(_state(x, n), np.empty(n + n * n))
+    """Jacobian matrix of f evaluated at a state vector, a new (n, n)
+    array; ``DimensionError`` for a state of another shape than (n,)."""
+    program = field._program_with_jacobian
+    n = program.n
+    out = program.run(_state(x, n), np.empty(n + n * n))
     return out[n:].reshape(n, n)
 
 

@@ -1,6 +1,7 @@
 """Adaptive Runge-Kutta integrator: accuracy against closed forms,
 dense output, statuses, and determinism."""
 
+import hashlib
 import importlib
 import logging
 import math
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from seriesdyn import (
+    DimensionError,
     InitialValueProblem,
     IntegrationConfig,
     Logistic,
@@ -371,16 +373,47 @@ def scalar_hermite(traj, times):
 
 
 def test_sample_equals_scalar_hermite_bit_for_bit():
+    # bytes, since assert_array_equal would let -0.0 pass for 0.0
     rng = np.random.default_rng(5)
     for ivp, t_end in ((LOGISTIC, 1.0), (TWOSPECIES, 300.0),
-                       (preset_ivp(Spiral(-0.5), [2.0, 2.0]), 20.0)):
+                       (preset_ivp(Spiral(-0.5), [2.0, 2.0]), 20.0),
+                       (preset_ivp(Spiral(0.5), [2.0, 2.0]), 1.0),  # blows up near 0.125
+                       (preset_ivp(Spiral(-0.5), [-0.0, 1.0]), 20.0)):
         traj = integrate(ivp, t_end)
         times = np.concatenate([traj.ts[::4], [traj.ts[0], traj.ts[-1]],
-                                rng.uniform(0.0, t_end, 300)])
+                                rng.uniform(0.0, traj.t_end, 300)])
         rng.shuffle(times)
         got = sample(traj, times)
         assert got.shape == (len(times), ivp.dimension)
-        np.testing.assert_array_equal(got, scalar_hermite(traj, times))
+        assert got.tobytes() == scalar_hermite(traj, times).tobytes()
+        for t in (traj.ts[0], traj.ts[-1], float(times[0])):
+            assert sample(traj, t).tobytes() == scalar_hermite(traj, [t]).tobytes()
+        assert sample(traj, []).shape == (0, ivp.dimension)
+    # the start's -0.0 comes back from every node hit on it
+    traj = integrate(preset_ivp(Spiral(-0.5), [-0.0, 1.0]), 20.0)
+    assert np.signbit(sample(traj, [0.0, 0.0])[:, 0]).all()
+
+
+# sha256 of the bytes of ``sample`` on the grids of the ``orbits``
+# benchmark, taken before the sampling was vectorised by gathers
+SAMPLE_SHA256 = {
+    "spiral": "e8571f956b1fa453880f4e27bbb8c62ab17764f6f1a501f72209ad8a6906e824",
+    "two-species": "f815df03cc3c966a539d01304693014affe57fa2ac4e5b374ae3a4e162fc506c",
+    "logistic": "3d1cfcc3792adbd3a8cb5c72f5b986df1f6eeab05c31e8a856326feb112f3b14",
+    "blowup": "7ea858ff159149dcbdf9fee6bf3f31d61e570ad4a6dbd0180f4e637d2bc05b55",
+}
+
+
+@pytest.mark.parametrize("name, ivp, t_end, points", [
+    ("spiral", preset_ivp(Spiral(-0.5), [2.0, 2.0]), 20.0, 2001),
+    ("two-species", TWOSPECIES, 2000.0, 2001),  # once per time unit
+    ("logistic", LOGISTIC, 1.0, 1001),
+    ("blowup", preset_ivp(Spiral(0.5), [2.0, 2.0]), 1.0, 1001),  # to where it stops
+])
+def test_sample_bits_are_pinned_on_the_orbits_grids(name, ivp, t_end, points):
+    traj = integrate(ivp, t_end)
+    got = sample(traj, np.linspace(0.0, traj.t_end, points))
+    assert hashlib.sha256(got.tobytes()).hexdigest() == SAMPLE_SHA256[name]
 
 
 def test_sample_one_node_trajectory():
@@ -390,6 +423,39 @@ def test_sample_one_node_trajectory():
         warnings.simplefilter("error")
         np.testing.assert_array_equal(sample(traj, [0.0, 0.0]), [[2.0], [2.0]])
     assert sample(traj, []).shape == (0, 1)
+
+
+def test_sample_of_a_hand_built_trajectory_does_not_depend_on_memory_order():
+    traj = integrate(preset_ivp(Spiral(-0.5), [2.0, 2.0]), 20.0)
+    fortran = Trajectory(ts=traj.ts, states=np.asfortranarray(traj.states),
+                         derivs=np.asfortranarray(traj.derivs), step_sizes=traj.step_sizes,
+                         error_estimates=traj.error_estimates, status=traj.status)
+    times = np.linspace(0.0, 20.0, 333)
+    assert sample(fortran, times).tobytes() == sample(traj, times).tobytes()
+
+
+def test_trajectory_rejects_a_malformed_record():
+    good = dict(ts=[0.0, 0.5, 1.0], states=[[1.0], [2.0], [3.0]],
+                derivs=[[1.0], [1.0], [1.0]], step_sizes=[0.5, 0.5],
+                error_estimates=[0.1, 0.1], status="completed")
+    assert sample(Trajectory(**good), 0.25).shape == (1, 1)
+    for name, bad in [("derivs", [[1.0], [1.0]]),  # sample raised IndexError
+                      ("states", [1.0, 2.0, 3.0]),
+                      ("states", [[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]]),
+                      ("states", np.empty((3, 0))),
+                      ("step_sizes", [0.5]),
+                      ("error_estimates", [0.1, 0.1, 0.1]),
+                      ("ts", [[0.0, 0.5, 1.0]])]:
+        with pytest.raises(DimensionError):
+            Trajectory(**{**good, name: bad})
+    with pytest.raises(DimensionError):
+        Trajectory(ts=[], states=np.empty((0, 1)), derivs=np.empty((0, 1)),
+                   step_sizes=[], error_estimates=[], status="completed")
+    # decreasing times made sample raise "must lie in [1.0, 0.0]"
+    for ts in ([1.0, 0.5, 0.0], [0.0, 0.0, 1.0], [0.0, math.nan, 1.0],
+               [0.0, 0.5, math.inf], [-math.inf, 0.0, 1.0]):
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            Trajectory(**{**good, "ts": ts})
 
 
 def left_to_right(weights, rows):

@@ -156,6 +156,28 @@ def test_eval_field_dimension_error():
         eval_field(field, [1.0])
 
 
+@pytest.mark.parametrize("field", [Logistic(1.0, -3.0).build_field(),
+                                   Spiral(-0.5).build_field()], ids=["n=1", "n=2"])
+def test_single_state_evaluations_reject_other_shapes(field):
+    n = field.dimension
+    for bad in (np.ones((1, n)), np.ones(n + 1), np.array(1.0)):
+        for evaluate in (eval_field, jacobian_at, lambda f, x: f.components[0](x)):
+            with pytest.raises(DimensionError):
+                evaluate(field, bad)
+
+
+def test_single_state_evaluations_return_fresh_writable_arrays():
+    field = Spiral(-0.5).build_field()
+    x = np.array([0.3, 0.4])
+    for evaluate, shape in ((eval_field, (2,)), (jacobian_at, (2, 2))):
+        first, second = evaluate(field, x), evaluate(field, x)
+        for out in (first, second):
+            assert out.shape == shape and out.dtype == np.float64 and out.flags.writeable
+        assert not np.shares_memory(first, second)
+        first[...] = 0.0
+        assert evaluate(field, x).tobytes() == second.tobytes()
+
+
 def test_eval_field_linear_in_the_field():
     rng = np.random.default_rng(7)
     for _ in range(20):

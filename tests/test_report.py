@@ -1,6 +1,7 @@
 """Report/CSV command implementations: content, formats, determinism."""
 
 import csv
+import hashlib
 import io
 import logging
 import math
@@ -178,6 +179,13 @@ def test_cmd_spiral_series_breaks_down_by_half_time_unit():
     ser = np.array([float(row[5]), float(row[6])])
     rel = np.linalg.norm(ser - exact) / np.linalg.norm(exact)
     assert rel > 1.0
+
+
+def test_cmd_spiral_on_a_fine_grid_is_pinned():
+    # 20001 samples, most of them inside a step: the sampled columns keep
+    # every printed digit (sha256 taken before sampling gathered by take)
+    digest = hashlib.sha256(cmd_spiral(samples=20001).encode()).hexdigest()
+    assert digest == "5cd9fed7c82a4df519564dca000d9018cb361513211380814402c5a46cafd02a"
 
 
 def test_cmd_spiral_validation():
