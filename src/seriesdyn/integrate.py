@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from .errors import DimensionError, RangeError, record
-from .model import InitialValueProblem, _check_count, _field_lines
+from .model import InitialValueProblem, _check_count, _field_lines, _hold
 
 logger = logging.getLogger("seriesdyn.integrate")
 
@@ -93,7 +93,8 @@ class Trajectory:
     t after at least one attempt), 'blowup_norm' (state norm crossed
     1e8) or 'no_first_step' (the first step was zero: f(x0) or its
     probe not finite or overflowing the norm); None for a trajectory
-    built by hand.  A trajectory compares and hashes by identity.
+    built by hand.  Its five arrays are read-only copies of the input; a
+    trajectory compares and hashes by identity.
 
     A hand-built trajectory is checked: ``states`` and ``derivs`` of a
     shape other than (len(ts), n), or ``step_sizes`` and
@@ -113,11 +114,9 @@ class Trajectory:
     stop_reason: str | None = None
 
     def __post_init__(self):
-        for name in ("ts", "states", "derivs", "step_sizes", "error_estimates"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        ts = self.ts
+        ts = _hold(self, "ts", self.ts)
+        for name in ("states", "derivs", "step_sizes", "error_estimates"):
+            _hold(self, name, getattr(self, name))
         nodes = len(ts) if ts.ndim == 1 else 0
         n = self.states.shape[1] if self.states.ndim == 2 else 0
         if not (nodes and n and self.states.shape == self.derivs.shape == (nodes, n)

@@ -169,6 +169,17 @@ class PolyVectorField:
         return eval_field(self, x)
 
 
+def _hold(owner, name: str, values) -> np.ndarray:
+    """Store a read-only, C-ordered float64 copy of ``values`` as the field
+    ``name`` of the record ``owner``, and return it.  Every record that
+    holds an array owns it this way, so the caller's array is neither
+    frozen nor aliased."""
+    held = np.array(values, dtype=float, order="C")
+    held.flags.writeable = False
+    object.__setattr__(owner, name, held)
+    return held
+
+
 @record(eq=False)
 class InitialValueProblem:
     """A polynomial field together with the initial state x(0); it compares
@@ -178,15 +189,13 @@ class InitialValueProblem:
     x0: np.ndarray
 
     def __post_init__(self):
-        x0 = np.array(self.x0, dtype=float)  # always a copy
+        x0 = _hold(self, "x0", self.x0)
         if x0.shape != (self.field.dimension,):
             raise DimensionError(
                 f"x0 has shape {x0.shape}, field dimension is {self.field.dimension}"
             )
         if not np.all(np.isfinite(x0)):
             raise ValueError(f"x0 must be finite, got {x0.tolist()}")
-        x0.flags.writeable = False
-        object.__setattr__(self, "x0", x0)
 
     @property
     def dimension(self) -> int:

@@ -19,7 +19,7 @@ import math
 import numpy as np
 
 from .errors import NotAFixedPointError, record
-from .model import PolyVectorField, eval_field, jacobian_at
+from .model import PolyVectorField, _hold, eval_field, jacobian_at
 
 logger = logging.getLogger("seriesdyn.phase")
 
@@ -53,9 +53,7 @@ class CriticalPoint:
     residual: float
 
     def __post_init__(self):
-        loc = np.array(self.location, dtype=float)  # always a copy
-        loc.flags.writeable = False
-        object.__setattr__(self, "location", loc)
+        _hold(self, "location", self.location)
         object.__setattr__(self, "eigenvalues",
                            tuple(complex(z) for z in self.eigenvalues))
         if self.classification not in CLASSIFICATIONS:

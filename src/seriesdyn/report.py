@@ -2,16 +2,14 @@
 
 Every command builds its complete output as a string so that repeated
 invocations with identical inputs are byte-identical.  CSV output is
-RFC-4180-style (csv module, minimal quoting, LF line ends) with floats
+comma-separated (no cell needs quoting, LF line ends) with floats
 printed at 12 significant digits; fixed-point footers ride along as
 '#'-prefixed comment lines so the data block stays rectangular.
 """
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import logging
 import math
 from typing import TYPE_CHECKING
@@ -72,9 +70,10 @@ def _aligned(rows: list[list[str]]) -> str:
 
 
 def _csv(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
+    """Rows of cells joined by commas, each ended by LF.  No cell needs
+    quoting: a ``_fmt`` number (inf and nan too), "0" or "1", a fixed
+    header or a ``_var_names`` name holds no comma, quote or line break."""
+    return "".join(",".join(row) + "\n" for row in rows)
 
 
 def _logged(cmd):

@@ -25,7 +25,7 @@ from itertools import groupby
 import numpy as np
 
 from .errors import DimensionError, InsufficientOrderError, record
-from .model import InitialValueProblem, Polynomial, _check_count, _sum_lines
+from .model import InitialValueProblem, Polynomial, _check_count, _hold, _sum_lines
 
 logger = logging.getLogger("seriesdyn.series")
 
@@ -59,11 +59,9 @@ class TruncatedSeries:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        c = np.array(self.coeffs, dtype=float, ndmin=1)  # always a copy
+        c = _hold(self, "coeffs", self.coeffs)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("coefficients must be a non-empty 1-D sequence")
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
 
     @property
     def order(self) -> int:
@@ -115,11 +113,11 @@ class HpmExpansion:
     """Perturbation corrections x^(j)(t), each a polynomial in t of degree <= j.
 
     ``G[j, i, m]`` is the t^m coefficient of the order-j correction of
-    variable i on the common (K+1, n, K+1) grid, read-only: the one array
-    an expansion stores.  A writable ``G`` is copied, a read-only one kept
-    as given, and any other shape raises DimensionError.  The dummy
-    expansion parameter is represented only by the index j; it is set to
-    one when summing.  ``corrections[j][i]`` is row G[j, i] as a
+    variable i on the common (K+1, n, K+1) grid: the one array an
+    expansion stores, a read-only copy of the input, so no later write to
+    the caller's array reaches it.  Any other shape raises DimensionError.
+    The dummy expansion parameter is represented only by the index j; it
+    is set to one when summing.  ``corrections[j][i]`` is row G[j, i] as a
     length-(K+1) TruncatedSeries, built on first read and then kept.  Like
     every result object that holds an array, an expansion compares and
     hashes by identity.
@@ -128,13 +126,9 @@ class HpmExpansion:
     G: np.ndarray
 
     def __post_init__(self):
-        G = np.asarray(self.G, dtype=float)
+        G = _hold(self, "G", self.G)
         if G.ndim != 3 or len(G) == 0 or len(G) != G.shape[2]:
             raise DimensionError(f"the grid must have shape (K+1, n, K+1), not {G.shape}")
-        if G.flags.writeable:
-            G = G.copy()
-            G.flags.writeable = False
-        object.__setattr__(self, "G", G)
 
     @classmethod
     def from_corrections(cls, corrections) -> "HpmExpansion":
@@ -157,7 +151,6 @@ class HpmExpansion:
                         f"correction {j} of variable {i} has {len(s.coeffs)} "
                         f"coefficients, more than the {grid} of order {grid - 1}")
                 G[j, i, : len(s.coeffs)] = s.coeffs
-        G.flags.writeable = False
         return cls(G)
 
     @cached_property
@@ -179,12 +172,15 @@ class HpmExpansion:
 
 @record(eq=False)
 class RadiusEstimate:
-    """Convergence-radius estimate plus the per-order sequence behind it;
-    it compares and hashes by identity."""
+    """Convergence-radius estimate plus the per-order sequence behind it,
+    held as a read-only copy; it compares and hashes by identity."""
 
     value: float
     method: str
     diagnostics: np.ndarray
+
+    def __post_init__(self):
+        _hold(self, "diagnostics", self.diagnostics)
 
 
 # -- truncated products ---------------------------------------------------------
@@ -401,10 +397,10 @@ def hpm_solve(ivp: InitialValueProblem, order: int) -> HpmExpansion:
     of A_q * B_(j-1-q).  That costs O(j^3) per node, O(K^4) in all.  It
     reads no Taylor coefficient and never assumes a correction is a
     monomial, so the collapse check compares two routes.  The loop is
-    generated once per field shape (see ``_hpm_source``).  The variables'
-    rows of its work array, copied once, are the result's read-only grid
-    G; no correction becomes a TruncatedSeries until ``corrections`` is
-    read.
+    generated once per field shape (see ``_hpm_source``).  The result
+    copies the variables' rows of its work array, transposed, once into
+    its grid G; no correction becomes a TruncatedSeries until
+    ``corrections`` is read.
     """
     _check_count(order, "order")
     n = ivp.dimension
@@ -420,9 +416,7 @@ def hpm_solve(ivp: InitialValueProblem, order: int) -> HpmExpansion:
     if logger.isEnabledFor(logging.DEBUG):  # the overflow scan only for the log
         logger.debug("hpm_solve: order %d, %d graph nodes, overflow_order %s", K,
                      len(X), _first_overflow(np.isfinite(X[:n, 1:]).all(axis=(0, 2))))
-    G = X[:n].transpose(1, 0, 2).copy()  # G[j, i, m] = X[i, j, m]
-    G.flags.writeable = False
-    return HpmExpansion(G)
+    return HpmExpansion(X[:n].transpose(1, 0, 2))  # G[j, i, m] = X[i, j, m]
 
 
 def hpm_collapse_check(h: HpmExpansion, t: TaylorSolution,

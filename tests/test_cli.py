@@ -126,6 +126,29 @@ def test_unknown_command_exits_two(capsys):
     assert info2.value.code == 2
 
 
+TOLS, SAMPLING = ["--rel-tol", "--abs-tol"], ["--order", "-k", "--t-end", "--samples"]
+# each command (None: the root) and what its help lists
+HELP = {None: ["table1", "phase2d", "spiral", "radius", "solve", "fixed-points"],
+        "table1": ["--full-precision", "--output"],
+        "phase2d": SAMPLING + TOLS + ["--output"],
+        "spiral": SAMPLING + TOLS + ["--output"],
+        "radius": ["model_file", "--order", "-k", "--output"],
+        "solve": ["model_file"] + TOLS + ["--output"],
+        "fixed-points": ["model_file", "--output"]}
+
+
+@pytest.mark.parametrize("command", list(HELP))
+def test_help_exits_zero_and_lists_the_flags(capsys, command):
+    # argparse formats the help strings only here, so a stray % shows
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"] if command else ["--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: seriesdyn") and "-h, --help" in out
+    for flag in HELP[command]:
+        assert flag in out, flag
+
+
 def test_phase2d_order_flags(capsys):
     code = main(["phase2d", "-k", "3", "-k", "7",
                  "--samples", "13", "--t-end", "50"])

@@ -1,6 +1,7 @@
 """The record contract of the package's 18 frozen classes: fields,
 ``replace``, repr, signature, frozen instances, argument errors, value or
-identity equality, and no method generated with ``exec``."""
+identity equality, no method generated with ``exec``, and a read-only
+copy of every array a record holds."""
 
 import dataclasses
 import inspect
@@ -270,3 +271,37 @@ def test_no_record_method_is_generated_code():
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            check=True, timeout=120)
     assert child.stdout.decode().split(None, 1) == ["18", "[]\n"]
+
+
+# every array a record holds: (class, field)
+ARRAYS = [(InitialValueProblem, "x0"), (TruncatedSeries, "coeffs"), (HpmExpansion, "G"),
+          (RadiusEstimate, "diagnostics"), (CriticalPoint, "location"),
+          *((Trajectory, name) for name in ("ts", "states", "derivs", "step_sizes",
+                                            "error_estimates"))]
+
+
+def given_forms(values):
+    """The caller's array in three forms, each with the writable array whose
+    later writes must not reach the record: ``values`` itself, a
+    Fortran-ordered copy, and a read-only strided view of a writable base."""
+    fortran = np.array(values, order="F")
+    base = np.stack([values, values], axis=-1)
+    view = base[..., 0]
+    view.flags.writeable = False
+    return [(values, values), (fortran, fortran), (view, base)]
+
+
+@pytest.mark.parametrize(("cls", "name"), ARRAYS, ids=lambda v: getattr(v, "__name__", v))
+def test_a_record_holds_a_read_only_c_ordered_copy(cls, name):
+    made = RECORDS[cls][1]()
+    original = np.array(getattr(made, name))
+    for given, writable in given_forms(original.copy()):
+        held = getattr(dataclasses.replace(made, **{name: given}), name)
+        # the caller's array keeps its flags and is not the stored object
+        assert held is not given and not np.shares_memory(held, writable)
+        assert writable.flags.writeable and given.flags.writeable == (given is writable)
+        assert held.dtype == np.float64 and held.flags.c_contiguous
+        with pytest.raises(ValueError):
+            held[(0,) * held.ndim] = 1.0
+        writable += 1.0
+        assert held.tobytes() == original.tobytes()

@@ -17,6 +17,9 @@ from seriesdyn import (
 )
 from seriesdyn.modelfile import load_model, parse_model
 from seriesdyn.report import (
+    _csv,
+    _fmt,
+    _var_names,
     cmd_fixed_points,
     cmd_phase2d,
     cmd_radius,
@@ -350,6 +353,24 @@ def test_float_format_round_trip_precision():
     for v in vals:
         s = "{:.11e}".format(v)
         assert abs(float(s) - v) <= 1e-11 * abs(v)
+
+
+def test_csv_cells_need_no_quoting():
+    # a cell is a _fmt number (inf and nan too), "0" or "1", a fixed header
+    # or a _var_names name: none holds a comma, a quote or a line break, so
+    # the plain join writes what the csv module writes
+    cells = [_fmt(v) for v in (0.0, -0.0, 1 / 3, -1e-300, 1e308, math.inf, -math.inf,
+                               math.nan)]
+    cells += ["0", "1"] + [name for n in (1, 2, 3, 4, 12) for name in _var_names(n)]
+    for text in (cmd_phase2d(orders=[4, 10]), cmd_spiral(),
+                 cmd_solve(parse_model(LOGISTIC_DOC))):
+        cells += [cell for line in text.splitlines() if not line.startswith("#")
+                  for cell in line.split(",")]
+    assert not set(",\"\r\n").intersection("".join(cells))
+    rows = [cells[i:i + 7] for i in range(0, len(cells), 7)]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    assert _csv(rows) == buf.getvalue()
 
 
 GOLDEN = Path(__file__).parent / "golden"

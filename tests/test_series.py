@@ -94,8 +94,10 @@ def test_series_coeffs_are_read_only():
     s = TruncatedSeries([1.0, 2.0])
     with pytest.raises(ValueError):
         s.coeffs[0] = 9.0
-    with pytest.raises(ValueError):
-        TruncatedSeries([])
+    # coefficients are a non-empty 1-D sequence: no scalar, no matrix
+    for coeffs in ([], 5.0, [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            TruncatedSeries(coeffs)
 
 
 def test_poly_apply_series_examples():
@@ -753,6 +755,13 @@ def test_expansion_copies_a_writable_grid():
     h = HpmExpansion(G)
     G[1, 0, 1] = 2.0
     assert h.G[1, 0, 1] == 0.0 and not h.G.flags.writeable
+    # a read-only view is copied too: a write to its writable base stays out
+    base = np.zeros((2, 1, 2))
+    view = base.view()
+    view.flags.writeable = False
+    h = HpmExpansion(view)
+    base[1, 0, 1] = 5.0
+    assert h.G is not view and h.G[1, 0, 1] == 0.0 and not h.G.flags.writeable
 
 
 def test_hpm_solve_makes_corrections_only_when_read(monkeypatch):
@@ -771,7 +780,7 @@ def test_hpm_solve_makes_corrections_only_when_read(monkeypatch):
     assert len(made) == 2 * (K + 1)
     # the second read returns the same tuple and builds nothing
     assert h.corrections is corrections and len(made) == 2 * (K + 1)
-    assert not h.G.flags.writeable
+    assert h.G.flags.c_contiguous and not h.G.flags.writeable
     for j, per_var in enumerate(corrections):
         for i, s in enumerate(per_var):
             assert len(s.coeffs) == K + 1 and not s.coeffs.flags.writeable
