@@ -26,14 +26,15 @@ _EXPORTS = {
                "InsufficientOrderError", "NotAFixedPointError", "RangeError",
                "ModelFileError", "IntegrationFailedError"),
     "model": ("Monomial", "Polynomial", "PolyVectorField", "InitialValueProblem",
-              "Logistic", "TwoSpecies", "Spiral",
+              "IntegrationConfig", "Logistic", "TwoSpecies", "Spiral",
               "eval_field", "field_jacobian", "jacobian_at", "preset_ivp"),
-    "series": ("TruncatedSeries", "TaylorSolution", "HpmExpansion", "RadiusEstimate",
-               "series_mul", "poly_apply_series", "taylor_solve", "hpm_solve",
-               "hpm_collapse_check", "series_eval", "radius_estimate"),
+    "series": ("TruncatedSeries", "TaylorSolution", "RadiusEstimate",
+               "taylor_solve", "series_eval", "radius_estimate"),
+    "hpm": ("HpmExpansion", "series_mul", "poly_apply_series", "hpm_solve",
+            "hpm_collapse_check"),
     "exact": ("Singularity", "PolarInit", "logistic_exact", "logistic_singularity",
               "polar_init", "spiral_exact", "spiral_singularity"),
-    "integrate": ("IntegrationConfig", "Trajectory", "integrate", "sample"),
+    "integrate": ("Trajectory", "integrate", "sample"),
     "phase": ("CLASSIFICATIONS", "CriticalPoint", "fixed_points", "classify"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

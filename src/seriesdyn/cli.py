@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import logging
 import os
 import sys
 from typing import TYPE_CHECKING
@@ -23,7 +22,7 @@ from .errors import IntegrationFailedError, SeriesDynError
 # the library's layers are imported where they run, so that each command
 # loads only its own (see main)
 if TYPE_CHECKING:
-    from .integrate import IntegrationConfig
+    from .model import IntegrationConfig
     from .modelfile import ModelFile
 
 EXIT_OK = 0
@@ -119,7 +118,7 @@ def _tolerances(args, cfg: IntegrationConfig | None = None) -> IntegrationConfig
     """Integrator settings: ``cfg`` (the defaults when None) with
     --rel-tol/--abs-tol replaced where given.  The config rejects NaN, inf
     and values <= 0."""
-    from .integrate import IntegrationConfig
+    from .model import IntegrationConfig
     given = {name: getattr(args, name) for name in ("rel_tol", "abs_tol")
              if getattr(args, name) is not None}
     return dataclasses.replace(cfg or IntegrationConfig(), **given)
@@ -137,7 +136,8 @@ def _solve(report, args) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     level = os.environ.get("SERIESDYN_LOG")
-    if level:
+    if level:  # logging is imported only here, or by a WARNING line
+        import logging
         logging.basicConfig(level=level.upper(),
                             format="%(levelname)s %(name)s: %(message)s")
     args = _build_parser().parse_args(argv)

@@ -1,5 +1,7 @@
-"""Exception types, and the frozen-record decorator, shared across the package."""
+"""Exception types, the frozen-record decorator and the on-demand logger,
+shared across the package."""
 
+import sys
 from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from inspect import Parameter, Signature
 from operator import attrgetter
@@ -156,3 +158,27 @@ class _Signature:
 
 
 _SIGNATURE = _Signature()
+
+
+# -- logging ----------------------------------------------------------------------
+# A command that logs nothing never imports ``logging`` (with its ``traceback``
+# and ``string``, about 2.6 ms of a cold start).  Until something imports it,
+# no handler exists: a line below WARNING could reach no one, and a WARNING
+# reaches stderr through Python's last-resort handler once ``logging`` is in.
+
+DEBUG, WARNING = 10, 30  # logging's levels
+_LOGGERS = {}  # name -> its Logger, kept from the first line that needs one
+
+
+def logger(name: str, level: int):
+    """The logger ``name`` if a line at ``level`` would be handled, else
+    None: ``if log := logger(name, DEBUG): log.debug(...)``.  A line below
+    WARNING imports ``logging`` only when something else already has (the
+    CLI under SERIESDYN_LOG, or any caller that set up handlers)."""
+    log = _LOGGERS.get(name)
+    if log is None:
+        if level < WARNING and "logging" not in sys.modules:
+            return None
+        import logging
+        log = _LOGGERS[name] = logging.getLogger(name)
+    return log if log.isEnabledFor(level) else None

@@ -10,15 +10,12 @@ movable singularities are a legitimate finding for these models.
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
 
-from .errors import DimensionError, RangeError, record
-from .model import InitialValueProblem, _check_count, _field_lines, _hold
-
-logger = logging.getLogger("seriesdyn.integrate")
+from .errors import DEBUG, DimensionError, RangeError, logger, record
+from .model import InitialValueProblem, IntegrationConfig, _field_lines, _hold
 
 __all__ = ["IntegrationConfig", "Trajectory", "integrate", "sample"]
 
@@ -44,34 +41,6 @@ _MAX_FACTOR = 5.0
 _ALPHA = 0.7 / 5
 _BETA = 0.4 / 5
 _BLOWUP_NORM = 1e8  # a state norm beyond this ends the run as 'blew-up'
-# Below this relative tolerance the error norm asks for more digits than
-# a double carries: the steps shrink to nothing and the budget is spent.
-_REL_TOL_FLOOR = 100 * math.ulp(1.0)  # 100 machine epsilons
-
-
-@record
-class IntegrationConfig:
-    """Tolerances and step budget of ``integrate``: positive finite
-    tolerances, ``rel_tol`` at least 100 machine epsilons, and
-    ``max_steps`` (attempts) an integer >= 1."""
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_steps: int = 1_000_000
-
-    def __post_init__(self):
-        if not all(math.isfinite(t) and t > 0 for t in (self.rel_tol, self.abs_tol)):
-            raise ValueError("tolerances must be positive and finite")
-        # stored as Python floats (and max_steps as an int below), so the
-        # step loop never runs on numpy scalars
-        object.__setattr__(self, "rel_tol", float(self.rel_tol))
-        object.__setattr__(self, "abs_tol", float(self.abs_tol))
-        if self.rel_tol < _REL_TOL_FLOOR:
-            raise ValueError(f"rel_tol must be at least {_REL_TOL_FLOOR!r} "
-                             "(100 machine epsilons)")
-        _check_count(self.max_steps, "max_steps")
-        object.__setattr__(self, "max_steps", int(self.max_steps))
-
 
 _DEFAULT_CONFIG = IntegrationConfig()  # shared: a record is immutable
 
@@ -304,8 +273,9 @@ def integrate(ivp: InitialValueProblem, t_end: float,
     ts, ys, fs, hs, errs = [0.0], ivp.x0.tolist(), [0.0] * n, [], []
     status, reason, evals, rejected = program.bound(_loop_source)(
         program.run, ts, ys, fs, hs, errs, t_end, cfg.abs_tol, cfg.rel_tol, cfg.max_steps)
-    logger.debug("integrate: %s (%s) at t = %r, %d accepted, %d rejected, "
-                 "%d rhs evaluations", status, reason, ts[-1], len(hs), rejected, evals)
+    if log := logger("seriesdyn.integrate", DEBUG):
+        log.debug("integrate: %s (%s) at t = %r, %d accepted, %d rejected, "
+                  "%d rhs evaluations", status, reason, ts[-1], len(hs), rejected, evals)
     return Trajectory(
         ts=_floats(ts),
         states=_floats(ys).reshape(-1, n),

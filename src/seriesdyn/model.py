@@ -1,4 +1,5 @@
-"""Autonomous polynomial ODE systems and the three built-in population models.
+"""Autonomous polynomial ODE systems, the three built-in population models
+and the integrator's settings.
 
 A system is ``dx/dt = f(x)`` with ``x(0) = x0`` where every component of
 ``f`` is a sparse multivariate polynomial.  Everything here is immutable
@@ -7,21 +8,20 @@ and purely functional, so instances can be shared freely.
 
 from __future__ import annotations
 
-import logging
 import math
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import DimensionError, record
-
-logger = logging.getLogger("seriesdyn.model")
+from .errors import WARNING, DimensionError, logger, record
 
 __all__ = [
     "Monomial",
     "Polynomial",
     "PolyVectorField",
     "InitialValueProblem",
+    "IntegrationConfig",
     "Logistic",
     "TwoSpecies",
     "Spiral",
@@ -67,7 +67,8 @@ class Polynomial:
 
     Zero coefficients are dropped and terms are kept in a canonical
     (sorted) order so that evaluation is bit-reproducible no matter how
-    the polynomial was assembled.
+    the polynomial was assembled.  ``terms`` is a read-only mapping, so
+    the program compiled on first use always matches it.
     """
 
     terms: dict[Monomial, float]
@@ -86,7 +87,11 @@ class Polynomial:
             acc[mono] = acc.get(mono, 0.0) + float(c)
         clean = {m: c for m, c in sorted(acc.items(), key=lambda kv: kv[0].exponents)
                  if c != 0.0}
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
+
+    def __reduce__(self):
+        # a mappingproxy does not pickle, and the cached program need not
+        return Polynomial, (dict(self.terms), self.dimension)
 
     @property
     def degree(self) -> int:
@@ -202,13 +207,44 @@ class InitialValueProblem:
         return self.field.dimension
 
 
+# Below this relative tolerance the error norm asks for more digits than
+# a double carries: the steps shrink to nothing and the budget is spent.
+_REL_TOL_FLOOR = 100 * math.ulp(1.0)  # 100 machine epsilons
+
+
+@record
+class IntegrationConfig:
+    """Tolerances and step budget of ``integrate``: positive finite
+    tolerances, ``rel_tol`` at least 100 machine epsilons, and
+    ``max_steps`` (attempts) an integer >= 1.  It lives here, beside the
+    problem it integrates, so a model file and the commands that never
+    integrate need not load the integrator."""
+
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-12
+    max_steps: int = 1_000_000
+
+    def __post_init__(self):
+        if not all(math.isfinite(t) and t > 0 for t in (self.rel_tol, self.abs_tol)):
+            raise ValueError("tolerances must be positive and finite")
+        # stored as Python floats (and max_steps as an int below), so the
+        # step loop never runs on numpy scalars
+        object.__setattr__(self, "rel_tol", float(self.rel_tol))
+        object.__setattr__(self, "abs_tol", float(self.abs_tol))
+        if self.rel_tol < _REL_TOL_FLOOR:
+            raise ValueError(f"rel_tol must be at least {_REL_TOL_FLOOR!r} "
+                             "(100 machine epsilons)")
+        _check_count(self.max_steps, "max_steps")
+        object.__setattr__(self, "max_steps", int(self.max_steps))
+
+
 class _Program(tuple):
     """The pair (products, components) that ``_compile`` builds for
     polynomials in n variables.  Its code is generated from its ``shape``
     by a source emitter (``_run_source`` for f, the integrator's
     ``_loop_source`` for the whole DP5 run, which calls ``run`` for f(x0)
-    and the first step's probe, the series' ``_taylor_source`` and
-    ``_hpm_source`` for the Taylor and perturbation recursions), all
+    and the first step's probe, ``series._taylor_source`` and
+    ``hpm._hpm_source`` for the Taylor and perturbation recursions), all
     built on ``_field_lines`` or its term sums, compiled once per shape by
     ``_factory`` and bound to the program's coefficients by ``bound`` on
     first use: ``run`` on the first evaluation, the DP5 loop (then
@@ -500,6 +536,6 @@ def preset_ivp(preset: ModelPreset, x0) -> InitialValueProblem:
     caller knows the run leaves the regime the models were studied in.
     """
     ivp = InitialValueProblem(_preset_field(preset), x0)
-    if not preset.in_reference_regime:
-        logger.warning("preset %r is outside the reference parameter regime", preset)
+    if not preset.in_reference_regime and (log := logger("seriesdyn.model", WARNING)):
+        log.warning("preset %r is outside the reference parameter regime", preset)
     return ivp

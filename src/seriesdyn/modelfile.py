@@ -27,9 +27,9 @@ import math
 from dataclasses import fields, replace
 
 from .errors import ModelFileError, record
-from .integrate import IntegrationConfig
 from .model import (
     InitialValueProblem,
+    IntegrationConfig,
     Logistic,
     ModelPreset,
     Polynomial,

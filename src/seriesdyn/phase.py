@@ -13,15 +13,12 @@ decide spiral stability there, the radial law of the exact solution can.
 
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
 
-from .errors import NotAFixedPointError, record
+from .errors import DEBUG, NotAFixedPointError, logger, record
 from .model import PolyVectorField, _hold, eval_field, jacobian_at
-
-logger = logging.getLogger("seriesdyn.phase")
 
 MAX_GRID = 400  # seeds per dimension; bounds the (B, n) Newton batch
 _ACTIVE, _CONVERGED, _DIVERGED, _SINGULAR = range(4)  # Newton outcomes
@@ -206,10 +203,11 @@ def fixed_points(field: PolyVectorField,
         else:
             roots.append((x, res))
     count = np.bincount(outcome, minlength=4)
-    logger.debug("fixed_points: %d seeds, %d converged, %d dropped (%d non-finite "
-                 "or diverged, %d singular, %d at the iteration cap), %d roots",
-                 len(xs), count[_CONVERGED], len(xs) - count[_CONVERGED],
-                 count[_DIVERGED], count[_SINGULAR], count[_ACTIVE], len(roots))
+    if log := logger("seriesdyn.phase", DEBUG):
+        log.debug("fixed_points: %d seeds, %d converged, %d dropped (%d non-finite "
+                  "or diverged, %d singular, %d at the iteration cap), %d roots",
+                  len(xs), count[_CONVERGED], len(xs) - count[_CONVERGED],
+                  count[_DIVERGED], count[_SINGULAR], count[_ACTIVE], len(roots))
     return [np.array(x) for x, _ in sorted(roots, key=lambda r: r[0])]
 
 

@@ -10,22 +10,21 @@ printed at 12 significant digits; fixed-point footers ride along as
 from __future__ import annotations
 
 import functools
-import logging
 import math
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateError, InsufficientOrderError, IntegrationFailedError, record
-from .integrate import IntegrationConfig, integrate, sample
-from .model import InitialValueProblem, Logistic, Spiral, TwoSpecies, preset_ivp
+from .errors import (DEBUG, DegenerateError, InsufficientOrderError, IntegrationFailedError,
+                     logger, record)
+from .model import (InitialValueProblem, IntegrationConfig, Logistic, Spiral, TwoSpecies,
+                    preset_ivp)
 
-# the closed forms, the series and the fixed points are imported by the
-# functions that use them, so a cold command loads only its own layers
+# the integrator, the closed forms, the series and the fixed points are
+# imported by the functions that use them, so a cold command loads only its
+# own layers
 if TYPE_CHECKING:
     from .modelfile import ModelFile
-
-logger = logging.getLogger("seriesdyn.report")
 
 _FLOAT_FMT = "{:.11e}"  # 12 significant digits
 
@@ -82,8 +81,9 @@ def _logged(cmd):
     @functools.wraps(cmd)
     def logged(*args, **kwargs):
         text = cmd(*args, **kwargs)
-        logger.debug("%s: %d lines, %d bytes", cmd.__name__, text.count("\n"),
-                     len(text.encode()))
+        if log := logger("seriesdyn.report", DEBUG):
+            log.debug("%s: %d lines, %d bytes", cmd.__name__, text.count("\n"),
+                      len(text.encode()))
         return text
     return logged
 
@@ -104,6 +104,7 @@ def _curves(ivp: InitialValueProblem, ts, orders: list[int],
     """Integrate to ts[-1], sample the trajectory at ``ts`` and expand to
     each order: returns the sampled states, shape (len(ts), n), and
     {order: partial sums at ``ts``, same shape}."""
+    from .integrate import integrate, sample
     from .series import taylor_solve
     t_end = float(ts[-1])
     traj = integrate(ivp, t_end, cfg)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -365,25 +366,53 @@ def test_failed_command_creates_no_output_file(tmp_path, capsys):
     assert not target.exists()
 
 
-# -- cold processes: what a command loads, and what it logs ------------------
+# -- cold processes: what a command loads, logs and renders ------------------
 
 GOLDEN = Path(__file__).parent / "golden"
 SRC = str(Path(seriesdyn.__file__).resolve().parents[1])
 
 # each command on its golden inputs, and the package modules it loads
-# (json rides with the model file); no command loads all of them
+# (json rides with the model file); no command loads all of them, none
+# loads the perturbation route (hpm), and radius and fixed-points, which
+# never integrate, skip the integrator
 LOADS = {
     "table1": (["table1"], {"errors", "model", "integrate", "series", "exact", "report"}),
     "phase2d": (["phase2d"], {"errors", "model", "integrate", "series", "phase", "report"}),
     "spiral": (["spiral"], {"errors", "model", "integrate", "series", "exact", "report"}),
     "radius": (["radius", str(GOLDEN / "spiral.json"), "-k", "30"],
-               {"errors", "model", "integrate", "modelfile", "json", "series", "exact",
-                "report"}),
+               {"errors", "model", "modelfile", "json", "series", "exact", "report"}),
     "solve": (["solve", str(GOLDEN / "logistic.json")],
               {"errors", "model", "integrate", "modelfile", "json", "series", "report"}),
     "fixed-points": (["fixed-points", str(GOLDEN / "two_species.json")],
-                     {"errors", "model", "integrate", "modelfile", "json", "phase",
-                      "report"}),
+                     {"errors", "model", "modelfile", "json", "phase", "report"}),
+}
+DEBUG_LINES = {"solve": {"seriesdyn.integrate": 1, "seriesdyn.series": 1},
+               "fixed-points": {"seriesdyn.phase": 1}}
+
+# every cold process of this module, keyed by its test: the python
+# arguments and the SERIESDYN_LOG level (None: unset), in the order the
+# tests read them
+COLD = {
+    **{("loads", command): (["-X", "importtime", "-m", "seriesdyn.cli", *argv], None)
+       for command, (argv, loads) in LOADS.items()},
+    "bare import": (["-c", "import sys, seriesdyn; "
+                           "print(sorted(m for m in sys.modules "
+                           "if m.startswith('seriesdyn.') or m.split('.')[0] == 'numpy')); "
+                           "print(seriesdyn.phase.__name__)"], None),
+    "integrate name": (["-c", "import seriesdyn.report; import seriesdyn; "
+                              "from seriesdyn import integrate; "
+                              "print(seriesdyn.integrate is integrate, integrate.__name__, "
+                              "callable(integrate))"], None),
+    **{("debug", command): (["-m", "seriesdyn.cli", *LOADS[command][0]], "DEBUG")
+       for command in DEBUG_LINES},
+    "debug all": (["-c", "import sys; from seriesdyn.cli import main; "
+                         f"sys.exit(max(main(argv) for argv in "
+                         f"{[argv for argv, loads in LOADS.values()]!r}))"], "DEBUG"),
+    **{("help", command): (["-W", "error", "-m", "seriesdyn.cli",
+                            *([command] if command else []), "--help"], None)
+       for command in HELP},
+    "regime warning": (["-c", "from seriesdyn import Logistic, preset_ivp; "
+                              "preset_ivp(Logistic(1.0, 3.0), [1.0])"], None),
 }
 
 
@@ -398,62 +427,87 @@ def cold(args, log=None):
                           check=True, timeout=120)
 
 
+@pytest.fixture(scope="module")
+def cold_run():
+    """Callable key -> the finished process of ``COLD[key]``.  The first
+    test that asks starts every process of the table, at most
+    min(4, cores) at a time in table order, so each test waits only for
+    its own; those no test asked for are cancelled at the end."""
+    with ThreadPoolExecutor(min(4, os.cpu_count() or 1)) as pool:
+        runs = {key: pool.submit(cold, *job) for key, job in COLD.items()}
+        yield lambda key: runs[key].result()
+        for run in runs.values():
+            run.cancel()
+
+
 @pytest.mark.parametrize("command", list(LOADS))
-def test_cold_command_loads_only_its_own_layers(command):
-    argv, loads = LOADS[command]
-    child = cold(["-X", "importtime", "-m", "seriesdyn.cli", *argv])
+def test_cold_command_loads_only_its_own_layers(cold_run, command):
+    child = cold_run(("loads", command))
     assert child.stdout == (GOLDEN / f"{command}.out").read_bytes()
     imported = {line.rsplit("|", 1)[1].strip()
                 for line in child.stderr.decode().splitlines()
                 if line.startswith("import time:")}
     ours = {name.removeprefix("seriesdyn.") for name in imported
             if name.startswith("seriesdyn.")}
-    assert ours | ({"json"} & imported) == loads
+    assert ours | ({"json"} & imported) == LOADS[command][1]
+    # nothing logs without SERIESDYN_LOG, so nothing imports logging
+    assert "logging" not in imported
 
 
-def test_bare_import_loads_no_module_and_no_numpy():
-    child = cold(["-c", "import sys, seriesdyn; "
-                        "print(sorted(m for m in sys.modules "
-                        "if m.startswith('seriesdyn.') or m.split('.')[0] == 'numpy')); "
-                        "print(seriesdyn.phase.__name__)"])
+def test_bare_import_loads_no_module_and_no_numpy(cold_run):
+    child = cold_run("bare import")
     # a submodule the package used to bind is still an attribute, loaded when read
     assert child.stdout.decode().split("\n")[:2] == ["[]", "seriesdyn.phase"]
 
 
-def test_integrate_names_the_function_however_its_module_was_loaded():
+def test_integrate_names_the_function_however_its_module_was_loaded(cold_run):
     # the submodule and its function share the name; loading the module by
     # its own path binds it on the package, and the package name stays the
     # function, as it was when the package imported every module up front
-    child = cold(["-c", "import seriesdyn.report; import seriesdyn; "
-                        "from seriesdyn import integrate; "
-                        "print(seriesdyn.integrate is integrate, integrate.__name__, "
-                        "callable(integrate))"])
+    child = cold_run("integrate name")
     assert child.stdout.decode().split() == ["True", "integrate", "True"]
 
 
-@pytest.mark.parametrize("command, lines", [
-    ("solve", {"seriesdyn.integrate": 1, "seriesdyn.series": 1}),
-    ("fixed-points", {"seriesdyn.phase": 1}),
-])
-def test_debug_log_under_lazy_loading(command, lines):
+@pytest.mark.parametrize("command, lines", list(DEBUG_LINES.items()))
+def test_debug_log_under_lazy_loading(cold_run, command, lines):
     # logging is set up before a command imports its layers, whose loggers
     # must still reach stderr; stdout is that of the run without logging
-    child = cold(["-m", "seriesdyn.cli", *LOADS[command][0]], log="DEBUG")
+    child = cold_run(("debug", command))
     assert child.stdout == (GOLDEN / f"{command}.out").read_bytes()
     names = [line.split()[1].rstrip(":") for line in child.stderr.decode().splitlines()]
     assert {name: names.count(name) for name in lines} == lines
 
 
-def test_debug_log_leaves_stdout_of_every_command_unchanged():
+def test_debug_log_leaves_stdout_of_every_command_unchanged(cold_run):
     # one process runs the six commands with SERIESDYN_LOG=DEBUG: stdout is
     # the six golden files, and stderr has one seriesdyn.report line each
-    argvs = [argv for argv, loads in LOADS.values()]
-    child = cold(["-c", "import sys; from seriesdyn.cli import main; "
-                        f"sys.exit(max(main(argv) for argv in {argvs!r}))"], log="DEBUG")
+    child = cold_run("debug all")
     assert child.stdout == b"".join((GOLDEN / f"{name}.out").read_bytes() for name in LOADS)
     report = [line.split()[2] for line in child.stderr.decode().splitlines()
               if line.startswith("DEBUG seriesdyn.report:")]
     assert report == [f"cmd_{name.replace('-', '_')}:" for name in LOADS]
+
+
+@pytest.mark.parametrize("command", list(HELP))
+def test_cold_help_renders_with_every_warning_an_error(cold_run, command):
+    # python -W error: a warning raised while argparse formats the help
+    # strings, or while the package loads, ends the process non-zero
+    child = cold_run(("help", command))
+    out = child.stdout.decode()
+    assert out.startswith("usage: seriesdyn") and "-h, --help" in out
+    for flag in HELP[command]:
+        assert flag in out, flag
+    assert child.stderr == b""
+
+
+def test_regime_warning_reaches_stderr_without_logging_set_up(cold_run):
+    # no handler is configured: Python's last-resort handler prints the
+    # bare message of a WARNING, as it did when every module made its
+    # logger at import
+    child = cold_run("regime warning")
+    assert child.stdout == b""
+    assert child.stderr.decode() == (
+        "preset Logistic(b=1.0, a=3.0) is outside the reference parameter regime\n")
 
 
 # -- the package's public names ---------------------------------------------
@@ -464,14 +518,15 @@ PUBLIC = {
                "RangeError", "SeriesDynError", "SingularityError"],
     "exact": ["PolarInit", "Singularity", "logistic_exact", "logistic_singularity",
               "polar_init", "spiral_exact", "spiral_singularity"],
+    "hpm": ["HpmExpansion", "hpm_collapse_check", "hpm_solve", "poly_apply_series",
+            "series_mul"],
     "integrate": ["IntegrationConfig", "Trajectory", "integrate", "sample"],
     "model": ["InitialValueProblem", "Logistic", "Monomial", "PolyVectorField",
               "Polynomial", "Spiral", "TwoSpecies", "eval_field", "field_jacobian",
               "jacobian_at", "preset_ivp"],
     "phase": ["CLASSIFICATIONS", "CriticalPoint", "classify", "fixed_points"],
-    "series": ["HpmExpansion", "RadiusEstimate", "TaylorSolution", "TruncatedSeries",
-               "hpm_collapse_check", "hpm_solve", "poly_apply_series", "radius_estimate",
-               "series_eval", "series_mul", "taylor_solve"],
+    "series": ["RadiusEstimate", "TaylorSolution", "TruncatedSeries", "radius_estimate",
+               "series_eval", "taylor_solve"],
 }
 
 

@@ -261,7 +261,7 @@ def test_relative_tolerance_floor():
     for rel in (1e-300, floor / 2, np.nextafter(floor, 0.0)):
         with pytest.raises(ValueError, match="rel_tol must be at least"):
             IntegrationConfig(rel_tol=rel, abs_tol=1e-300)
-    assert importlib.import_module("seriesdyn.integrate")._REL_TOL_FLOOR == floor
+    assert importlib.import_module("seriesdyn.model")._REL_TOL_FLOOR == floor
     cfg = IntegrationConfig(rel_tol=floor, abs_tol=1e-300)
     for ivp, t_end in ((LOGISTIC, 1.0), (TWOSPECIES, 300.0)):
         traj = integrate(ivp, t_end, cfg)

@@ -1,7 +1,9 @@
 """Polynomial field representation, evaluation, and exact Jacobians."""
 
+import copy
 import dataclasses
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -71,6 +73,31 @@ def test_polynomial_terms_are_canonically_ordered():
     b = Polynomial.from_coeffs({(1, 1): -2.0, (2, 0): 1.0, (0, 1): 3.0}, 2)
     assert list(a.terms) == list(b.terms)
     assert a == b
+
+
+def test_polynomial_terms_are_read_only():
+    # the program compiled on first use derives from terms, so a write to
+    # terms that succeeded would leave p and every field built on it stale
+    given = {Monomial((1,)): 1.0}
+    p = Polynomial(given, 1)
+    field = PolyVectorField((p,))
+    assert p([2.0]) == 2.0 and eval_field(field, [2.0]).tolist() == [2.0]
+    with pytest.raises(TypeError):
+        p.terms[Monomial((2,))] = 1.0
+    with pytest.raises(TypeError):
+        del p.terms[Monomial((1,))]
+    with pytest.raises(AttributeError):
+        p.terms.clear()
+    # the caller's dict stays the caller's: writing it reaches no polynomial
+    given[Monomial((2,))] = 1.0
+    assert dict(p.terms) == {Monomial((1,)): 1.0}
+    assert p([2.0]) == 2.0 and eval_field(field, [2.0]).tolist() == [2.0]
+    assert p == Polynomial({(1,): 1.0}, 1) and repr(p) == (
+        "Polynomial(terms=mappingproxy({Monomial(exponents=(1,)): 1.0}), dimension=1)")
+    # copies and pickles are equal polynomials, evaluated or not
+    for q in (Polynomial({(2,): 3.0}, 1), p):
+        for copied in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
+            assert copied == q and copied([2.0]) == q([2.0])
 
 
 def test_polynomial_diff_power_rule():

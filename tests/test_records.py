@@ -15,6 +15,7 @@ import pytest
 
 from seriesdyn.errors import DimensionError
 from seriesdyn.exact import PolarInit, Singularity, logistic_singularity, polar_init
+from seriesdyn.hpm import HpmExpansion, hpm_solve
 from seriesdyn.integrate import IntegrationConfig, Trajectory, integrate
 from seriesdyn.model import (
     InitialValueProblem,
@@ -30,11 +31,9 @@ from seriesdyn.modelfile import ModelFile, loads_model
 from seriesdyn.phase import CriticalPoint, classify
 from seriesdyn.report import ComparisonRow
 from seriesdyn.series import (
-    HpmExpansion,
     RadiusEstimate,
     TaylorSolution,
     TruncatedSeries,
-    hpm_solve,
     radius_estimate,
     taylor_solve,
 )
@@ -80,7 +79,7 @@ RECORDS = {
 VALUES = [Monomial, Polynomial, PolyVectorField, Logistic, TwoSpecies, Spiral,
           IntegrationConfig, Singularity, PolarInit, ComparisonRow]
 IDENTITIES = [cls for cls in RECORDS if cls not in VALUES]
-MODULES = ["errors", "model", "integrate", "series", "exact", "phase", "modelfile",
+MODULES = ["errors", "model", "integrate", "series", "hpm", "exact", "phase", "modelfile",
            "report", "cli"]
 
 
@@ -134,7 +133,7 @@ def test_reprs_are_pinned():
     assert repr(Singularity(1 + 2j, 2.0, "pole")) == (
         "Singularity(location=(1+2j), modulus=2.0, kind='pole', degenerate=False)")
     assert repr(Polynomial.from_coeffs({(1,): 2.0}, 1)) == (
-        "Polynomial(terms={Monomial(exponents=(1,)): 2.0}, dimension=1)")
+        "Polynomial(terms=mappingproxy({Monomial(exponents=(1,)): 2.0}), dimension=1)")
 
 
 def test_signatures_are_pinned():
@@ -204,7 +203,7 @@ def test_value_classes_compare_and_hash_by_field_tuple(cls):
     assert (a == object()) is False and a != object()
     try:
         key = hash(tuple(values_of(a)))
-    except TypeError:  # a Polynomial holds a dict, and hashing it raises
+    except TypeError:  # a Polynomial holds a mapping, and hashing it raises
         with pytest.raises(TypeError):
             hash(a)
     else:
@@ -250,7 +249,7 @@ def test_post_init_checks_every_call_form():
 
 def test_no_record_method_is_generated_code():
     # dataclasses compiles each method it generates with exec, from the
-    # file name "<string>"; a cold process imports all nine modules, so a
+    # file name "<string>"; a cold process imports all ten modules, so a
     # record class built with @dataclass anywhere would show here
     code = ("import dataclasses, importlib, inspect\n"
             f"modules = [importlib.import_module('seriesdyn.' + m) for m in {MODULES!r}]\n"
