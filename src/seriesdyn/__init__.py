@@ -15,8 +15,6 @@ a command-line run loads only the layers it calls.
 """
 
 import importlib
-import sys
-import types
 
 __version__ = "0.1.0"
 
@@ -34,7 +32,7 @@ _EXPORTS = {
             "hpm_collapse_check"),
     "exact": ("Singularity", "PolarInit", "logistic_exact", "logistic_singularity",
               "polar_init", "spiral_exact", "spiral_singularity"),
-    "integrate": ("Trajectory", "integrate", "sample"),
+    "dp5": ("Trajectory", "integrate", "sample"),
     "phase": ("CLASSIFICATIONS", "CriticalPoint", "fixed_points", "classify"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -55,17 +53,3 @@ def __getattr__(name):
 def __dir__():
     return sorted({*globals(), *__all__})
 
-
-class _Package(types.ModuleType):
-    """The package's type.  The import system binds each submodule it loads
-    as an attribute of the package, and ``integrate`` names both a module
-    and the function it defines: the package attribute stays the function,
-    as the public name says, however the module came to be loaded."""
-
-    def __setattr__(self, name, value):
-        if name == "integrate" and isinstance(value, types.ModuleType):
-            value = value.integrate
-        super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

@@ -17,8 +17,6 @@ import numpy as np
 from .errors import DEBUG, DimensionError, RangeError, logger, record
 from .model import InitialValueProblem, IntegrationConfig, _field_lines, _hold
 
-__all__ = ["IntegrationConfig", "Trajectory", "integrate", "sample"]
-
 # Dormand-Prince 5(4) tableau.  A's last row is b5, the 5th-order weights,
 # so the 7th stage is f at the new state (FSAL: first same as last).  The
 # system is autonomous, so no stage needs its time node c.
@@ -249,7 +247,7 @@ def integrate(ivp: InitialValueProblem, t_end: float,
 
     Returns every accepted step, with the number of f evaluations and of
     rejected attempts and the reason the run stopped; one DEBUG line per
-    call under ``seriesdyn.integrate`` reports them.  Deterministic:
+    call under ``seriesdyn.dp5`` reports them.  Deterministic:
     identical inputs give bit-identical trajectories, on any BLAS build
     or CPU.
 
@@ -273,7 +271,7 @@ def integrate(ivp: InitialValueProblem, t_end: float,
     ts, ys, fs, hs, errs = [0.0], ivp.x0.tolist(), [0.0] * n, [], []
     status, reason, evals, rejected = program.bound(_loop_source)(
         program.run, ts, ys, fs, hs, errs, t_end, cfg.abs_tol, cfg.rel_tol, cfg.max_steps)
-    if log := logger("seriesdyn.integrate", DEBUG):
+    if log := logger(__name__, DEBUG):
         log.debug("integrate: %s (%s) at t = %r, %d accepted, %d rejected, "
                   "%d rhs evaluations", status, reason, ts[-1], len(hs), rejected, evals)
     return Trajectory(

@@ -9,7 +9,7 @@ collapse onto single Taylor monomials, i.e. that this route and
 :func:`series_mul` and :func:`poly_apply_series` compose series with
 truncated Cauchy products, apart from both routes' generated code.
 
-The route logs under ``seriesdyn.series``, the series layer's logger.
+The route logs under ``seriesdyn.hpm``.
 """
 
 from __future__ import annotations
@@ -22,14 +22,6 @@ import numpy as np
 from .errors import DEBUG, DimensionError, logger, record
 from .model import InitialValueProblem, Polynomial, _check_count, _hold, _sum_lines
 from .series import TaylorSolution, TruncatedSeries, _first_overflow
-
-__all__ = [
-    "HpmExpansion",
-    "series_mul",
-    "poly_apply_series",
-    "hpm_solve",
-    "hpm_collapse_check",
-]
 
 
 @record(eq=False)
@@ -213,7 +205,7 @@ def hpm_solve(ivp: InitialValueProblem, order: int) -> HpmExpansion:
     # taylor_solve
     with np.errstate(over="ignore", invalid="ignore"):
         program.bound(_hpm_source)(X, [_hpm_step(j) for j in range(1, K + 1)])
-    if log := logger("seriesdyn.series", DEBUG):  # the overflow scan only for the log
+    if log := logger(__name__, DEBUG):  # the overflow scan only for the log
         log.debug("hpm_solve: order %d, %d graph nodes, overflow_order %s", K,
                   len(X), _first_overflow(np.isfinite(X[:n, 1:]).all(axis=(0, 2))))
     return HpmExpansion(X[:n].transpose(1, 0, 2))  # G[j, i, m] = X[i, j, m]

@@ -16,21 +16,6 @@ import numpy as np
 
 from .errors import WARNING, DimensionError, logger, record
 
-__all__ = [
-    "Monomial",
-    "Polynomial",
-    "PolyVectorField",
-    "InitialValueProblem",
-    "IntegrationConfig",
-    "Logistic",
-    "TwoSpecies",
-    "Spiral",
-    "ModelPreset",
-    "eval_field",
-    "field_jacobian",
-    "preset_ivp",
-]
-
 
 @record
 class Monomial:
@@ -39,7 +24,10 @@ class Monomial:
     exponents: tuple[int, ...]
 
     def __post_init__(self):
-        exps = tuple(int(e) for e in self.exponents)
+        given = tuple(self.exponents)
+        exps = tuple(map(int, given))
+        if exps != given:
+            raise ValueError(f"non-integral exponent in {given}")
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
         object.__setattr__(self, "exponents", exps)
@@ -258,6 +246,10 @@ class _Program(tuple):
         program.n = n
         program.functions = {}
         return program
+
+    def __reduce__(self):
+        # rebuilt from the pair: generated code is never pickled or copied
+        return _Program, (self.n, *self)
 
     @cached_property
     def shape(self):
@@ -536,6 +528,6 @@ def preset_ivp(preset: ModelPreset, x0) -> InitialValueProblem:
     caller knows the run leaves the regime the models were studied in.
     """
     ivp = InitialValueProblem(_preset_field(preset), x0)
-    if not preset.in_reference_regime and (log := logger("seriesdyn.model", WARNING)):
+    if not preset.in_reference_regime and (log := logger(__name__, WARNING)):
         log.warning("preset %r is outside the reference parameter regime", preset)
     return ivp

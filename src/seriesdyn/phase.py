@@ -203,7 +203,7 @@ def fixed_points(field: PolyVectorField,
         else:
             roots.append((x, res))
     count = np.bincount(outcome, minlength=4)
-    if log := logger("seriesdyn.phase", DEBUG):
+    if log := logger(__name__, DEBUG):
         log.debug("fixed_points: %d seeds, %d converged, %d dropped (%d non-finite "
                   "or diverged, %d singular, %d at the iteration cap), %d roots",
                   len(xs), count[_CONVERGED], len(xs) - count[_CONVERGED],

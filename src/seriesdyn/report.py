@@ -81,7 +81,7 @@ def _logged(cmd):
     @functools.wraps(cmd)
     def logged(*args, **kwargs):
         text = cmd(*args, **kwargs)
-        if log := logger("seriesdyn.report", DEBUG):
+        if log := logger(__name__, DEBUG):
             log.debug("%s: %d lines, %d bytes", cmd.__name__, text.count("\n"),
                       len(text.encode()))
         return text
@@ -104,7 +104,7 @@ def _curves(ivp: InitialValueProblem, ts, orders: list[int],
     """Integrate to ts[-1], sample the trajectory at ``ts`` and expand to
     each order: returns the sampled states, shape (len(ts), n), and
     {order: partial sums at ``ts``, same shape}."""
-    from .integrate import integrate, sample
+    from .dp5 import integrate, sample
     from .series import taylor_solve
     t_end = float(ts[-1])
     traj = integrate(ivp, t_end, cfg)

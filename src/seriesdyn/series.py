@@ -17,15 +17,6 @@ import numpy as np
 from .errors import DEBUG, InsufficientOrderError, logger, record
 from .model import InitialValueProblem, _check_count, _hold, _sum_lines
 
-__all__ = [
-    "TruncatedSeries",
-    "TaylorSolution",
-    "RadiusEstimate",
-    "taylor_solve",
-    "series_eval",
-    "radius_estimate",
-]
-
 # coefficients smaller than this are treated as structural zeros when
 # forming ratios (exact zeros occur for odd/even symmetric solutions)
 _ZERO_SKIP = 1e-300
@@ -209,7 +200,7 @@ def taylor_solve(ivp: InitialValueProblem, order: int) -> TaylorSolution:
     with np.errstate(over="ignore", invalid="ignore"):
         C = program.bound(_taylor_source)(ivp.x0, order)[:n]
     overflow_order = _first_overflow(np.isfinite(C[:, 1:]).all(axis=0))
-    if log := logger("seriesdyn.series", DEBUG):
+    if log := logger(__name__, DEBUG):
         log.debug("taylor_solve: order %d, %d graph nodes, overflow_order %s",
                   order, n + len(program[0]), overflow_order)
     return TaylorSolution(

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -15,7 +16,7 @@ import pytest
 
 import seriesdyn
 from seriesdyn.cli import EXIT_INPUT, EXIT_NUMERICAL, EXIT_OK, main
-from seriesdyn.integrate import IntegrationConfig
+from seriesdyn.model import IntegrationConfig
 from seriesdyn.modelfile import MAX_ORDER, MAX_SAMPLES, load_model
 from seriesdyn.report import cmd_radius, cmd_solve, cmd_table1
 
@@ -376,17 +377,17 @@ SRC = str(Path(seriesdyn.__file__).resolve().parents[1])
 # loads the perturbation route (hpm), and radius and fixed-points, which
 # never integrate, skip the integrator
 LOADS = {
-    "table1": (["table1"], {"errors", "model", "integrate", "series", "exact", "report"}),
-    "phase2d": (["phase2d"], {"errors", "model", "integrate", "series", "phase", "report"}),
-    "spiral": (["spiral"], {"errors", "model", "integrate", "series", "exact", "report"}),
+    "table1": (["table1"], {"errors", "model", "dp5", "series", "exact", "report"}),
+    "phase2d": (["phase2d"], {"errors", "model", "dp5", "series", "phase", "report"}),
+    "spiral": (["spiral"], {"errors", "model", "dp5", "series", "exact", "report"}),
     "radius": (["radius", str(GOLDEN / "spiral.json"), "-k", "30"],
                {"errors", "model", "modelfile", "json", "series", "exact", "report"}),
     "solve": (["solve", str(GOLDEN / "logistic.json")],
-              {"errors", "model", "integrate", "modelfile", "json", "series", "report"}),
+              {"errors", "model", "dp5", "modelfile", "json", "series", "report"}),
     "fixed-points": (["fixed-points", str(GOLDEN / "two_species.json")],
                      {"errors", "model", "modelfile", "json", "phase", "report"}),
 }
-DEBUG_LINES = {"solve": {"seriesdyn.integrate": 1, "seriesdyn.series": 1},
+DEBUG_LINES = {"solve": {"seriesdyn.dp5": 1, "seriesdyn.series": 1},
                "fixed-points": {"seriesdyn.phase": 1}}
 
 # every cold process of this module, keyed by its test: the python
@@ -399,10 +400,6 @@ COLD = {
                            "print(sorted(m for m in sys.modules "
                            "if m.startswith('seriesdyn.') or m.split('.')[0] == 'numpy')); "
                            "print(seriesdyn.phase.__name__)"], None),
-    "integrate name": (["-c", "import seriesdyn.report; import seriesdyn; "
-                              "from seriesdyn import integrate; "
-                              "print(seriesdyn.integrate is integrate, integrate.__name__, "
-                              "callable(integrate))"], None),
     **{("debug", command): (["-m", "seriesdyn.cli", *LOADS[command][0]], "DEBUG")
        for command in DEBUG_LINES},
     "debug all": (["-c", "import sys; from seriesdyn.cli import main; "
@@ -460,14 +457,6 @@ def test_bare_import_loads_no_module_and_no_numpy(cold_run):
     assert child.stdout.decode().split("\n")[:2] == ["[]", "seriesdyn.phase"]
 
 
-def test_integrate_names_the_function_however_its_module_was_loaded(cold_run):
-    # the submodule and its function share the name; loading the module by
-    # its own path binds it on the package, and the package name stays the
-    # function, as it was when the package imported every module up front
-    child = cold_run("integrate name")
-    assert child.stdout.decode().split() == ["True", "integrate", "True"]
-
-
 @pytest.mark.parametrize("command, lines", list(DEBUG_LINES.items()))
 def test_debug_log_under_lazy_loading(cold_run, command, lines):
     # logging is set up before a command imports its layers, whose loggers
@@ -513,6 +502,7 @@ def test_regime_warning_reaches_stderr_without_logging_set_up(cold_run):
 # -- the package's public names ---------------------------------------------
 
 PUBLIC = {
+    "dp5": ["Trajectory", "integrate", "sample"],
     "errors": ["DegenerateError", "DimensionError", "InsufficientOrderError",
                "IntegrationFailedError", "ModelFileError", "NotAFixedPointError",
                "RangeError", "SeriesDynError", "SingularityError"],
@@ -520,10 +510,9 @@ PUBLIC = {
               "polar_init", "spiral_exact", "spiral_singularity"],
     "hpm": ["HpmExpansion", "hpm_collapse_check", "hpm_solve", "poly_apply_series",
             "series_mul"],
-    "integrate": ["IntegrationConfig", "Trajectory", "integrate", "sample"],
-    "model": ["InitialValueProblem", "Logistic", "Monomial", "PolyVectorField",
-              "Polynomial", "Spiral", "TwoSpecies", "eval_field", "field_jacobian",
-              "jacobian_at", "preset_ivp"],
+    "model": ["InitialValueProblem", "IntegrationConfig", "Logistic", "Monomial",
+              "PolyVectorField", "Polynomial", "Spiral", "TwoSpecies", "eval_field",
+              "field_jacobian", "jacobian_at", "preset_ivp"],
     "phase": ["CLASSIFICATIONS", "CriticalPoint", "classify", "fixed_points"],
     "series": ["RadiusEstimate", "TaylorSolution", "TruncatedSeries", "radius_estimate",
                "series_eval", "taylor_solve"],
@@ -544,6 +533,19 @@ def test_package_surface_is_unchanged():
             assert star[name] is getattr(home, name), name
             assert name in listed, name
     assert star["__version__"] == seriesdyn.__version__
+
+
+def test_each_module_imports_under_its_own_name():
+    # no public name shadows a module: the path of each module gives the
+    # module, and the package attribute of each public name stays its object
+    import seriesdyn.dp5 as m
+    assert isinstance(m, types.ModuleType) and m.__name__ == "seriesdyn.dp5"
+    assert seriesdyn.integrate is m.integrate
+    for module in seriesdyn._EXPORTS:
+        home = importlib.import_module(f"seriesdyn.{module}")
+        assert isinstance(home, types.ModuleType), module
+        assert home.__name__ == f"seriesdyn.{module}"
+        assert getattr(seriesdyn, module) is home
 
 
 def test_unknown_package_attribute_raises_attribute_error():

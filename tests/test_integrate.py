@@ -21,6 +21,7 @@ from seriesdyn import (
     Spiral,
     Trajectory,
     TwoSpecies,
+    dp5,
     eval_field,
     integrate,
     logistic_exact,
@@ -512,7 +513,6 @@ def reference_integrate(ivp, t_end, cfg=None, weighted=left_to_right):
     the accepted nodes, steps and error norms, the status, and three
     counts: the rejected attempts, the attempts whose error norm was not
     finite, and the calls of f."""
-    m = importlib.import_module("seriesdyn.integrate")
     cfg = cfg or IntegrationConfig()
     calls = rejected = non_finite = 0
 
@@ -542,9 +542,9 @@ def reference_integrate(ivp, t_end, cfg=None, weighted=left_to_right):
         attempts += 1
         k[0] = f
         for s in range(1, 7):
-            k[s] = rhs(y + h * weighted(m._A[s], k[:s]))
+            k[s] = rhs(y + h * weighted(dp5._A[s], k[:s]))
         y_new = y + h * weighted(B5, k[:6])
-        err_vec = h * weighted(m._E, k)
+        err_vec = h * weighted(dp5._E, k)
         scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y_new))
         err = float(np.sqrt(np.mean((err_vec / scale) ** 2)))
         non_finite += not np.isfinite(err)
@@ -557,16 +557,16 @@ def reference_integrate(ivp, t_end, cfg=None, weighted=left_to_right):
             fs.append(f)
             hs.append(h)
             errs.append(err)
-            if np.max(np.abs(y)) > m._BLOWUP_NORM:
+            if np.max(np.abs(y)) > dp5._BLOWUP_NORM:
                 status = "blew-up"
                 break
-            factor = (m._SAFETY * err ** (-m._ALPHA) * err_prev ** m._BETA if err > 0
-                      else m._MAX_FACTOR)
-            h *= min(m._MAX_FACTOR, max(m._MIN_FACTOR, factor))
+            factor = (dp5._SAFETY * err ** (-dp5._ALPHA) * err_prev ** dp5._BETA if err > 0
+                      else dp5._MAX_FACTOR)
+            h *= min(dp5._MAX_FACTOR, max(dp5._MIN_FACTOR, factor))
             err_prev = max(err, 1e-10)
         else:
             rejected += 1
-            shrink = m._SAFETY * err ** (-0.2) if np.isfinite(err) else 0.1
+            shrink = dp5._SAFETY * err ** (-0.2) if np.isfinite(err) else 0.1
             h *= max(0.1, min(1.0, shrink))
     return ts, ys, fs, hs, errs, status, rejected, non_finite, calls
 
@@ -675,9 +675,9 @@ def test_stop_reasons():
 
 
 def test_one_debug_line_per_call_names_the_stop_reason(caplog):
-    caplog.set_level(logging.DEBUG, logger="seriesdyn.integrate")
+    caplog.set_level(logging.DEBUG, logger="seriesdyn.dp5")
     traj = integrate(TWOSPECIES, 300.0, IntegrationConfig(max_steps=5))
-    assert [r.getMessage() for r in caplog.records if r.name == "seriesdyn.integrate"] == [
+    assert [r.getMessage() for r in caplog.records if r.name == "seriesdyn.dp5"] == [
         f"integrate: stiff-abort (max_steps) at t = {traj.t_end!r}, 5 accepted, "
         f"0 rejected, {traj.rhs_evals} rhs evaluations"]
 

@@ -60,6 +60,16 @@ def test_monomial_rejects_negative_exponents():
         Monomial((1, -1))
 
 
+def test_monomial_rejects_non_integral_exponents():
+    with pytest.raises(ValueError, match="non-integral exponent"):
+        Monomial((1.5,))
+    with pytest.raises(ValueError, match="non-integral exponent"):
+        Polynomial.from_coeffs({(1.5,): 1.0}, 1)
+    # whole numbers of any integral type are kept, as Python ints
+    m = Monomial((np.int64(2), 2.0, True))
+    assert m.exponents == (2, 2, 1) and all(type(e) is int for e in m.exponents)
+
+
 def test_polynomial_merges_duplicates_and_drops_zeros():
     p = Polynomial({Monomial((1,)): 2.0, (1,): -2.0, (2,): 5.0}, 1)
     assert list(p.terms) == [Monomial((2,))]
@@ -98,6 +108,29 @@ def test_polynomial_terms_are_read_only():
     for q in (Polynomial({(2,): 3.0}, 1), p):
         for copied in (copy.copy(q), copy.deepcopy(q), pickle.loads(pickle.dumps(q))):
             assert copied == q and copied([2.0]) == q([2.0])
+
+
+def test_evaluated_fields_problems_and_solutions_pickle_and_deep_copy():
+    # a field keeps its compiled program once evaluated; the copy rebuilds
+    # the program from its products, and its generated code on first use
+    ivp = preset_ivp(Spiral(-0.5), [2.0, 2.0])
+    sol = taylor_solve(ivp, 30)
+    traj = integrate(ivp, 1.0)
+    jac = jacobian_at(ivp.field, ivp.x0)
+    for copied in (copy.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))):
+        field = copied(ivp.field)
+        assert field == ivp.field and field is not ivp.field
+        assert eval_field(field, ivp.x0).tolist() == eval_field(ivp.field, ivp.x0).tolist()
+        other = copied(ivp)
+        assert other.field == ivp.field and other.x0.tolist() == ivp.x0.tolist()
+        assert [s.coeffs.tolist() for s in taylor_solve(other, 30).series] == [
+            s.coeffs.tolist() for s in sol.series]
+        assert integrate(other, 1.0).states.tolist() == traj.states.tolist()
+        assert jacobian_at(other.field, other.x0).tolist() == jac.tolist()
+        again = copied(sol)
+        assert [s.coeffs.tolist() for s in again.series] == [s.coeffs.tolist() for s in sol.series]
+        assert again.overflow_order == sol.overflow_order
+        assert again.ivp.field == ivp.field
 
 
 def test_polynomial_diff_power_rule():

@@ -15,10 +15,11 @@ import pytest
 
 from seriesdyn.errors import DimensionError
 from seriesdyn.exact import PolarInit, Singularity, logistic_singularity, polar_init
+from seriesdyn.dp5 import Trajectory, integrate
 from seriesdyn.hpm import HpmExpansion, hpm_solve
-from seriesdyn.integrate import IntegrationConfig, Trajectory, integrate
 from seriesdyn.model import (
     InitialValueProblem,
+    IntegrationConfig,
     Logistic,
     Monomial,
     Polynomial,
@@ -79,7 +80,7 @@ RECORDS = {
 VALUES = [Monomial, Polynomial, PolyVectorField, Logistic, TwoSpecies, Spiral,
           IntegrationConfig, Singularity, PolarInit, ComparisonRow]
 IDENTITIES = [cls for cls in RECORDS if cls not in VALUES]
-MODULES = ["errors", "model", "integrate", "series", "hpm", "exact", "phase", "modelfile",
+MODULES = ["errors", "model", "dp5", "series", "hpm", "exact", "phase", "modelfile",
            "report", "cli"]
 
 

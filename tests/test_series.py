@@ -486,13 +486,13 @@ _SERIES_SUMMARY = re.compile(
 
 def _series_summaries(caplog):
     return [_SERIES_SUMMARY.fullmatch(r.getMessage()).groups()
-            for r in caplog.records if r.name == "seriesdyn.series"]
+            for r in caplog.records if r.name in ("seriesdyn.series", "seriesdyn.hpm")]
 
 
 def test_one_series_summary_line_per_call(caplog):
     # one DEBUG line per call, never per order: the order, the nodes of
     # the field's product graph and the first overflowed order
-    caplog.set_level(logging.DEBUG, logger="seriesdyn.series")
+    caplog.set_level(logging.DEBUG, logger="seriesdyn")
     spiral = preset_ivp(Spiral(-0.5), [2.0, 2.0])
     nodes = str(2 + len(spiral.field._program[0]))
     taylor_solve(spiral, 360)
