@@ -67,8 +67,9 @@ def record(cls=None, /, *, eq=True):
     fields, ``dataclasses.fields`` and ``replace``, ``__match_args__``,
     repr, ``inspect.signature``, ``FrozenInstanceError`` and TypeErrors,
     and calls ``__post_init__`` (looked up at each call) when it defines
-    one.  A value class compares and hashes by its field tuple, an
-    ``eq=False`` class by identity."""
+    one.  A copy or a pickle is rebuilt through the constructor, unless the
+    class defines its own ``__reduce__``.  A value class compares and
+    hashes by its field tuple, an ``eq=False`` class by identity."""
     if cls is None:
         return lambda cls: record(cls, eq=eq)
     cls = dataclass(init=False, repr=False, eq=False)(cls)
@@ -94,6 +95,8 @@ def record(cls=None, /, *, eq=True):
     cls.__init__, cls.__repr__ = __init__, _repr
     cls.__setattr__, cls.__delattr__ = _setattr, _delattr
     cls.__signature__ = _SIGNATURE
+    if "__reduce__" not in vars(cls):
+        cls.__reduce__ = _reduce
     if eq:
         get = attrgetter(*names)
         key = get if len(names) > 1 else lambda obj: (get(obj),)
@@ -134,6 +137,10 @@ def _bind(self, names, defaults, args, kwargs) -> list:
 def _repr(self):
     text = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
     return f"{type(self).__qualname__}({text})"
+
+
+def _reduce(self):
+    return type(self), tuple(getattr(self, name) for name in self.__match_args__)
 
 
 def _setattr(self, name, value):

@@ -99,12 +99,14 @@ def _mul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
 
 def series_mul(a: TruncatedSeries, b: TruncatedSeries, order: int) -> TruncatedSeries:
     """Cauchy product truncated at ``order``."""
+    _check_count(order, "order", 0)
     return TruncatedSeries(_mul(a.coeffs, b.coeffs, order))
 
 
 def poly_apply_series(p: Polynomial, variables, order: int) -> TruncatedSeries:
     """Compose a polynomial with per-variable series: p(x_1(t), ..., x_n(t)),
     truncated at ``order``."""
+    _check_count(order, "order", 0)
     if p.dimension != len(variables):
         raise DimensionError(
             f"polynomial has {p.dimension} variables, got {len(variables)} series"

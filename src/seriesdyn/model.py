@@ -63,6 +63,7 @@ class Polynomial:
     dimension: int
 
     def __post_init__(self):
+        _check_count(self.dimension, "dimension")
         acc: dict[Monomial, float] = {}
         for mono, c in self.terms.items():
             if not isinstance(mono, Monomial):
@@ -247,10 +248,6 @@ class _Program(tuple):
         program.functions = {}
         return program
 
-    def __reduce__(self):
-        # rebuilt from the pair: generated code is never pickled or copied
-        return _Program, (self.n, *self)
-
     @cached_property
     def shape(self):
         """Everything the generated code depends on: n, the products and
@@ -385,10 +382,11 @@ def _compile(polynomials: tuple[Polynomial, ...]):
     return _Program(n, products, tuple(components))
 
 
-def _check_count(value, name: str) -> None:
-    """Raise ValueError unless ``value`` is an integer >= 1; a bool is not."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1")
+def _check_count(value, name: str, least: int = 1) -> None:
+    """Raise ValueError unless ``value`` is an integer >= ``least``; a bool
+    is not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}")
 
 
 def _state(x, n: int) -> list[float]:

@@ -4,12 +4,10 @@ import dataclasses
 import importlib
 import json
 import math
-import os
-import subprocess
-import sys
+import re
+import time
 import types
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -20,6 +18,7 @@ from seriesdyn.model import IntegrationConfig
 from seriesdyn.modelfile import MAX_ORDER, MAX_SAMPLES, load_model
 from seriesdyn.report import cmd_radius, cmd_solve, cmd_table1
 
+GOLDEN = Path(__file__).parent / "golden"
 LOGISTIC_DOC = {"model": "logistic", "params": {"b": 1.0, "a": -3.0},
                 "x0": [1.0], "order": 4, "grid": {"end": 1.0, "count": 11}}
 
@@ -28,6 +27,15 @@ def write_model(tmp_path, doc, name="model.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def within(seconds, argv):
+    """``main(argv)``'s exit code, once it has returned within ``seconds``
+    of wall time."""
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < seconds
+    return code
 
 
 def test_table1_to_stdout(capsys):
@@ -108,6 +116,8 @@ def test_radius_order_too_small_is_input_error(tmp_path, capsys):
     path = write_model(tmp_path, LOGISTIC_DOC)  # order 4
     assert main(["radius", path]) == EXIT_INPUT
     assert "order" in capsys.readouterr().err
+    assert main(["radius", str(GOLDEN / "spiral.json"), "-k", "3"]) == EXIT_INPUT
+    assert "order" in capsys.readouterr().err
 
 
 def test_blowup_is_numerical_failure(tmp_path, capsys):
@@ -184,6 +194,9 @@ def test_fixed_points_cli(tmp_path, capsys):
     assert main(["fixed-points", path]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.splitlines()[0] == "fixed points found: 4"
+    # the 1-D catalog injects 0 and -b/a: the origin's row reads 0
+    assert main(["fixed-points", str(GOLDEN / "logistic.json")]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[2].startswith("0 ")
 
 
 def test_radius_cli_matches_library(tmp_path, capsys):
@@ -228,7 +241,7 @@ def test_huge_exponent_is_bounded_work(tmp_path, capsys):
     doc = {"model": "terms", "terms": [[{"exponents": [10 ** 9], "coeff": -1.0}]],
            "x0": [0.5]}
     path = write_model(tmp_path, doc)
-    assert main(["solve", path]) == EXIT_OK
+    assert within(10, ["solve", path]) == EXIT_OK
     lines = capsys.readouterr().out.splitlines()
     column = lines[0].split(",").index("x_num")
     assert all(math.isfinite(float(line.split(",")[column])) for line in lines[1:])
@@ -248,7 +261,7 @@ def test_exponent_beyond_the_recursion_limit_or_float_range(tmp_path, capsys, ex
     # float range and is bad input
     doc = {"model": "terms", "terms": [[{"exponents": [exponent], "coeff": -1.0}]],
            "x0": [0.5]}
-    assert main([command, write_model(tmp_path, doc)]) == code
+    assert within(10, [command, write_model(tmp_path, doc)]) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
     if code == EXIT_INPUT:
@@ -275,7 +288,7 @@ def test_tolerance_below_the_floor_is_input_error(tmp_path, capsys):
     # it used to warn from the starting step and spin for the whole budget
     path = write_model(tmp_path, dict(LOGISTIC_DOC,
                                       tolerances={"rel": 1e-300, "abs": 1e-300}))
-    assert main(["solve", path]) == EXIT_INPUT
+    assert within(10, ["solve", path]) == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "rel_tol must be at least 2.220446049250313e-14" in captured.err
@@ -360,6 +373,20 @@ def test_output_path_that_cannot_be_written_is_input_error(tmp_path, capsys, whe
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("command", ["phase2d", "spiral"])
+def test_largest_grid_exits_zero_with_one_row_per_sample(capsys, command):
+    # MAX_SAMPLES, the largest grid the CLI samples, with no warning
+    assert within(30, [command, "--samples", "100000"]) == EXIT_OK
+    assert len(re.findall("^[-0-9]", capsys.readouterr().out, re.M)) == 100000
+
+
+def test_zero_start_component_solves_with_no_warning(tmp_path, capsys):
+    # a zero in x0 makes the starting-step heuristic divide by abs_tol
+    doc = {"model": "spiral", "params": {"a": -0.5}, "x0": [0.0, 1e-5],
+           "tolerances": {"abs": 1e-200}}
+    assert main(["solve", write_model(tmp_path, doc)]) == EXIT_OK
+
+
 def test_failed_command_creates_no_output_file(tmp_path, capsys):
     # the output is written only once the command has computed all of it
     target = tmp_path / "out.csv"
@@ -369,13 +396,11 @@ def test_failed_command_creates_no_output_file(tmp_path, capsys):
 
 # -- cold processes: what a command loads, logs and renders ------------------
 
-GOLDEN = Path(__file__).parent / "golden"
-SRC = str(Path(seriesdyn.__file__).resolve().parents[1])
-
 # each command on its golden inputs, and the package modules it loads
 # (json rides with the model file); no command loads all of them, none
 # loads the perturbation route (hpm), and radius and fixed-points, which
-# never integrate, skip the integrator
+# never integrate, skip the integrator; and the lines each logger writes
+# under SERIESDYN_LOG=DEBUG
 LOADS = {
     "table1": (["table1"], {"errors", "model", "dp5", "series", "exact", "report"}),
     "phase2d": (["phase2d"], {"errors", "model", "dp5", "series", "phase", "report"}),
@@ -387,58 +412,43 @@ LOADS = {
     "fixed-points": (["fixed-points", str(GOLDEN / "two_species.json")],
                      {"errors", "model", "modelfile", "json", "phase", "report"}),
 }
-DEBUG_LINES = {"solve": {"seriesdyn.dp5": 1, "seriesdyn.series": 1},
-               "fixed-points": {"seriesdyn.phase": 1}}
+DEBUG_LINES = {
+    "solve": {"seriesdyn.dp5": 1, "seriesdyn.series": 1, "seriesdyn.report": 1},
+    "fixed-points": {"seriesdyn.phase": 1, "seriesdyn.report": 1},
+    "table1": {"seriesdyn.dp5": 1, "seriesdyn.series": 1, "seriesdyn.report": 1},
+    "phase2d": {"seriesdyn.dp5": 1, "seriesdyn.series": 2, "seriesdyn.phase": 1,
+                "seriesdyn.report": 1},
+    "spiral": {"seriesdyn.dp5": 1, "seriesdyn.series": 1, "seriesdyn.report": 1},
+    "radius": {"seriesdyn.series": 1, "seriesdyn.report": 1},
+}
+DEBUG = {"SERIESDYN_LOG": "DEBUG"}
 
 # every cold process of this module, keyed by its test: the python
-# arguments and the SERIESDYN_LOG level (None: unset), in the order the
-# tests read them
+# arguments and the environment it adds, in the order the tests read them
 COLD = {
-    **{("loads", command): (["-X", "importtime", "-m", "seriesdyn.cli", *argv], None)
+    **{("loads", command): (["-W", "error", "-X", "importtime", "-m", "seriesdyn.cli",
+                             *argv], {})
        for command, (argv, loads) in LOADS.items()},
     "bare import": (["-c", "import sys, seriesdyn; "
                            "print(sorted(m for m in sys.modules "
                            "if m.startswith('seriesdyn.') or m.split('.')[0] == 'numpy')); "
-                           "print(seriesdyn.phase.__name__)"], None),
-    **{("debug", command): (["-m", "seriesdyn.cli", *LOADS[command][0]], "DEBUG")
-       for command in DEBUG_LINES},
+                           "print(seriesdyn.phase.__name__)"], {}),
+    **{("debug", command): (["-m", "seriesdyn.cli", *argv], DEBUG)
+       for command, (argv, loads) in LOADS.items()},
     "debug all": (["-c", "import sys; from seriesdyn.cli import main; "
                          f"sys.exit(max(main(argv) for argv in "
-                         f"{[argv for argv, loads in LOADS.values()]!r}))"], "DEBUG"),
+                         f"{[argv for argv, loads in LOADS.values()]!r}))"], DEBUG),
     **{("help", command): (["-W", "error", "-m", "seriesdyn.cli",
-                            *([command] if command else []), "--help"], None)
+                            *([command] if command else []), "--help"], {})
        for command in HELP},
     "regime warning": (["-c", "from seriesdyn import Logistic, preset_ivp; "
-                              "preset_ivp(Logistic(1.0, 3.0), [1.0])"], None),
+                              "preset_ivp(Logistic(1.0, 3.0), [1.0])"], {}),
 }
-
-
-def cold(args, log=None):
-    """A fresh ``python <args>`` with this checkout's package on the path,
-    logging at ``log`` (a SERIESDYN_LOG level) or not at all."""
-    env = {key: value for key, value in os.environ.items() if key != "SERIESDYN_LOG"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    if log:
-        env["SERIESDYN_LOG"] = log
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
-                          check=True, timeout=120)
-
-
-@pytest.fixture(scope="module")
-def cold_run():
-    """Callable key -> the finished process of ``COLD[key]``.  The first
-    test that asks starts every process of the table, at most
-    min(4, cores) at a time in table order, so each test waits only for
-    its own; those no test asked for are cancelled at the end."""
-    with ThreadPoolExecutor(min(4, os.cpu_count() or 1)) as pool:
-        runs = {key: pool.submit(cold, *job) for key, job in COLD.items()}
-        yield lambda key: runs[key].result()
-        for run in runs.values():
-            run.cancel()
 
 
 @pytest.mark.parametrize("command", list(LOADS))
 def test_cold_command_loads_only_its_own_layers(cold_run, command):
+    # python -W error: a warning ends the process non-zero
     child = cold_run(("loads", command))
     assert child.stdout == (GOLDEN / f"{command}.out").read_bytes()
     imported = {line.rsplit("|", 1)[1].strip()
@@ -464,7 +474,7 @@ def test_debug_log_under_lazy_loading(cold_run, command, lines):
     child = cold_run(("debug", command))
     assert child.stdout == (GOLDEN / f"{command}.out").read_bytes()
     names = [line.split()[1].rstrip(":") for line in child.stderr.decode().splitlines()]
-    assert {name: names.count(name) for name in lines} == lines
+    assert {name: names.count(name) for name in names} == lines
 
 
 def test_debug_log_leaves_stdout_of_every_command_unchanged(cold_run):

@@ -28,14 +28,10 @@ demo with
 ``PYTHONPATH=src python demos/<name>.py > tests/golden/demo-<name>.out``.
 """
 
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import seriesdyn
 from seriesdyn.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -61,15 +57,11 @@ def test_stdout_matches_golden(name, capsys):
 PINNED_DEMOS = ["01_collapse_check", "02_logistic_series_accuracy",
                 "03_radius_of_convergence", "04_fixed_points_two_species",
                 "05_spiral_breakdown"]
+# each demo as a fresh process, where every warning is an error
+COLD = {name: (["-W", "error", str(DEMOS / f"{name}.py")], {}) for name in PINNED_DEMOS}
 
 
 @pytest.mark.parametrize("name", PINNED_DEMOS)
-def test_demo_stdout_matches_golden(name):
-    # each demo as a fresh process, where a RuntimeWarning is an error
-    src = str(Path(seriesdyn.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    child = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
-                            str(DEMOS / f"{name}.py")],
-                           env=env, capture_output=True, check=True, timeout=120)
+def test_demo_stdout_matches_golden(cold_run, name):
+    child = cold_run(name)
     assert child.stdout == (GOLDEN / f"demo-{name}.out").read_bytes()

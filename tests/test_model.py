@@ -70,6 +70,13 @@ def test_monomial_rejects_non_integral_exponents():
     assert m.exponents == (2, 2, 1) and all(type(e) is int for e in m.exponents)
 
 
+@pytest.mark.parametrize("dimension", [0, -1, 1.5, 2.0, True, None])
+def test_polynomial_rejects_a_dimension_that_is_not_a_count(dimension):
+    # dimension 0 used to fail only when evaluated, in generated code
+    with pytest.raises(ValueError, match=r"^dimension must be an integer >= 1$"):
+        Polynomial({}, dimension)
+
+
 def test_polynomial_merges_duplicates_and_drops_zeros():
     p = Polynomial({Monomial((1,)): 2.0, (1,): -2.0, (2,): 5.0}, 1)
     assert list(p.terms) == [Monomial((2,))]

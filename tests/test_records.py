@@ -3,12 +3,10 @@
 identity equality, no method generated with ``exec``, and a read-only
 copy of every array a record holds."""
 
+import copy
 import dataclasses
 import inspect
-import os
-import subprocess
-import sys
-from pathlib import Path
+import pickle
 
 import numpy as np
 import pytest
@@ -38,9 +36,6 @@ from seriesdyn.series import (
     radius_estimate,
     taylor_solve,
 )
-
-SRC = str(Path(__file__).parents[1] / "src")
-
 
 def spiral_ivp():
     return preset_ivp(Spiral(-0.5), [2.0, 2.0])
@@ -248,28 +243,28 @@ def test_post_init_checks_every_call_form():
         Monomial(exponents=(-1,))
 
 
-def test_no_record_method_is_generated_code():
-    # dataclasses compiles each method it generates with exec, from the
-    # file name "<string>"; a cold process imports all ten modules, so a
-    # record class built with @dataclass anywhere would show here
-    code = ("import dataclasses, importlib, inspect\n"
-            f"modules = [importlib.import_module('seriesdyn.' + m) for m in {MODULES!r}]\n"
-            "records, generated = set(), []\n"
-            "for module in modules:\n"
-            "    for cls in vars(module).values():\n"
-            "        if inspect.isclass(cls) and dataclasses.is_dataclass(cls):\n"
-            "            records.add(cls)\n"
-            "for cls in records:\n"
-            "    for name, value in vars(cls).items():\n"
-            "        function = getattr(value, '__func__', value)\n"
-            "        code = getattr(function, '__code__', None)\n"
-            "        if code is not None and code.co_filename == '<string>':\n"
-            "            generated.append(f'{cls.__name__}.{name}')\n"
-            "print(len(records), sorted(generated))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                           check=True, timeout=120)
+# dataclasses compiles each method it generates with exec, from the file
+# name "<string>"; a cold process imports all ten modules, so a record class
+# built with @dataclass anywhere would show here
+GENERATED = ("import dataclasses, importlib, inspect\n"
+             f"modules = [importlib.import_module('seriesdyn.' + m) for m in {MODULES!r}]\n"
+             "records, generated = set(), []\n"
+             "for module in modules:\n"
+             "    for cls in vars(module).values():\n"
+             "        if inspect.isclass(cls) and dataclasses.is_dataclass(cls):\n"
+             "            records.add(cls)\n"
+             "for cls in records:\n"
+             "    for name, value in vars(cls).items():\n"
+             "        function = getattr(value, '__func__', value)\n"
+             "        code = getattr(function, '__code__', None)\n"
+             "        if code is not None and code.co_filename == '<string>':\n"
+             "            generated.append(f'{cls.__name__}.{name}')\n"
+             "print(len(records), sorted(generated))\n")
+COLD = {"generated": (["-c", GENERATED], {})}
+
+
+def test_no_record_method_is_generated_code(cold_run):
+    child = cold_run("generated")
     assert child.stdout.decode().split(None, 1) == ["18", "[]\n"]
 
 
@@ -305,3 +300,13 @@ def test_a_record_holds_a_read_only_c_ordered_copy(cls, name):
             held[(0,) * held.ndim] = 1.0
         writable += 1.0
         assert held.tobytes() == original.tobytes()
+
+
+@pytest.mark.parametrize(("cls", "name"), ARRAYS, ids=lambda v: getattr(v, "__name__", v))
+def test_a_copied_or_unpickled_record_still_holds_a_read_only_array(cls, name):
+    # both are rebuilt through the constructor, not from a copy of __dict__
+    made = RECORDS[cls][1]()
+    for copied in (copy.deepcopy(made), pickle.loads(pickle.dumps(made))):
+        held = getattr(copied, name)
+        assert not held.flags.writeable and held.flags.c_contiguous
+        assert held.tobytes() == getattr(made, name).tobytes()

@@ -127,6 +127,18 @@ def test_poly_apply_series_examples():
         poly_apply_series(q, [TruncatedSeries([1.0])], 2)
 
 
+@pytest.mark.parametrize("order", [-1, 1.5, 2.0, True, None])
+def test_truncated_products_reject_an_order_that_is_not_a_count(order):
+    # order 0 is valid (see the examples above); these used to fail deeper
+    # down, with a TypeError or the series record's own error, or ran at
+    # order 1
+    x, p = TruncatedSeries([1.0, 1.0]), Polynomial.from_coeffs({(2,): 1.0}, 1)
+    with pytest.raises(ValueError, match=r"^order must be an integer >= 0$"):
+        series_mul(x, x, order)
+    with pytest.raises(ValueError, match=r"^order must be an integer >= 0$"):
+        poly_apply_series(p, [x], order)
+
+
 # -- direct Taylor recursion -------------------------------------------------
 
 def test_taylor_logistic_first_coefficients():
