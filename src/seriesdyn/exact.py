@@ -150,13 +150,13 @@ def spiral_exact(a: float, x0: float, y0: float, t: float) -> tuple[float, float
         return (0.0, 0.0)  # fixed point
     if t == 0.0:
         return (float(x0), float(y0))  # exact by construction
-    p = polar_init(x0, y0)
-    radicand = 1.0 - 2.0 * a * p.r0 ** 2 * t
+    r0, theta0 = math.hypot(x0, y0), math.atan2(y0, x0)  # polar_init's, without its record
+    radicand = 1.0 - 2.0 * a * r0 ** 2 * t
     if radicand <= 0.0:
         raise SingularityError(
             f"radicand 1 - 2*a*r0^2*t = {radicand} is not positive at t = {t}")
-    scale = p.r0 / math.sqrt(radicand)
-    return (scale * math.cos(p.theta0 + t), scale * math.sin(p.theta0 + t))
+    scale = r0 / math.sqrt(radicand)
+    return (scale * math.cos(theta0 + t), scale * math.sin(theta0 + t))
 
 
 def spiral_singularity(a: float, x0: float, y0: float) -> Singularity:

@@ -26,7 +26,7 @@ from .model import (InitialValueProblem, IntegrationConfig, Logistic, Spiral, Tw
 if TYPE_CHECKING:
     from .modelfile import ModelFile
 
-_FLOAT_FMT = "{:.11e}"  # 12 significant digits
+_FLOAT_FMT = "%.11e"  # 12 significant digits
 
 
 @record
@@ -48,16 +48,16 @@ def _var_names(n: int) -> list[str]:
 
 
 def _fmt(value: float) -> str:
-    return _FLOAT_FMT.format(float(value))
+    return _FLOAT_FMT % value
 
 
-def _fmt_complex(z: complex, fmt: str = "{:.6g}") -> str:
+def _fmt_complex(z: complex, fmt: str = "%.6g") -> str:
     re = z.real + 0.0  # normalize -0.0
     im = z.imag + 0.0
     if im == 0.0:
-        return fmt.format(re)
+        return fmt % re
     sign = "+" if im >= 0 else "-"
-    return f"{fmt.format(re)}{sign}{fmt.format(abs(im))}i"
+    return f"{fmt % re}{sign}{fmt % abs(im)}i"
 
 
 def _aligned(rows: list[list[str]]) -> str:
@@ -68,11 +68,14 @@ def _aligned(rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv(rows: list[list[str]]) -> str:
-    """Rows of cells joined by commas, each ended by LF.  No cell needs
-    quoting: a ``_fmt`` number (inf and nan too), "0" or "1", a fixed
-    header or a ``_var_names`` name holds no comma, quote or line break."""
-    return "".join(",".join(row) + "\n" for row in rows)
+def _csv(header: list[str], columns) -> str:
+    """The header, then one LF-ended row per index of ``columns`` (1-D or 2-D
+    arrays): a float as ``_fmt`` writes it, a boolean as 0 or 1.  No cell
+    needs quoting: a number (inf and nan too), a fixed header or a
+    ``_var_names`` name holds no comma, quote or line break."""
+    cols = [np.asarray(c).reshape(len(c), -1) for c in columns]
+    row = ",".join("%d" if c.dtype == bool else _FLOAT_FMT for c in cols for _ in c.T) + "\n"
+    return ",".join(header) + "\n" + "".join([row % tuple(v) for v in np.hstack(cols).tolist()])
 
 
 def _logged(cmd):
@@ -109,9 +112,10 @@ def _curves(ivp: InitialValueProblem, ts, orders: list[int],
     t_end = float(ts[-1])
     traj = integrate(ivp, t_end, cfg)
     if traj.status != "completed":
+        end = traj.ts[-1]
         raise IntegrationFailedError(
-            f"integration ended with status {traj.status!r} at "
-            f"t = {traj.ts[-1]:.6g} (before requested end {t_end:.6g})")
+            f"integration ended with status {traj.status!r} ({traj.stop_reason}) at "
+            f"t = {end:.6g}" + (f" (before requested end {t_end:.6g})" if end < t_end else ""))
     return sample(traj, ts), {k: taylor_solve(ivp, k).eval(ts) for k in orders}
 
 
@@ -170,17 +174,14 @@ def cmd_phase2d(orders: list[int] | None = None, t_end: float = 300.0,
     with np.errstate(over="ignore"):
         dev_lo = np.linalg.norm(sums[lo] - num, axis=1)
         dev_hi = np.linalg.norm(sums[hi] - num, axis=1)
+    # lo == hi gives equal deviations, so no row is worse
     worse = dev_hi > dev_lo
-    first_cross = int(np.argmax(worse)) if worse.any() and lo != hi else None
+    crossover = worse & (np.cumsum(worse) == 1)  # the first worse row
 
-    rows = [["t", "x_num", "y_num"]
-            + [f"{v}_s{k}" for k in orders for v in "xy"] + ["crossover"]]
-    block = np.column_stack([ts, num] + [sums[k] for k in orders])
-    for i, values in enumerate(block):
-        rows.append([_fmt(v) for v in values] + ["1" if i == first_cross else "0"])
-
+    header = ["t", "x_num", "y_num", *(f"{v}_s{k}" for k in orders for v in "xy"), "crossover"]
+    out = _csv(header, [ts, num, *(sums[k] for k in orders), crossover])
+    out += "# fixed points: location, classification, eigenvalues\n"
     field = ivp.field
-    out = _csv(rows) + "# fixed points: location, classification, eigenvalues\n"
     for loc in fixed_points(field):
         cp = classify(field, loc)
         eigs = ", ".join(_fmt_complex(z, _FLOAT_FMT) for z in cp.eigenvalues)
@@ -201,11 +202,9 @@ def cmd_spiral(order: int = 5, t_end: float = 20.0, samples: int = 201,
     ivp = preset_ivp(Spiral(a), [x0, y0])
     ts = _grid(t_end, samples)
     num, sums = _curves(ivp, ts, [order], cfg)
-    rows = [["t", "x_num", "y_num", "x_exact", "y_exact", "x_series", "y_series"]]
-    for t, n_i, s_i in zip(ts, num, sums[order]):
-        exact = spiral_exact(a, x0, y0, float(t))
-        rows.append([_fmt(v) for v in (t, *n_i, *exact, *s_i)])
-    return _csv(rows)
+    exact = [spiral_exact(a, x0, y0, t) for t in ts.tolist()]
+    return _csv(["t", "x_num", "y_num", "x_exact", "y_exact", "x_series", "y_series"],
+                [ts, num, exact, sums[order]])
 
 
 def _analytic_singularity(mf: ModelFile):
@@ -271,10 +270,8 @@ def cmd_solve(mf: ModelFile) -> str:
     ts = np.linspace(0.0, mf.grid_end, mf.grid_count)
     num, sums = _curves(mf.ivp, ts, [mf.order], mf.cfg)
     names = _var_names(mf.ivp.field.dimension)
-    rows = [["t"] + [f"{n}_num" for n in names] + [f"{n}_s{mf.order}" for n in names]]
-    rows += [[_fmt(v) for v in values]
-             for values in np.column_stack([ts, num, sums[mf.order]])]
-    return _csv(rows)
+    return _csv(["t"] + [f"{n}_num" for n in names] + [f"{n}_s{mf.order}" for n in names],
+                [ts, num, sums[mf.order]])
 
 
 @_logged

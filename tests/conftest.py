@@ -51,19 +51,6 @@ def acceptance_record():
     return record
 
 
-@pytest.fixture
-def here_and_under_prescott(capsys):
-    """Callable code -> (stdout here, stdout of a child process): runs
-    ``code`` in this process and in a child process forced onto
-    OpenBLAS's Prescott kernel, which has neither AVX nor FMA (OpenBLAS
-    picks its kernels by CPU)."""
-    def run(code):
-        child = run_cold(["-c", code], OPENBLAS_CORETYPE="Prescott")
-        exec(code, {})
-        return capsys.readouterr().out, child.stdout.decode()
-    return run
-
-
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if not _ACCEPTANCE:
         return

@@ -127,6 +127,17 @@ def test_blowup_is_numerical_failure(tmp_path, capsys):
     assert main(["solve", path]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert "numerical failure" in err and "blew-up" in err
+    assert "(step_underflow) at t = 0.125 (before requested end 0.2)" in err
+
+
+def test_failure_on_the_last_step_is_not_before_the_end(capsys):
+    # the state norm crosses 1e8 on the step that reaches t = 300: the
+    # message names the stop reason and does not say "before"
+    argv = ["phase2d", "--rel-tol", "0.5", "--abs-tol", "1e300", "--samples", "3"]
+    assert main(argv) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "blew-up" in err
+    assert "blowup_norm" in err and "before" not in err
 
 
 def test_unknown_command_exits_two(capsys):
@@ -422,6 +433,7 @@ DEBUG_LINES = {
     "radius": {"seriesdyn.series": 1, "seriesdyn.report": 1},
 }
 DEBUG = {"SERIESDYN_LOG": "DEBUG"}
+HELP_END = "-- exit code"  # ends each help render of the one help process
 
 # every cold process of this module, keyed by its test: the python
 # arguments and the environment it adds, in the order the tests read them
@@ -438,9 +450,13 @@ COLD = {
     "debug all": (["-c", "import sys; from seriesdyn.cli import main; "
                          f"sys.exit(max(main(argv) for argv in "
                          f"{[argv for argv, loads in LOADS.values()]!r}))"], DEBUG),
-    **{("help", command): (["-W", "error", "-m", "seriesdyn.cli",
-                            *([command] if command else []), "--help"], {})
-       for command in HELP},
+    "help": (["-W", "error", "-c",
+              "from seriesdyn.cli import main\n"
+              f"for argv in {[[c, '--help'] if c else ['--help'] for c in HELP]!r}:\n"
+              "    try:\n"
+              "        main(argv)\n"
+              "    except SystemExit as exc:\n"
+              f"        print({HELP_END!r}, exc.code)\n"], {}),
     "regime warning": (["-c", "from seriesdyn import Logistic, preset_ivp; "
                               "preset_ivp(Logistic(1.0, 3.0), [1.0])"], {}),
 }
@@ -490,9 +506,13 @@ def test_debug_log_leaves_stdout_of_every_command_unchanged(cold_run):
 @pytest.mark.parametrize("command", list(HELP))
 def test_cold_help_renders_with_every_warning_an_error(cold_run, command):
     # python -W error: a warning raised while argparse formats the help
-    # strings, or while the package loads, ends the process non-zero
-    child = cold_run(("help", command))
-    out = child.stdout.decode()
+    # strings, or while the package loads, ends the process non-zero; one
+    # process renders every help, each ended by its exit code
+    child = cold_run("help")
+    renders = re.findall(rf"(.*?){HELP_END} (\S+)\n", child.stdout.decode(), re.S)
+    assert len(renders) == len(HELP)
+    out, code = renders[list(HELP).index(command)]
+    assert code == "0"
     assert out.startswith("usage: seriesdyn") and "-h, --help" in out
     for flag in HELP[command]:
         assert flag in out, flag

@@ -738,16 +738,22 @@ def test_power_overflow_mid_attempt_rejects_the_attempt():
     assert_same_bits(traj, ts, ys, fs, hs, errs)
 
 
-def test_trajectories_do_not_depend_on_the_blas_kernel(here_and_under_prescott):
-    # OpenBLAS picks its dgemv kernel by CPU; Prescott has neither AVX nor
-    # FMA.  The step loop calls no BLAS, so a child process forced onto
-    # that kernel prints the same bytes
-    here, child = here_and_under_prescott("\n".join([
-        "from seriesdyn import Spiral, TwoSpecies, integrate, preset_ivp",
-        "for ivp, t_end in [(preset_ivp(Spiral(-0.5), [2.0, 2.0]), 20.0),",
-        "                   (preset_ivp(TwoSpecies.reference(), [4.0, 10.0]), 300.0)]:",
-        "    traj = integrate(ivp, t_end)",
-        "    print(traj.ts.tobytes().hex(), traj.states.tobytes().hex())",
-    ]))
+TRAJECTORIES = "\n".join([
+    "from seriesdyn import Spiral, TwoSpecies, integrate, preset_ivp",
+    "for ivp, t_end in [(preset_ivp(Spiral(-0.5), [2.0, 2.0]), 20.0),",
+    "                   (preset_ivp(TwoSpecies.reference(), [4.0, 10.0]), 300.0)]:",
+    "    traj = integrate(ivp, t_end)",
+    "    print(traj.ts.tobytes().hex(), traj.states.tobytes().hex())",
+])
+# the script as a fresh process forced onto OpenBLAS's Prescott kernel,
+# which has neither AVX nor FMA (OpenBLAS picks its kernels by CPU)
+COLD = {"prescott": (["-c", TRAJECTORIES], {"OPENBLAS_CORETYPE": "Prescott"})}
+
+
+def test_trajectories_do_not_depend_on_the_blas_kernel(cold_run, capsys):
+    # the step loop calls no BLAS, so the process on the Prescott kernel
+    # prints the bytes this one does
+    exec(TRAJECTORIES, {})
+    here = capsys.readouterr().out
     assert len(here.splitlines()) == 2
-    assert child == here
+    assert cold_run("prescott").stdout.decode() == here

@@ -163,6 +163,8 @@ def test_field_requires_square_shape():
         PolyVectorField((p1,))  # one component, two variables
     with pytest.raises(DimensionError):
         PolyVectorField(())
+    with pytest.raises(DimensionError, match="same dimension"):
+        PolyVectorField((p1, Polynomial.from_coeffs({(1,): 1.0}, 1)))
 
 
 def test_ivp_validates_and_freezes_x0():
@@ -200,6 +202,7 @@ def test_ivp_rejects_non_finite_x0(bad):
 def test_eval_field_logistic_by_hand():
     field = Logistic(1.0, -3.0).build_field()
     assert eval_field(field, [1.0]) == pytest.approx([-2.0], abs=0)
+    assert field([1.0]) == pytest.approx([-2.0], abs=0)  # the field is callable
 
 
 def test_eval_field_two_species_by_hand():

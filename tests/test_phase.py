@@ -163,6 +163,11 @@ def test_degenerate_classifications():
     # 1-D double root: zero linearization
     dbl = PolyVectorField((Polynomial.from_coeffs({(2,): 1.0}, 1),))
     assert classify(dbl, [0.0]).classification == "degenerate"
+    # 2-D: a zero eigenvalue beside -1 (x^2, -y), and a zero Jacobian (x^2, y^2)
+    for g in ({(0, 1): -1.0}, {(0, 2): 1.0}):
+        f = PolyVectorField((Polynomial.from_coeffs({(2, 0): 1.0}, 2),
+                             Polynomial.from_coeffs(g, 2)))
+        assert classify(f, [0.0, 0.0]).classification == "degenerate"
 
 
 def test_spirals_are_detected():
@@ -458,25 +463,32 @@ def test_isolated_roots_match_scalar_reference(field, known):
         assert np.max(np.abs(g - k)) <= 1e-12
 
 
-def test_catalog_does_not_depend_on_the_blas_kernel(here_and_under_prescott):
+CATALOG = "\n".join([
+    "import numpy as np",
+    "from seriesdyn import Logistic, Spiral, TwoSpecies, classify, fixed_points",
+    "rng = np.random.default_rng(18)",
+    "presets = [TwoSpecies.reference(), Spiral(-0.5), Spiral(0.5), Logistic(1.0, -3.0)]",
+    "presets += [TwoSpecies(*rng.uniform(-1.0, 1.0, 6).tolist()) for _ in range(10)]",
+    "for preset in presets:",
+    "    field = preset.build_field()",
+    "    for loc in fixed_points(field):",
+    "        cp = classify(field, loc)",
+    "        print(loc.tobytes().hex(), cp.classification, cp.residual.hex(),",
+    "              *(f'{z.real.hex()} {z.imag.hex()}' for z in cp.eigenvalues))",
+])
+# the script as a fresh process forced onto OpenBLAS's Prescott kernel,
+# which has neither AVX nor FMA (OpenBLAS picks its kernels by CPU)
+COLD = {"prescott": (["-c", CATALOG], {"OPENBLAS_CORETYPE": "Prescott"})}
+
+
+def test_catalog_does_not_depend_on_the_blas_kernel(cold_run, capsys):
     # the seeds, Newton and the residuals are float code with no BLAS or
     # LAPACK call, and LAPACK's 2x2 eigenvalues do not depend on the
     # kernel, so every digit of a catalog is the same under any kernel
-    here, child = here_and_under_prescott("\n".join([
-        "import numpy as np",
-        "from seriesdyn import Logistic, Spiral, TwoSpecies, classify, fixed_points",
-        "rng = np.random.default_rng(18)",
-        "presets = [TwoSpecies.reference(), Spiral(-0.5), Spiral(0.5), Logistic(1.0, -3.0)]",
-        "presets += [TwoSpecies(*rng.uniform(-1.0, 1.0, 6).tolist()) for _ in range(10)]",
-        "for preset in presets:",
-        "    field = preset.build_field()",
-        "    for loc in fixed_points(field):",
-        "        cp = classify(field, loc)",
-        "        print(loc.tobytes().hex(), cp.classification, cp.residual.hex(),",
-        "              *(f'{z.real.hex()} {z.imag.hex()}' for z in cp.eigenvalues))",
-    ]))
+    exec(CATALOG, {})
+    here = capsys.readouterr().out
     assert len(here.splitlines()) == 48
-    assert child == here
+    assert cold_run("prescott").stdout.decode() == here
 
 
 def test_singular_jacobian_drops_the_seed(caplog):

@@ -358,19 +358,23 @@ def test_float_format_round_trip_precision():
 def test_csv_cells_need_no_quoting():
     # a cell is a _fmt number (inf and nan too), "0" or "1", a fixed header
     # or a _var_names name: none holds a comma, a quote or a line break, so
-    # the plain join writes what the csv module writes
-    cells = [_fmt(v) for v in (0.0, -0.0, 1 / 3, -1e-300, 1e308, math.inf, -math.inf,
-                               math.nan)]
-    cells += ["0", "1"] + [name for n in (1, 2, 3, 4, 12) for name in _var_names(n)]
-    for text in (cmd_phase2d(orders=[4, 10]), cmd_spiral(),
-                 cmd_solve(parse_model(LOGISTIC_DOC))):
-        cells += [cell for line in text.splitlines() if not line.startswith("#")
-                  for cell in line.split(",")]
-    assert not set(",\"\r\n").intersection("".join(cells))
-    rows = [cells[i:i + 7] for i in range(0, len(cells), 7)]
+    # _csv writes what the csv module writes for the same cells
+    values = [0.0, -0.0, 1 / 3, -1e-300, 1e308, math.inf, -math.inf, math.nan]
+    pairs = np.array([values, values[::-1]]).T  # a 2-D column holds two
+    flags = np.arange(len(values)) % 3 == 0
+    header = [name for n in (1, 2, 3, 4, 12) for name in _var_names(n)]
+    rows = [header] + [[_fmt(v), _fmt(p), _fmt(q), str(int(f))]
+                       for v, (p, q), f in zip(values, pairs.tolist(), flags)]
+    text = _csv(header, [values, pairs, flags])
+    for out in (cmd_phase2d(orders=[4, 10]), cmd_spiral(),
+                cmd_solve(parse_model(LOGISTIC_DOC))):
+        lines = [line for line in out.splitlines(keepends=True) if not line.startswith("#")]
+        text += "".join(lines)
+        rows += [line.removesuffix("\n").split(",") for line in lines]
+    assert not set(",\"\r\n").intersection("".join(cell for row in rows for cell in row))
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
-    assert _csv(rows) == buf.getvalue()
+    assert text == buf.getvalue()
 
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -705,6 +705,8 @@ def test_collapse_rejects_mismatched_shapes():
     t = taylor_solve(LOGISTIC, 5)
     with pytest.raises(DimensionError):
         hpm_collapse_check(h, t, 1e-10)
+    with pytest.raises(DimensionError, match="dimensions"):
+        hpm_collapse_check(h, taylor_solve(preset_ivp(Spiral(-0.5), [2.0, 2.0]), 4), 1e-10)
 
 
 def test_short_corrections_are_zero_padded():
@@ -956,48 +958,66 @@ def test_radius_fits_agree_with_polyfit():
         assert root.value == pytest.approx(math.exp(-slope), rel=1e-12, abs=0.0)
 
 
-def test_radius_estimates_do_not_depend_on_the_blas_kernel(here_and_under_prescott):
-    # the fits call no BLAS or LAPACK, so the same coefficients give the
-    # same bits under any kernel
-    rows = [s.coeffs.tobytes().hex() for s in expand_series()]
-    here, child = here_and_under_prescott("\n".join([
+# scripts whose stdout must not depend on the BLAS kernel, each run here
+# and as a fresh process forced onto OpenBLAS's Prescott kernel, which has
+# neither AVX nor FMA (OpenBLAS picks its kernels by CPU)
+KERNEL_FREE = {
+    "radius": "\n".join([
         "import numpy as np",
         "from seriesdyn import TruncatedSeries, radius_estimate",
-        f"for row in {rows!r}:",
+        f"for row in {[s.coeffs.tobytes().hex() for s in expand_series()]!r}:",
         "    s = TruncatedSeries(np.frombuffer(bytes.fromhex(row)))",
         "    print(*(radius_estimate(s, m).value.hex() for m in ('ratio', 'root')))",
-    ]))
-    assert len(here.splitlines()) == 4
-    assert child == here
-
-
-def test_taylor_does_not_depend_on_the_blas_kernel(here_and_under_prescott):
-    # each product is numpy's own loop in vecdot over a reversed
-    # (negative stride) operand, not a BLAS ddot, so the coefficients keep
-    # their bits under any kernel, the spiral's overflow at order 340 of
-    # 360 included
-    here, child = here_and_under_prescott("\n".join([
+    ]),
+    "taylor": "\n".join([
         "from seriesdyn import Logistic, Spiral, TwoSpecies, preset_ivp, taylor_solve",
         "for preset, x0, K in [(Spiral(-0.5), [2.0, 2.0], 300), (Spiral(-0.5), [2.0, 2.0], 360),",
         "                      (Logistic(1.0, -3.0), [0.1], 300),",
         "                      (TwoSpecies.reference(), [4.0, 10.0], 150)]:",
         "    sol = taylor_solve(preset_ivp(preset, x0), K)",
         "    print(b''.join(s.coeffs.tobytes() for s in sol.series).hex(), sol.overflow_order)",
-    ]))
-    assert len(here.splitlines()) == 4
-    assert child == here
-
-
-def test_hpm_does_not_depend_on_the_blas_kernel(here_and_under_prescott):
-    # the recursion's product A_q^T B_(r-q) has a reversed (negative
-    # stride) operand, so numpy runs its own loop, not a BLAS dgemm
-    here, child = here_and_under_prescott("\n".join([
+    ]),
+    "hpm": "\n".join([
         "from seriesdyn import Logistic, Spiral, TwoSpecies, hpm_solve, preset_ivp",
         "for preset, x0, K in [(Spiral(-0.5), [2.0, 2.0], 30), (Logistic(1.0, -3.0), [0.1], 30),",
         "                      (TwoSpecies.reference(), [4.0, 10.0], 24)]:",
         "    h = hpm_solve(preset_ivp(preset, x0), K)",
         "    print(b''.join(s.coeffs.tobytes() for c in h.corrections for s in c).hex())",
-    ]))
+    ]),
+}
+COLD = {name: (["-c", code], {"OPENBLAS_CORETYPE": "Prescott"})
+        for name, code in KERNEL_FREE.items()}
+
+
+def here_and_cold(cold_run, capsys, name):
+    """(stdout of ``KERNEL_FREE[name]`` run here, stdout of its process on
+    the Prescott kernel)."""
+    exec(KERNEL_FREE[name], {})
+    return capsys.readouterr().out, cold_run(name).stdout.decode()
+
+
+def test_radius_estimates_do_not_depend_on_the_blas_kernel(cold_run, capsys):
+    # the fits call no BLAS or LAPACK, so the same coefficients give the
+    # same bits under any kernel
+    here, child = here_and_cold(cold_run, capsys, "radius")
+    assert len(here.splitlines()) == 4
+    assert child == here
+
+
+def test_taylor_does_not_depend_on_the_blas_kernel(cold_run, capsys):
+    # each product is numpy's own loop in vecdot over a reversed
+    # (negative stride) operand, not a BLAS ddot, so the coefficients keep
+    # their bits under any kernel, the spiral's overflow at order 340 of
+    # 360 included
+    here, child = here_and_cold(cold_run, capsys, "taylor")
+    assert len(here.splitlines()) == 4
+    assert child == here
+
+
+def test_hpm_does_not_depend_on_the_blas_kernel(cold_run, capsys):
+    # the recursion's product A_q^T B_(r-q) has a reversed (negative
+    # stride) operand, so numpy runs its own loop, not a BLAS dgemm
+    here, child = here_and_cold(cold_run, capsys, "hpm")
     assert len(here.splitlines()) == 3
     assert child == here
 
