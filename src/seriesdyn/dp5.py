@@ -11,6 +11,7 @@ movable singularities are a legitimate finding for these models.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -136,7 +137,11 @@ def _loop_source(shape) -> list[str]:
     each attempt's, is written by ``rms``: the scaled terms, e{i} / (atol +
     rtol * max(|y{i}|, |v{i}|)) in an attempt, their squares summed left to
     right and ``sqrt(acc / n)``, or ``hypot(q0, ...) / sqrt(n)`` where that
-    sum is not finite.  An accepted state holds no NaN, so the escape test
+    sum is not finite.  A sum of squares is >= 0 or nan, so ``acc <=
+    1.7976931348623157e+308``, the largest float, is the test
+    ``isfinite(acc)`` without a call.  The a{i} = |y{i}| are computed once from x0 before the
+    loop and then taken from the b{i} of each accepted attempt, whose v{i}
+    become the y{i}.  An accepted state holds no NaN, so the escape test
     ``abs(y0) > bound or ...`` and the blow-up test, the same on b{i} =
     |y{i}|, are ``max(map(abs, y)) > bound``; each clamp picks what the
     builtin ``min`` or ``max`` would.  The time is ``now``, since the
@@ -156,7 +161,7 @@ def _loop_source(shape) -> list[str]:
         qs = [f"q{i}" for i in range(n)]
         return [*(f"{q} = {term}" for q, term in zip(qs, terms)),
                 "acc = " + " + ".join(f"{q} * {q}" for q in qs),
-                "if isfinite(acc):",
+                f"if acc <= {sys.float_info.max!r}:",
                 f"    {target} = sqrt(acc / {n})",
                 "else:",
                 f"    {target} = hypot({', '.join(qs)}) / sqrt({n})"]
@@ -186,7 +191,8 @@ def _loop_source(shape) -> list[str]:
         "d = d2 if d2 > d1 else d1",
         "h1 = (h0 * 1e-3 if h0 * 1e-3 > 1e-6 else 1e-6) if d <= 1e-15 else (0.01 / d) ** 0.2",
         "h = h1 if h1 < 100 * h0 else 100 * h0"])  # the loop clamps h to end
-    lines += ["    while now < end:"]
+    lines += ["    " + "".join(f"a{i}, " for i in range(n)) + "= map(abs, ys)",
+              "    while now < end:"]
     lines += indent(2, [
         "if attempts >= budget:",
         "    status, reason = 'stiff-abort', 'max_steps'",
@@ -203,15 +209,14 @@ def _loop_source(shape) -> list[str]:
         lines += indent(2, [f"v{i} = y{i} + h * ({weighted(_A[s], i)})" for i in range(n)])
         lines += indent(2, _field_lines(shape, [f"s{s}_{i}" for i in range(n)]))
     for i in range(n):
-        lines += indent(2, [f"e{i} = h * ({weighted(_E, i)})",
-                            f"a{i} = abs(y{i})",
-                            f"b{i} = abs(v{i})"])
+        lines += indent(2, [f"e{i} = h * ({weighted(_E, i)})", f"b{i} = abs(v{i})"])
     lines += indent(2, rms("err", [f"e{i} / (atol + rtol * (a{i} if a{i} >= b{i} else b{i}))"
                                    for i in range(n)]))
     lines += indent(2, [
         "if err <= 1.0:  # false for NaN and inf",
         "    now += h",
         f"    {state}= " + "".join(f"v{i}, " for i in range(n)),
+        *(f"    a{i} = b{i}" for i in range(n)),
         # FSAL: a rejected attempt retries from f at the accepted state
         f"    {slope}= " + "".join(f"s6_{i}, " for i in range(n)),
         "    ts.append(now)",

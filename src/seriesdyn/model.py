@@ -25,7 +25,10 @@ class Monomial:
 
     def __post_init__(self):
         given = tuple(self.exponents)
-        exps = tuple(map(int, given))
+        try:
+            exps = tuple(map(int, given))
+        except (OverflowError, ValueError):  # inf or nan
+            exps = None
         if exps != given:
             raise ValueError(f"non-integral exponent in {given}")
         if any(e < 0 for e in exps):
@@ -279,23 +282,39 @@ def _field_lines(shape, outs) -> list[str]:
     """Straight-line code that evaluates a program of the given shape on
     the names v0, v1, ... of its variables and assigns polynomial i to
     ``outs[i]``: a line ``v{k} = v{a} * v{b}`` per node in node order,
-    then the term sums (see ``_sum_lines``).  No line nests another, so
-    a field of any size compiles without deep recursion."""
+    then the term sums (see ``_sum_lines``).  No line holds more than
+    ``_TERMS_PER_LINE`` terms, so a field of any size compiles without
+    deep recursion."""
     n, products, components = shape
     return ([f"v{k} = v{a} * v{b}" for k, (a, b) in enumerate(products, start=n)]
             + _sum_lines(components, outs))
 
 
+# Terms per generated line: each ``+`` nests the sum before it, and Python
+# 3.11 compiles one expression of 2000 terms but raises RecursionError on
+# one of 5000.
+_TERMS_PER_LINE = 256
+
+
 def _sum_lines(components, outs, constant="k{}") -> list[str]:
     """The term sums of polynomials whose term nodes are ``components``
-    (the last entry of a program's shape): per polynomial i, ``t = k{i}``
-    (``constant`` formatted with i), a line ``t += c{i}_{j} * v{k}`` per
-    term in canonical order and ``outs[i] = t``."""
+    (the last entry of a program's shape): per polynomial i, one
+    expression ``outs[i] = (k{i}) + c{i}_0 * v{a} + c{i}_1 * v{b} + ...``
+    (``constant`` formatted with i) over its terms in canonical order,
+    which Python evaluates left to right.  A sum of more than
+    ``_TERMS_PER_LINE`` terms is split into lines of that many, ``t =
+    (k{i}) + ...``, ``t = t + ...`` and ``outs[i] = t + ...``, with the
+    same additions in the same order."""
     lines = []
     for i, (nodes, out) in enumerate(zip(components, outs)):
-        lines.append(f"t = {constant.format(i)}")
-        lines += [f"t += c{i}_{j} * v{k}" for j, k in enumerate(nodes)]
-        lines.append(f"{out} = t")
+        terms = [f" + c{i}_{j} * v{k}" for j, k in enumerate(nodes)]
+        chunks = [terms[j:j + _TERMS_PER_LINE]
+                  for j in range(0, len(terms), _TERMS_PER_LINE)] or [[]]
+        left = f"({constant.format(i)})"
+        for j, chunk in enumerate(chunks):
+            target = out if j == len(chunks) - 1 else "t"
+            lines.append(f"{target} = {left}{''.join(chunk)}")
+            left = "t"
     return lines
 
 
@@ -318,11 +337,12 @@ def _factory(source, shape):
     c{i}_{j} (coefficient of its term j), which the body's functions read
     as closure cells, so fields of one shape share the code; only what is
     the same for every field, such as the DP5 tableau, is a literal.  For
-    two variables, on 2 shared cores, compiling takes about 0.15 ms (f),
-    0.25 to 0.45 ms (the Taylor recursion, one line per graph level, or
-    the perturbation recursion, one per node) and 2 ms (the DP5 step
-    loop), and calling the factory about 6 µs, so each (source, shape) is
-    compiled once and the 256 most recently used are kept."""
+    the two-variable presets, on 2 shared cores with Python 3.11,
+    generating and compiling takes about 0.1 ms (f), 0.25 to 0.4 ms (the
+    Taylor recursion, one line per graph level, or the perturbation
+    recursion, one per node) and 1.6 ms (the DP5 step loop), and calling
+    the factory about 1.5 µs, so each (source, shape) is compiled once and
+    the 256 most recently used are kept."""
     names = "".join(f"k{i}, " + "".join(f"c{i}_{j}, " for j in range(len(nodes)))
                     for i, nodes in enumerate(shape[2]))
     lines = ["def factory(coefficients):", f"    {names}= coefficients"]

@@ -220,14 +220,24 @@ def series_eval(s: TruncatedSeries, t):
     return float(acc) if acc.ndim == 0 else acc
 
 
+def _total(values) -> float:
+    """The sum of floats added left to right from 0.0, the same bits on
+    every Python: the builtin ``sum`` compensates its rounding from 3.12 on."""
+    acc = 0.0
+    for v in values:
+        acc += v
+    return acc
+
+
 def _line(xs: list, ys: list) -> tuple[float, float]:
     """Slope and intercept of the least-squares line through the points
-    (xs[i], ys[i]), in closed form on Python floats, so no BLAS or LAPACK
-    kernel chooses the digits.  The xs must not all be equal."""
-    xm = sum(xs) / len(xs)
-    ym = sum(ys) / len(ys)
-    slope = (sum((x - xm) * (y - ym) for x, y in zip(xs, ys))
-             / sum((x - xm) * (x - xm) for x in xs))
+    (xs[i], ys[i]), in closed form on Python floats summed by ``_total``,
+    so no BLAS or LAPACK kernel and no Python version chooses the digits.
+    The xs must not all be equal."""
+    xm = _total(xs) / len(xs)
+    ym = _total(ys) / len(ys)
+    slope = (_total((x - xm) * (y - ym) for x, y in zip(xs, ys))
+             / _total((x - xm) * (x - xm) for x in xs))
     return slope, ym - slope * xm
 
 

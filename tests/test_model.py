@@ -20,6 +20,7 @@ from seriesdyn import (
 )
 from seriesdyn.errors import DimensionError
 from seriesdyn.model import (
+    _TERMS_PER_LINE,
     InitialValueProblem,
     Logistic,
     Monomial,
@@ -27,6 +28,7 @@ from seriesdyn.model import (
     PolyVectorField,
     Spiral,
     TwoSpecies,
+    _field_lines,
     eval_field,
     field_jacobian,
     jacobian_at,
@@ -65,6 +67,10 @@ def test_monomial_rejects_non_integral_exponents():
         Monomial((1.5,))
     with pytest.raises(ValueError, match="non-integral exponent"):
         Polynomial.from_coeffs({(1.5,): 1.0}, 1)
+    # a non-finite exponent is no integer either, not an int() failure
+    for e in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="non-integral exponent"):
+            Monomial((2, e))
     # whole numbers of any integral type are kept, as Python ints
     m = Monomial((np.int64(2), 2.0, True))
     assert m.exponents == (2, 2, 1) and all(type(e) is int for e in m.exponents)
@@ -676,7 +682,8 @@ def test_code_cache_is_bounded():
 
 def test_large_field_generates_flat_code():
     # 1330 terms (every monomial of degree <= 18 in three variables) plus
-    # x^400: one line per node and per term, so compiling nests nothing
+    # x^400: one line per node, and per polynomial one term sum of at most
+    # _TERMS_PER_LINE terms a line, so compiling nests no deeper than that
     rng = np.random.default_rng(5)
     exps = [(i, j, k) for i in range(19) for j in range(19 - i) for k in range(19 - i - j)]
     comps = [Polynomial.from_coeffs({**{e: float(rng.uniform(-2, 2)) for e in exps},
@@ -701,6 +708,26 @@ def test_large_field_generates_flat_code():
     with np.errstate(over="ignore", invalid="ignore"):
         got = field._program.run(list(xs.T), np.empty((3, len(xs))))
         want = np.array([[float64_walk(p, x) for p in comps] for x in xs]).T
+    np.testing.assert_array_equal(got, want)
+    # 6545 terms (every monomial of degree <= 32 in three variables): one
+    # expression of that many raises RecursionError in Python 3.11's
+    # compile, so the sum goes on over lines of _TERMS_PER_LINE terms
+    exps = [(i, j, k) for i in range(33) for j in range(33 - i) for k in range(33 - i - j)]
+    comps = [Polynomial.from_coeffs({e: float(rng.uniform(-2, 2)) for e in exps}, 3),
+             Polynomial.from_coeffs({(0, 1, 0): 1.0}, 3),
+             Polynomial.from_coeffs({(0, 0, 1): -1.0, (0, 0, 0): 0.5}, 3)]
+    field = PolyVectorField(tuple(comps))
+    assert len(comps[0].terms) == 6545
+    lines = _field_lines(field._program.shape, ["a", "b", "c"])
+    sums = [line for line in lines if not line.startswith("v")]
+    assert len(sums) == math.ceil(6545 / _TERMS_PER_LINE) + 2
+    assert max(line.count(" * ") for line in sums) == _TERMS_PER_LINE
+    x = rng.uniform(-1.1, 1.1, 3)
+    np.testing.assert_array_equal(eval_field(field, x),
+                                  [float64_walk(p, x) for p in comps])
+    xs = rng.uniform(-1.1, 1.1, (4, 3))
+    got = field._program.run(list(xs.T), np.empty((3, len(xs))))
+    want = np.array([[float64_walk(p, x) for p in comps] for x in xs]).T
     np.testing.assert_array_equal(got, want)
 
 

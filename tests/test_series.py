@@ -34,6 +34,7 @@ from seriesdyn import (
     series_mul,
     taylor_solve,
 )
+from seriesdyn import series
 from seriesdyn.series import _taylor_source
 
 LOGISTIC = preset_ivp(Logistic(1.0, -3.0), [1.0])
@@ -566,8 +567,9 @@ def test_hpm_equals_the_numpy_recursion_bit_for_bit():
     # the generated loop does the numpy loop's products, bincount sums,
     # term sums and divisions in the same order, so every correction has
     # its bits, inf and nan where the logistic from far out overflows
+    ivps = bit_identity_ivps()
     for order in (1, 2, 5, 13, 30):
-        for ivp in bit_identity_ivps():
+        for ivp in ivps:
             assert_hpm_is_the_numpy_recursion(ivp, order)
     for x0 in (1e30, 1e100, 1e300):
         h = assert_hpm_is_the_numpy_recursion(preset_ivp(Logistic(1.0, -3.0), [x0]), 12)
@@ -956,6 +958,23 @@ def test_radius_fits_agree_with_polyfit():
         top = np.arange((K + 1) // 2, K + 1)
         slope, _ = np.polyfit(top[c[top] > 1e-300].astype(float), root.diagnostics, 1)
         assert root.value == pytest.approx(math.exp(-slope), rel=1e-12, abs=0.0)
+
+
+def test_radius_fits_do_not_depend_on_the_python_version(monkeypatch):
+    # from Python 3.12 on the builtin sum of floats compensates its
+    # rounding; the fits add left to right from 0.0, the bits 3.11's sum
+    # gives, so a sum that rounds differently, the exact math.fsum, moves
+    # nothing
+    xs = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]
+    ys = [0.7, 0.1, 0.2, 0.9, 0.3, 0.3, 0.1]
+    left_to_right = 0.0
+    for y in ys:
+        left_to_right += y
+    assert math.fsum(ys) != left_to_right
+    want = series._line(xs, ys)
+    assert want == (-0.46428571428571414, 0.557142857142857)
+    monkeypatch.setattr(series, "sum", math.fsum, raising=False)
+    assert series._line(xs, ys) == want
 
 
 # scripts whose stdout must not depend on the BLAS kernel, each run here
