@@ -25,13 +25,13 @@ _EXPORTS = {
                "ModelFileError", "IntegrationFailedError"),
     "model": ("Monomial", "Polynomial", "PolyVectorField", "InitialValueProblem",
               "IntegrationConfig", "Logistic", "TwoSpecies", "Spiral",
-              "eval_field", "field_jacobian", "jacobian_at", "preset_ivp"),
+              "eval_field", "jacobian_at", "preset_ivp"),
     "series": ("TruncatedSeries", "TaylorSolution", "RadiusEstimate",
                "taylor_solve", "series_eval", "radius_estimate"),
     "hpm": ("HpmExpansion", "series_mul", "poly_apply_series", "hpm_solve",
             "hpm_collapse_check"),
-    "exact": ("Singularity", "PolarInit", "logistic_exact", "logistic_singularity",
-              "polar_init", "spiral_exact", "spiral_singularity"),
+    "exact": ("Singularity", "logistic_exact", "logistic_singularity", "spiral_exact",
+              "spiral_singularity"),
     "dp5": ("Trajectory", "integrate", "sample"),
     "phase": ("CLASSIFICATIONS", "CriticalPoint", "fixed_points", "classify"),
 }

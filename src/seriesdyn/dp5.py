@@ -101,10 +101,6 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.ts[-1])
 
-    @property
-    def dimension(self) -> int:
-        return self.states.shape[1]
-
 
 def _loop_source(shape) -> list[str]:
     """The body of the DP5 loop's factory for a field of this shape (see

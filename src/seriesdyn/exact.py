@@ -41,18 +41,6 @@ class Singularity:
             raise ValueError("singularity modulus must be positive")
 
 
-@record
-class PolarInit:
-    """Initial state of the spiral model in polar form."""
-
-    r0: float
-    theta0: float
-
-    def __post_init__(self):
-        if self.r0 < 0:
-            raise ValueError("r0 must be non-negative")
-
-
 def logistic_exact(b: float, a: float, x0: float, t: float) -> float:
     """Exact solution of x' = x(b + a x), x(0) = x0, at time t.
 
@@ -127,17 +115,6 @@ def logistic_singularity(b: float, a: float, x0: float) -> Singularity:
     return Singularity(location=loc, modulus=abs(loc), kind="pole")
 
 
-def polar_init(x0: float, y0: float) -> PolarInit:
-    """Polar form (r0, theta0) of a spiral initial state.
-
-    Uses atan2 so every quadrant is resolved.  The origin is the spiral's
-    fixed point and has no polar angle.
-    """
-    if x0 == 0.0 and y0 == 0.0:
-        raise DegenerateError("the origin is the fixed point; no polar form")
-    return PolarInit(r0=math.hypot(x0, y0), theta0=math.atan2(y0, x0))
-
-
 def spiral_exact(a: float, x0: float, y0: float, t: float) -> tuple[float, float]:
     """Exact solution of the rotating cubic spiral at time t.
 
@@ -150,7 +127,7 @@ def spiral_exact(a: float, x0: float, y0: float, t: float) -> tuple[float, float
         return (0.0, 0.0)  # fixed point
     if t == 0.0:
         return (float(x0), float(y0))  # exact by construction
-    r0, theta0 = math.hypot(x0, y0), math.atan2(y0, x0)  # polar_init's, without its record
+    r0, theta0 = math.hypot(x0, y0), math.atan2(y0, x0)
     radicand = 1.0 - 2.0 * a * r0 ** 2 * t
     if radicand <= 0.0:
         raise SingularityError(
@@ -165,12 +142,14 @@ def spiral_singularity(a: float, x0: float, y0: float) -> Singularity:
     The square root in the closed form branches there; for a > 0 the
     real-axis solution blows up in finite time at t_c, while for a < 0
     the singularity sits on the negative real axis and still limits the
-    series radius even though the forward solution is global.
+    series radius even though the forward solution is global.  Where
+    2*a*r0^2 is zero or subnormal (r0^2 underflows), t_c is +-inf with
+    the sign of a.
     """
     if a == 0.0:
         raise ValueError("a must be nonzero for a singularity to exist")
     if x0 == 0.0 and y0 == 0.0:
         raise DegenerateError("the origin is the fixed point; no singularity")
-    r0_sq = x0 * x0 + y0 * y0
-    loc = complex(1.0 / (2.0 * a * r0_sq), 0.0)
+    den = 2.0 * a * (x0 * x0 + y0 * y0)  # -0.0 for a < 0 when r0^2 underflows
+    loc = complex(1.0 / den if den else math.copysign(math.inf, den), 0.0)
     return Singularity(location=loc, modulus=abs(loc), kind="branch-point")

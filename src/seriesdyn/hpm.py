@@ -46,29 +46,6 @@ class HpmExpansion:
         if G.ndim != 3 or len(G) == 0 or len(G) != G.shape[2]:
             raise DimensionError(f"the grid must have shape (K+1, n, K+1), not {G.shape}")
 
-    @classmethod
-    def from_corrections(cls, corrections) -> "HpmExpansion":
-        """The expansion whose ``corrections[j][i]`` is the order-j
-        correction of variable i.  Every order must hold the same number of
-        variables, and no correction more than K+1 coefficients
-        (DimensionError); a shorter one is read as zero-padded."""
-        if not corrections:
-            raise DimensionError("an expansion needs at least the zeroth correction")
-        n = len(corrections[0])
-        grid = len(corrections)
-        G = np.zeros((grid, n, grid))
-        for j, per_var in enumerate(corrections):
-            if len(per_var) != n:
-                raise DimensionError(
-                    f"correction {j} has {len(per_var)} variables, correction 0 has {n}")
-            for i, s in enumerate(per_var):
-                if len(s.coeffs) > grid:
-                    raise DimensionError(
-                        f"correction {j} of variable {i} has {len(s.coeffs)} "
-                        f"coefficients, more than the {grid} of order {grid - 1}")
-                G[j, i, : len(s.coeffs)] = s.coeffs
-        return cls(G)
-
     @cached_property
     def corrections(self) -> tuple[tuple[TruncatedSeries, ...], ...]:
         return tuple(tuple(TruncatedSeries(row) for row in per_var) for per_var in self.G)

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import (DEBUG, DegenerateError, InsufficientOrderError, IntegrationFailedError,
-                     logger, record)
+                     logger)
 from .model import (InitialValueProblem, IntegrationConfig, Logistic, Spiral, TwoSpecies,
                     preset_ivp)
 
@@ -27,18 +27,6 @@ if TYPE_CHECKING:
     from .modelfile import ModelFile
 
 _FLOAT_FMT = "%.11e"  # 12 significant digits
-
-
-@record
-class ComparisonRow:
-    """One time point of the logistic table: the 4th-order partial sum,
-    the closed form, the integrator, and log10 |(exact - series)/exact|."""
-
-    t: float
-    series4: float
-    exact: float
-    numerical: float
-    log_error: float
 
 
 def _var_names(n: int) -> list[str]:
@@ -119,34 +107,24 @@ def _curves(ivp: InitialValueProblem, ts, orders: list[int],
     return sample(traj, ts), {k: taylor_solve(ivp, k).eval(ts) for k in orders}
 
 
-def table1_rows() -> list[ComparisonRow]:
-    """The ten comparison rows behind the logistic log-error table."""
+@_logged
+def cmd_table1(full_precision: bool = False) -> str:
+    """Log-error table for the 4th-order logistic series, t = 0.1..1.0:
+    the partial sum, the closed form, the integrator, and log10
+    |(exact - series)/exact|, that last printed to 3 significant figures
+    unless ``full_precision`` is set.
+    """
     from .exact import logistic_exact
+    val_fmt = "{:.17g}" if full_precision else "{:.10g}"
+    err_fmt = "{:.17g}" if full_precision else "{:.3g}"
     b, a, x0 = 1.0, -3.0, 1.0
     ts = [i / 10 for i in range(1, 11)]
     numerical, sums = _curves(preset_ivp(Logistic(b, a), [x0]), ts, [4])
-    rows = []
+    table = [["t", "series4", "exact", "numerical", "log10-rel-error"]]
     for t, num, s4 in zip(ts, numerical[:, 0].tolist(), sums[4][:, 0].tolist()):
         ex = logistic_exact(b, a, x0, t)
-        rows.append(ComparisonRow(t=t, series4=s4, exact=ex, numerical=num,
-                                  log_error=math.log10(abs((ex - s4) / ex))))
-    return rows
-
-
-@_logged
-def cmd_table1(full_precision: bool = False) -> str:
-    """Log-error table for the 4th-order logistic series, t = 0.1..1.0.
-
-    The last column is log10 |(exact - series)/exact|, printed to 3
-    significant figures unless ``full_precision`` is set.
-    """
-    val_fmt = "{:.17g}" if full_precision else "{:.10g}"
-    err_fmt = "{:.17g}" if full_precision else "{:.3g}"
-    table = [["t", "series4", "exact", "numerical", "log10-rel-error"]]
-    for row in table1_rows():
-        values = (row.series4, row.exact, row.numerical)
-        table.append([f"{row.t:.1f}", *map(val_fmt.format, values),
-                      err_fmt.format(row.log_error)])
+        table.append([f"{t:.1f}", *map(val_fmt.format, (s4, ex, num)),
+                      err_fmt.format(math.log10(abs((ex - s4) / ex)))])
     return _aligned(table)
 
 
@@ -255,7 +233,7 @@ def cmd_radius(mf: ModelFile, order: int | None = None) -> str:
                      f" ({sing.kind} at t = {loc})")
         for name in names:
             ratio_v, root_v = estimates[name]
-            rel = tuple("n/a" if not math.isfinite(v)
+            rel = tuple("n/a" if not math.isfinite(v) or math.isinf(sing.modulus)
                         else "{:.3g}".format(abs(v - sing.modulus) / sing.modulus)
                         for v in (ratio_v, root_v))
             lines.append(f"relative disagreement {name}: ratio {rel[0]}"

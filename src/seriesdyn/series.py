@@ -41,20 +41,6 @@ class TruncatedSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __call__(self, t):
-        return series_eval(self, t)
-
-    def derivative(self) -> "TruncatedSeries":
-        c = self.coeffs
-        if len(c) == 1:
-            return TruncatedSeries(np.zeros(1))
-        return TruncatedSeries(c[1:] * np.arange(1, len(c)))
-
-    def integral(self) -> "TruncatedSeries":
-        """Antiderivative with zero constant term (one order higher)."""
-        c = self.coeffs
-        return TruncatedSeries(np.concatenate(([0.0], c / np.arange(1, len(c) + 1))))
-
 
 @record(eq=False)
 class TaylorSolution:

@@ -29,6 +29,7 @@ from seriesdyn import (
     preset_ivp,
     radius_estimate,
     sample,
+    series_eval,
     spiral_exact,
     spiral_singularity,
     taylor_solve,
@@ -242,7 +243,7 @@ def test_criterion_6b_higher_order_worse_late(acceptance_record):
     dev = {}
     for k in (4, 10):
         sol = taylor_solve(ivp, k)
-        vals = np.column_stack([s(ts) for s in sol.series])
+        vals = np.column_stack([series_eval(s, ts) for s in sol.series])
         dev[k] = np.linalg.norm(vals - num, axis=1)
     worse = dev[10] > dev[4]
     ok = bool(worse.any())

@@ -241,6 +241,20 @@ def test_logistic_beyond_the_float_range_of_q_exits_zero(tmp_path, capsys, comma
     assert "nan" not in out
 
 
+@pytest.mark.parametrize("x0", [1e-200, 1e-160], ids=["r0-squared-underflows",
+                                                      "reciprocal-overflows"])
+def test_radius_of_a_tiny_spiral_start_exits_zero(tmp_path, capsys, x0):
+    # the branch point is at -inf, so no relative disagreement is defined
+    doc = {"model": "spiral", "params": {"a": -0.5}, "x0": [x0, 0.0], "order": 30}
+    assert main(["radius", write_model(tmp_path, doc)]) == EXIT_OK
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[3:] == ["analytic singularity modulus: inf (branch-point at t = -inf)",
+                         "relative disagreement x: ratio n/a  root n/a",
+                         "relative disagreement y: ratio n/a  root n/a"]
+    assert captured.err == ""
+
+
 def test_radius_cli_order_override(tmp_path, capsys):
     path = write_model(tmp_path, LOGISTIC_DOC)
     assert main(["radius", path, "-k", "12"]) == EXIT_OK
@@ -536,13 +550,13 @@ PUBLIC = {
     "errors": ["DegenerateError", "DimensionError", "InsufficientOrderError",
                "IntegrationFailedError", "ModelFileError", "NotAFixedPointError",
                "RangeError", "SeriesDynError", "SingularityError"],
-    "exact": ["PolarInit", "Singularity", "logistic_exact", "logistic_singularity",
-              "polar_init", "spiral_exact", "spiral_singularity"],
+    "exact": ["Singularity", "logistic_exact", "logistic_singularity", "spiral_exact",
+              "spiral_singularity"],
     "hpm": ["HpmExpansion", "hpm_collapse_check", "hpm_solve", "poly_apply_series",
             "series_mul"],
     "model": ["InitialValueProblem", "IntegrationConfig", "Logistic", "Monomial",
               "PolyVectorField", "Polynomial", "Spiral", "TwoSpecies", "eval_field",
-              "field_jacobian", "jacobian_at", "preset_ivp"],
+              "jacobian_at", "preset_ivp"],
     "phase": ["CLASSIFICATIONS", "CriticalPoint", "classify", "fixed_points"],
     "series": ["RadiusEstimate", "TaylorSolution", "TruncatedSeries", "radius_estimate",
                "series_eval", "taylor_solve"],

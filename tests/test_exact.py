@@ -10,14 +10,12 @@ import pytest
 from seriesdyn import (
     DegenerateError,
     Logistic,
-    PolarInit,
     Singularity,
     SingularityError,
     Spiral,
     eval_field,
     logistic_exact,
     logistic_singularity,
-    polar_init,
     preset_ivp,
     radius_estimate,
     spiral_exact,
@@ -253,18 +251,6 @@ def test_singularity_validation():
 
 # -- spiral closed form ------------------------------------------------------
 
-def test_polar_init_quadrants():
-    p = polar_init(2.0, 2.0)
-    assert p.r0 == pytest.approx(2.0 * math.sqrt(2.0), rel=1e-15)
-    assert p.theta0 == pytest.approx(math.pi / 4.0, rel=1e-15)
-    assert polar_init(-1.0, 0.0).theta0 == pytest.approx(math.pi)
-    assert polar_init(0.0, -3.0).theta0 == pytest.approx(-math.pi / 2.0)
-    with pytest.raises(DegenerateError):
-        polar_init(0.0, 0.0)
-    with pytest.raises(ValueError):
-        PolarInit(-1.0, 0.0)
-
-
 def test_spiral_known_value():
     # a=-0.5 from (2,2): radicand at t=1 is 1+8 = 9, scale r0/3
     x, y = spiral_exact(-0.5, 2.0, 2.0, 1.0)
@@ -338,6 +324,17 @@ def test_spiral_singularity_location():
         spiral_singularity(0.0, 2.0, 2.0)
     with pytest.raises(DegenerateError):
         spiral_singularity(-0.5, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("a, x0, location", [
+    (-0.5, 1e-200, -math.inf),  # r0^2 underflows to zero
+    (0.5, 1e-200, math.inf),
+    (-0.5, 1e-160, -math.inf),  # 2*a*r0^2 is subnormal, its reciprocal overflows
+])
+def test_spiral_singularity_of_a_tiny_start_is_signed_infinity(a, x0, location):
+    s = spiral_singularity(a, x0, 0.0)
+    assert s.location == complex(location, 0.0)
+    assert s.modulus == abs(location) and s.kind == "branch-point" and not s.degenerate
 
 
 # -- singularity modulus versus series-based estimates -----------------------

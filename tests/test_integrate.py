@@ -142,7 +142,6 @@ def test_trajectory_shapes_and_read_only():
     assert traj.derivs.shape == (n_nodes, 1)
     assert traj.step_sizes.shape == (n_nodes - 1,)
     assert traj.error_estimates.shape == (n_nodes - 1,)
-    assert traj.dimension == 1
     with pytest.raises(ValueError):
         traj.states[0, 0] = 99.0
     with pytest.raises(ValueError):
@@ -351,7 +350,7 @@ def scalar_hermite(traj, times):
     """One point at a time: node hits return the stored state, interior
     points the cubic Hermite blend of the bracketing step."""
     ts = traj.ts
-    out = np.empty((len(times), traj.dimension))
+    out = np.empty((len(times), traj.states.shape[1]))
     idx = np.clip(np.searchsorted(ts, times, side="right") - 1, 0, len(ts) - 2)
     for m, (t, i) in enumerate(zip(times, idx)):
         if t == ts[i]:

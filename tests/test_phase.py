@@ -22,7 +22,6 @@ from seriesdyn import (
     TwoSpecies,
     classify,
     eval_field,
-    field_jacobian,
     fixed_points,
     integrate,
 )
@@ -358,7 +357,8 @@ def _ref_newton(field, seed):
     floats: the closed-form solve, at most 60 steps, ||f|| < 1e-10
     checked first, and None for a non-finite f or iterate, ||x|| > 1e12
     or a singular Jacobian."""
-    jac = field_jacobian(field)
+    n = field.dimension
+    jac = [[p.diff(j) for j in range(n)] for p in field.components]
     x = [float(v) for v in seed]
     for _ in range(60):
         f = [_ref_eval(p, x) for p in field.components]

@@ -1,4 +1,4 @@
-"""The record contract of the package's 18 frozen classes: fields,
+"""The record contract of the package's 16 frozen classes: fields,
 ``replace``, repr, signature, frozen instances, argument errors, value or
 identity equality, no method generated with ``exec``, and a read-only
 copy of every array a record holds."""
@@ -11,8 +11,8 @@ import pickle
 import numpy as np
 import pytest
 
-from seriesdyn.errors import DimensionError
-from seriesdyn.exact import PolarInit, Singularity, logistic_singularity, polar_init
+from seriesdyn.errors import DimensionError, record
+from seriesdyn.exact import Singularity, logistic_singularity
 from seriesdyn.dp5 import Trajectory, integrate
 from seriesdyn.hpm import HpmExpansion, hpm_solve
 from seriesdyn.model import (
@@ -28,7 +28,6 @@ from seriesdyn.model import (
 )
 from seriesdyn.modelfile import ModelFile, loads_model
 from seriesdyn.phase import CriticalPoint, classify
-from seriesdyn.report import ComparisonRow
 from seriesdyn.series import (
     RadiusEstimate,
     TaylorSolution,
@@ -53,9 +52,6 @@ RECORDS = {
     IntegrationConfig: (("rel_tol", "abs_tol", "max_steps"), IntegrationConfig),
     Singularity: (("location", "modulus", "kind", "degenerate"),
                   lambda: logistic_singularity(1.0, -3.0, 0.1)),
-    PolarInit: (("r0", "theta0"), lambda: polar_init(2.0, 2.0)),
-    ComparisonRow: (("t", "series4", "exact", "numerical", "log_error"),
-                    lambda: ComparisonRow(0.1, 1.1, 1.2, 1.3, -4.5)),
     InitialValueProblem: (("field", "x0"), spiral_ivp),
     TruncatedSeries: (("coeffs",), lambda: TruncatedSeries([1.0, 2.0, 3.0])),
     TaylorSolution: (("series", "ivp", "overflow_order"),
@@ -73,7 +69,7 @@ RECORDS = {
                                     '"x0": [2.0, 2.0]}')),
 }
 VALUES = [Monomial, Polynomial, PolyVectorField, Logistic, TwoSpecies, Spiral,
-          IntegrationConfig, Singularity, PolarInit, ComparisonRow]
+          IntegrationConfig, Singularity]
 IDENTITIES = [cls for cls in RECORDS if cls not in VALUES]
 MODULES = ["errors", "model", "dp5", "series", "hpm", "exact", "phase", "modelfile",
            "report", "cli"]
@@ -90,8 +86,8 @@ def values_of(obj) -> list:
     return [getattr(obj, name) for name in type(obj).__match_args__]
 
 
-def test_eighteen_records_ten_by_value():
-    assert len(RECORDS) == 18 and len(VALUES) == 10 and len(IDENTITIES) == 8
+def test_sixteen_records_eight_by_value():
+    assert len(RECORDS) == 16 and len(VALUES) == 8 and len(IDENTITIES) == 8
 
 
 @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
@@ -142,9 +138,11 @@ def test_signatures_are_pinned():
                                "a21: 'float', a22: 'float') -> None")
     assert sig(IntegrationConfig) == ("(rel_tol: 'float' = 1e-10, abs_tol: 'float' = 1e-12, "
                                       "max_steps: 'int' = 1000000) -> None")
-    # a callable record keeps the signature of its __call__
-    assert sig(Monomial((1,))) == "(x) -> 'float'"
-    assert sig(TruncatedSeries([1.0])) == "(t)"
+    # a callable record keeps the signature of its __call__, and an instance
+    # of any other record has none
+    assert sig(Polynomial.from_coeffs({(1,): 2.0}, 1)) == "(x) -> 'float'"
+    with pytest.raises(TypeError, match="not a callable object"):
+        sig(TruncatedSeries([1.0]))
 
 
 @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
@@ -209,7 +207,12 @@ def test_value_classes_compare_and_hash_by_field_tuple(cls):
 
 
 def test_value_equality_needs_the_same_class():
-    assert Logistic(1.0, -3.0) != PolarInit(1.0, -3.0)
+    @record
+    class Pair:
+        first: float
+        second: float
+
+    assert Logistic(1.0, -3.0) != Pair(1.0, -3.0) and Pair(1.0, -3.0) == Pair(1.0, -3.0)
     assert Spiral(0.0) == Spiral(-0.0) and Logistic(1, -3) == Logistic(1.0, -3.0)
     nan = float("nan")
     # fields compare as a tuple: the same nan object is equal to itself
@@ -265,7 +268,7 @@ COLD = {"generated": (["-c", GENERATED], {})}
 
 def test_no_record_method_is_generated_code(cold_run):
     child = cold_run("generated")
-    assert child.stdout.decode().split(None, 1) == ["18", "[]\n"]
+    assert child.stdout.decode().split(None, 1) == ["16", "[]\n"]
 
 
 # every array a record holds: (class, field)

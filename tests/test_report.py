@@ -13,7 +13,12 @@ import pytest
 from seriesdyn import (
     InsufficientOrderError,
     IntegrationFailedError,
+    Logistic,
+    integrate,
     logistic_exact,
+    preset_ivp,
+    sample,
+    taylor_solve,
 )
 from seriesdyn.modelfile import load_model, parse_model
 from seriesdyn.report import (
@@ -26,7 +31,6 @@ from seriesdyn.report import (
     cmd_solve,
     cmd_spiral,
     cmd_table1,
-    table1_rows,
 )
 
 # log10 relative errors of the 4th-order logistic series at t = 0.1..1.0,
@@ -45,26 +49,29 @@ def parse_csv(text):
     return data[0], data[1:], comments
 
 
-def test_table1_rows_values():
-    rows = table1_rows()
-    assert [r.t for r in rows] == pytest.approx([i / 10 for i in range(1, 11)])
-    for row, want in zip(rows, TABLE1_LOG_ERRORS):
-        got = float(f"{row.log_error:.3g}")
-        assert abs(got - want) <= 0.01, (row.t, got, want)
+def test_table1_values():
+    rows = full_table1()
+    assert [t for t, *_ in rows] == pytest.approx([i / 10 for i in range(1, 11)])
+    for (t, *_, log_error), want in zip(rows, TABLE1_LOG_ERRORS):
+        got = float(f"{log_error:.3g}")
+        assert abs(got - want) <= 0.01, (t, got, want)
 
 
-def test_table1_rows_are_consistent():
-    for row in rows_cache():
-        exact = logistic_exact(1.0, -3.0, 1.0, row.t)
-        assert row.exact == pytest.approx(exact, rel=1e-12)
-        assert abs(row.numerical - exact) / abs(exact) < 1e-8
-        err = abs((exact - row.series4) / exact)
-        assert row.log_error == pytest.approx(math.log10(err), rel=1e-12)
+def test_table1_values_are_consistent():
+    for t, series4, exact_value, numerical, log_error in full_table1():
+        exact = logistic_exact(1.0, -3.0, 1.0, t)
+        assert exact_value == pytest.approx(exact, rel=1e-12)
+        assert abs(numerical - exact) / abs(exact) < 1e-8
+        err = abs((exact - series4) / exact)
+        assert log_error == pytest.approx(math.log10(err), rel=1e-12)
 
 
-def rows_cache(_cache=[]):
+def full_table1(_cache=[]):
+    """The rows of ``cmd_table1(full_precision=True)`` as floats: t, the
+    partial sum, the closed form, the integrator and the log error."""
     if not _cache:
-        _cache.extend(table1_rows())
+        lines = cmd_table1(full_precision=True).splitlines()[1:]
+        _cache.extend([float(v) for v in line.split()] for line in lines)
     return _cache
 
 
@@ -81,13 +88,17 @@ def test_cmd_table1_text_layout():
 
 
 def test_cmd_table1_full_precision_round_trips():
-    out = cmd_table1(full_precision=True)
-    row = rows_cache()[0]
-    cells = out.splitlines()[1].split()
-    assert float(cells[1]) == row.series4
-    assert float(cells[2]) == row.exact
-    assert float(cells[3]) == row.numerical
-    assert float(cells[4]) == row.log_error
+    # the first row's cells read back as the values it was printed from
+    ivp = preset_ivp(Logistic(1.0, -3.0), [1.0])
+    ts = [i / 10 for i in range(1, 11)]
+    series4 = taylor_solve(ivp, 4).eval(ts)[0, 0]
+    exact = logistic_exact(1.0, -3.0, 1.0, 0.1)
+    numerical = sample(integrate(ivp, 1.0), ts)[0, 0]
+    cells = full_table1()[0][1:]
+    assert cells[0] == series4
+    assert cells[1] == exact
+    assert cells[2] == numerical
+    assert cells[3] == math.log10(abs((exact - series4) / exact))
 
 
 def test_cmd_phase2d_structure():
